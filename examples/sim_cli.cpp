@@ -30,6 +30,8 @@
 #include "replay/schedule.hpp"
 #include "sim/discipline.hpp"
 #include "sim/simulator.hpp"
+#include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -107,18 +109,35 @@ int main(int argc, char** argv) {
     args.erase(it);
     return value;
   };
+  // Numeric flags: a malformed or out-of-range value is a usage error.
+  auto take_u64 = [&](const std::string& key, const std::string& fallback,
+                      std::uint64_t max = UINT64_MAX) {
+    try {
+      return parse_u64("--" + key, take(key, fallback), max);
+    } catch (const ConfigError& e) {
+      usage(e.what());
+    }
+  };
+  auto take_double = [&](const std::string& key, const std::string& fallback) {
+    try {
+      return parse_double("--" + key, take(key, fallback));
+    } catch (const ConfigError& e) {
+      usage(e.what());
+    }
+  };
 
   const std::string name = take("program", "prefix-sum");
-  const Addr n = std::stoull(take("n", "256"));
-  const Pid p = static_cast<Pid>(std::stoull(take("p", std::to_string(n / 8 + 1))));
+  const Addr n = take_u64("n", "256");
+  const Pid p =
+      static_cast<Pid>(take_u64("p", std::to_string(n / 8 + 1), UINT32_MAX));
   const std::string inner_name = take("inner", "VX");
-  const double fail = std::stod(take("fail", "0.05"));
-  const double restart = std::stod(take("restart", "0.5"));
-  const std::uint64_t seed = std::stoull(take("seed", "1"));
+  const double fail = take_double("fail", "0.05");
+  const double restart = take_double("restart", "0.5");
+  const std::uint64_t seed = take_u64("seed", "1");
   const std::string record_file = take("record", "");
   const std::string replay_file = take("replay", "");
   const std::string checkpoint_file = take("checkpoint", "");
-  const Slot checkpoint_every = std::stoull(take("checkpoint-every", "0"));
+  const Slot checkpoint_every = take_u64("checkpoint-every", "0");
   const std::string resume_file = take("resume", "");
   const std::string trace_out = take("trace-out", "");
   const std::string trace_format = take("trace-format", "");
@@ -192,13 +211,18 @@ int main(int argc, char** argv) {
     if (!memory_model_name.empty()) {
       memory_model = memory_model_from_string(memory_model_name);
     }
-    if (!fault_seed_s.empty()) faulty_cells.seed = std::stoull(fault_seed_s);
-    if (!fault_cells_s.empty()) faulty_cells.cells = std::stoull(fault_cells_s);
+    if (!fault_seed_s.empty()) {
+      faulty_cells.seed = parse_u64("--fault-seed", fault_seed_s);
+    }
+    if (!fault_cells_s.empty()) {
+      faulty_cells.cells = parse_u64("--fault-cells", fault_cells_s);
+    }
     if (!fault_spares_s.empty()) {
-      faulty_cells.spares = std::stoull(fault_spares_s);
+      faulty_cells.spares = parse_u64("--fault-spares", fault_spares_s);
     }
     if (!persist_every_s.empty()) {
-      persistent_cache.persist_every = std::stoull(persist_every_s);
+      persistent_cache.persist_every =
+          parse_u64("--persist-every", persist_every_s);
     }
   } catch (const std::exception& e) {
     usage(e.what());

@@ -43,6 +43,7 @@
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -455,7 +456,7 @@ int main(int argc, char** argv) {
       status = cmd_convert(positional[0], positional[1], to);
     } else if (command == "stat") {
       if (positional.size() != 1) usage("stat needs IN");
-      const std::size_t window = std::stoull(take("window", "64"));
+      const std::size_t window = parse_u64("--window", take("window", "64"));
       if (!options.empty()) usage("unknown option --" + options.begin()->first);
       status = cmd_stat(positional[0], window);
     } else if (command == "check") {
@@ -469,10 +470,10 @@ int main(int argc, char** argv) {
       if (positional.size() != 1) usage("tail needs a file argument");
       if (positional[0] == "-") usage("tail needs a re-pollable file, not '-'");
       const bool follow = take("follow", "0") != "0";
-      const unsigned interval_ms =
-          static_cast<unsigned>(std::stoul(take("interval-ms", "250")));
-      const std::size_t width = std::stoull(take("width", "64"));
-      const std::size_t window = std::stoull(take("window", "64"));
+      const auto interval_ms = static_cast<unsigned>(
+          parse_u64("--interval-ms", take("interval-ms", "250"), UINT32_MAX));
+      const std::size_t width = parse_u64("--width", take("width", "64"));
+      const std::size_t window = parse_u64("--window", take("window", "64"));
       if (!options.empty()) usage("unknown option --" + options.begin()->first);
       status = cmd_tail(positional[0], follow, interval_ms, width, window);
     } else {

@@ -30,6 +30,8 @@
 #include "programs/chain.hpp"
 #include "programs/programs.hpp"
 #include "sim/simulator.hpp"
+#include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "writeall/runner.hpp"
 
@@ -181,20 +183,29 @@ int main(int argc, char** argv) {
     args.erase(it);
     return value;
   };
+  // Numeric flags: a malformed or out-of-range value is a usage error.
+  auto take_u64 = [&](const std::string& key, const std::string& fallback,
+                      std::uint64_t max = UINT64_MAX) {
+    try {
+      return parse_u64("--" + key, take(key, fallback), max);
+    } catch (const ConfigError& e) {
+      usage(e.what());
+    }
+  };
 
   const std::string sim_list = take("sim", "");
   const std::string algo_list =
       take("algo", sim_list.empty() ? "W,V,X,VX" : "");
-  const Addr n = std::stoull(take("n", "8"));
-  const Pid p = static_cast<Pid>(std::stoull(take("p", "4")));
-  const std::uint64_t seed = std::stoull(take("seed", "1"));
-  const Addr sim_n = std::stoull(take("sim-n", "4"));
-  const Pid sim_p = static_cast<Pid>(std::stoull(take("sim-p", "3")));
+  const Addr n = take_u64("n", "8");
+  const Pid p = static_cast<Pid>(take_u64("p", "4", UINT32_MAX));
+  const std::uint64_t seed = take_u64("seed", "1");
+  const Addr sim_n = take_u64("sim-n", "4");
+  const Pid sim_p = static_cast<Pid>(take_u64("sim-p", "3", UINT32_MAX));
   const std::string inner_name = take("inner", "VX");
-  const Slot slots = std::stoull(take("slots", "48"));
-  const std::size_t rounds = std::stoull(take("rounds", "10"));
-  const std::size_t max_states = std::stoull(take("max-states", "32768"));
-  const std::size_t max_paths = std::stoull(take("max-paths", "4194304"));
+  const Slot slots = take_u64("slots", "48");
+  const std::size_t rounds = take_u64("rounds", "10");
+  const std::size_t max_states = take_u64("max-states", "32768");
+  const std::size_t max_paths = take_u64("max-paths", "4194304");
   const bool arbitrary = take("arbitrary", "1") != "0";
   const bool kernels = take("kernels", "1") != "0";
   const std::string agreement_s = take("agreement", "");

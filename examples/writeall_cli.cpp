@@ -48,6 +48,7 @@
 #include "replay/repro.hpp"
 #include "replay/schedule.hpp"
 #include "replay/shrink.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "writeall/algv.hpp"
 #include "writeall/algx.hpp"
@@ -112,7 +113,6 @@ using namespace rfsp;
       "  --persist-every K  persistent-cache: flush each processor's write-\n"
       "                     back cache every K completed cycles (default 1 =\n"
       "                     reliable-equivalent; 0 = only persist()/halt)\n"
-      "  --cycle-threads K  parallel cycle execution with K workers (1)\n"
       "  --audit 1          run the model-conformance auditor (budgets,\n"
       "                     phase order, write agreement, amnesia twins,\n"
       "                     record/replay obliviousness); exit 6 on findings\n"
@@ -159,6 +159,22 @@ int main(int argc, char** argv) {
     args.erase(it);
     return value;
   };
+  // Numeric flags: a malformed or out-of-range value is a usage error.
+  auto take_u64 = [&](const std::string& key, const std::string& fallback,
+                      std::uint64_t max = UINT64_MAX) {
+    try {
+      return parse_u64("--" + key, take(key, fallback), max);
+    } catch (const ConfigError& e) {
+      usage(e.what());
+    }
+  };
+  auto take_double = [&](const std::string& key, const std::string& fallback) {
+    try {
+      return parse_double("--" + key, take(key, fallback));
+    } catch (const ConfigError& e) {
+      usage(e.what());
+    }
+  };
 
   // Load a replay schedule up front: its meta map supplies algo/n/p/seed
   // defaults, so `writeall_cli --replay repro.jsonl` alone re-runs a
@@ -184,26 +200,25 @@ int main(int argc, char** argv) {
   };
 
   const std::string algo_name = take("algo", meta_or("algo", "VX"));
-  const Addr n = std::stoull(take("n", meta_or("n", "1024")));
-  const Pid p =
-      static_cast<Pid>(std::stoull(take("p", meta_or("p", std::to_string(n)))));
-  const std::uint64_t seed = std::stoull(take("seed", meta_or("seed", "1")));
-  const Slot max_slots = std::stoull(
-      take("max-slots", meta_or("max_slots", std::to_string(Slot{1} << 26))));
+  const Addr n = take_u64("n", meta_or("n", "1024"));
+  const Pid p = static_cast<Pid>(
+      take_u64("p", meta_or("p", std::to_string(n)), UINT32_MAX));
+  const std::uint64_t seed = take_u64("seed", meta_or("seed", "1"));
+  const Slot max_slots = take_u64(
+      "max-slots", meta_or("max_slots", std::to_string(Slot{1} << 26)));
   const std::string adversary_name = take("adversary", "none");
-  const double fail = std::stod(take("fail", "0.05"));
-  const double restart = std::stod(take("restart", "0.5"));
-  const Slot burst_period = std::stoull(take("burst-period", "4"));
-  const Pid burst_count =
-      static_cast<Pid>(std::stoull(take("burst-count", std::to_string(
-                                                           std::max(1u, p / 4)))));
+  const double fail = take_double("fail", "0.05");
+  const double restart = take_double("restart", "0.5");
+  const Slot burst_period = take_u64("burst-period", "4");
+  const Pid burst_count = static_cast<Pid>(take_u64(
+      "burst-count", std::to_string(std::max(1u, p / 4)), UINT32_MAX));
   const std::string pattern_in = take("pattern-in", "");
   const std::string pattern_out = take("pattern-out", "");
   const std::string record_file = take("record", "");
   const std::string checkpoint_file = take("checkpoint", "");
-  const Slot checkpoint_every = std::stoull(take("checkpoint-every", "0"));
+  const Slot checkpoint_every = take_u64("checkpoint-every", "0");
   const std::string resume_file = take("resume", "");
-  const Slot crash_at = std::stoull(take("crash-at-slot", "0"));
+  const Slot crash_at = take_u64("crash-at-slot", "0");
   const std::string shrink_out = take("shrink-out", "");
   const std::string trace_file = take("trace", "");
   const std::string trace_out = take("trace-out", "");
@@ -219,7 +234,6 @@ int main(int argc, char** argv) {
   std::string fault_cells_s = take("fault-cells", "");
   std::string fault_spares_s = take("fault-spares", "");
   std::string persist_every_s = take("persist-every", "");
-  const std::size_t cycle_threads = std::stoull(take("cycle-threads", "1"));
   const bool audit_on = take("audit", "0") != "0";
   const std::string audit_out = take("audit-out", "");
   const bool static_check = take("static-check", "0") != "0";
@@ -301,13 +315,18 @@ int main(int argc, char** argv) {
     if (!memory_model_name.empty()) {
       memory_model = memory_model_from_string(memory_model_name);
     }
-    if (!fault_seed_s.empty()) faulty_cells.seed = std::stoull(fault_seed_s);
-    if (!fault_cells_s.empty()) faulty_cells.cells = std::stoull(fault_cells_s);
+    if (!fault_seed_s.empty()) {
+      faulty_cells.seed = parse_u64("--fault-seed", fault_seed_s);
+    }
+    if (!fault_cells_s.empty()) {
+      faulty_cells.cells = parse_u64("--fault-cells", fault_cells_s);
+    }
     if (!fault_spares_s.empty()) {
-      faulty_cells.spares = std::stoull(fault_spares_s);
+      faulty_cells.spares = parse_u64("--fault-spares", fault_spares_s);
     }
     if (!persist_every_s.empty()) {
-      persistent_cache.persist_every = std::stoull(persist_every_s);
+      persistent_cache.persist_every =
+          parse_u64("--persist-every", persist_every_s);
     }
   } catch (const std::exception& e) {
     usage(e.what());
@@ -390,7 +409,6 @@ int main(int argc, char** argv) {
     EngineOptions options;
     options.max_slots = max_slots;
     options.batch = batch_on;
-    options.cycle_threads = cycle_threads;
     options.bit_atomic_writes = have_replay && schedule_has_torn(replay_schedule);
     options.record_pattern = !pattern_out.empty();
     options.record_trace = !trace_file.empty();

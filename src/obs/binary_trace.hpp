@@ -39,10 +39,10 @@
 // The record sequence preserves the engine's deterministic ordering
 // contract — slot order, and within a slot
 //   kPhase?, kSlot, kCommit, kFailure*, kRestart*, kHalt*,
-// PID-ordered — so a binary stream is bit-identical across
-// EngineOptions::cycle_threads and the batched SoA backend exactly like
-// the JSONL stream is, and converting binary -> JSONL -> binary (or the
-// reverse) reproduces the original bytes.
+// PID-ordered — so a binary stream is bit-identical across the
+// interpreter and the batched SoA backend exactly like the JSONL stream
+// is, and converting binary -> JSONL -> binary (or the reverse)
+// reproduces the original bytes.
 #pragma once
 
 #include <cstdint>

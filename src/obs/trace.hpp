@@ -7,7 +7,7 @@
 // final run summary (kRunEnd). The stream is deterministic: events are
 // emitted in slot order, and within a slot in the fixed order
 //   kPhase?, kSlot, kCommit, kFailure*, kRestart*, kHalt*,
-// with PID-ordered halts — identical under EngineOptions::cycle_threads.
+// with PID-ordered halts — identical under EngineOptions::batch.
 //
 // Cost model: with no sink installed the engine pays one predicted null
 // test per slot and nothing on the per-read/per-write hot paths; the whole
@@ -68,9 +68,8 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-// Receiver interface. on_event is called from the engine's slot loop (the
-// calling thread; never from pool workers); implementations need no
-// locking. Any string_view fields are valid only for the duration of the
+// Receiver interface. on_event is called from the engine's slot loop on
+// the calling thread; implementations need no locking. Any string_view fields are valid only for the duration of the
 // call — sinks that retain events must copy them (CollectingTraceSink
 // does).
 class TraceSink {

@@ -1,12 +1,7 @@
 #include "pram/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -34,11 +29,6 @@ ViolationContext cycle_ctx(Slot slot, Pid pid, const char* move) {
   return {static_cast<std::int64_t>(slot), static_cast<std::int64_t>(pid),
           move};
 }
-
-// Tuned default for EngineOptions::lane_chunk (see the option's comment):
-// below this many lanes per worker, splitting a slot costs more in
-// cross-core line handoff than it saves in parallel cycle work.
-constexpr std::size_t kDefaultLaneChunk = 2048;
 }  // namespace
 
 void CycleContext::throw_read_budget() const {
@@ -78,149 +68,6 @@ void CycleContext::persist() {
   }
   trace_.persist = true;
 }
-
-// ---------------------------------------------------------------------------
-// CyclePool — deterministic parallel cycle execution
-//
-// The live PIDs of a slot are split into cycle_threads contiguous chunks;
-// each worker steps its chunk's update cycles into the per-PID trace and
-// state buffers (disjoint per PID; shared memory is read-only during the
-// cycle phase). The caller then commits in PID order as usual, so results
-// are bit-identical to sequential execution. A ModelViolation thrown by a
-// cycle is captured per chunk and rethrown for the lowest PID — the same
-// exception a sequential run would have surfaced first.
-
-struct Engine::CyclePool {
-  CyclePool(Engine& engine, unsigned threads, bool profile)
-      : engine_(engine), profile_(profile) {
-    errors_.resize(threads);
-    profiles_.resize(threads);
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-      workers_.emplace_back([this, i] { worker(i); });
-    }
-  }
-
-  ~CyclePool() {
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      stop_ = true;
-    }
-    cv_start_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  // Run one slot's cycles over `pids`; throws the lowest-PID ModelViolation
-  // if any chunk failed.
-  void run_slot(std::span<const Pid> pids) {
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      pids_ = pids;
-      for (auto& e : errors_) e = nullptr;
-      pending_ = workers_.size();
-      ++generation_;
-    }
-    cv_start_.notify_all();
-    const auto wait_from = profile_ ? Clock::now() : Clock::time_point{};
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      cv_done_.wait(lock, [this] { return pending_ == 0; });
-    }
-    if (profile_) commit_wait_ns_ += elapsed_ns(wait_from);
-    for (const std::exception_ptr& e : errors_) {  // chunk == PID order
-      if (e) std::rethrow_exception(e);
-    }
-  }
-
-  // Per-worker busy/idle accounting (EngineOptions::profile_threads). Each
-  // entry is written only by its owning worker, and every write for a
-  // finished batch happens-before run_slot's return through the pending_
-  // mutex — reading between slots or after the run is race-free.
-  const std::vector<ThreadProfile>& profiles() const { return profiles_; }
-  std::uint64_t commit_wait_ns() const { return commit_wait_ns_; }
-
- private:
-  using Clock = std::chrono::steady_clock;
-
-  static std::uint64_t elapsed_ns(Clock::time_point from) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             from)
-            .count());
-  }
-
-  void worker(unsigned index) {
-    std::uint64_t seen = 0;
-    auto idle_from = profile_ ? Clock::now() : Clock::time_point{};
-    for (;;) {
-      std::span<const Pid> pids;
-      {
-        std::unique_lock<std::mutex> lock(m_);
-        cv_start_.wait(lock,
-                       [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        pids = pids_;
-      }
-      auto busy_from = Clock::time_point{};
-      if (profile_) {
-        busy_from = Clock::now();
-        profiles_[index].idle_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(busy_from -
-                                                                 idle_from)
-                .count());
-      }
-      const std::size_t w = workers_.size();
-      std::size_t chunk = (pids.size() + w - 1) / w;
-      // Per-worker lane-chunk floor (EngineOptions::lane_chunk): chunks
-      // stay contiguous ascending-PID prefixes, so trailing workers just
-      // get empty ranges when the live set is small.
-      const std::size_t floor_lanes = engine_.options_.lane_chunk != 0
-                                          ? engine_.options_.lane_chunk
-                                          : kDefaultLaneChunk;
-      if (chunk < floor_lanes) chunk = floor_lanes;
-      const std::size_t begin = std::min(pids.size(), index * chunk);
-      const std::size_t end = std::min(pids.size(), begin + chunk);
-      try {
-        if (engine_.kernel_ != nullptr) {
-          engine_.batch_chunk(index, pids.subspan(begin, end - begin));
-        } else {
-          LaneLog& lane = engine_.lanes_[index];
-          for (std::size_t i = begin; i < end; ++i) {
-            engine_.cycle_one(pids[i], lane);
-          }
-        }
-      } catch (...) {
-        errors_[index] = std::current_exception();
-      }
-      if (profile_) {
-        idle_from = Clock::now();
-        profiles_[index].busy_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(idle_from -
-                                                                 busy_from)
-                .count());
-        if (end > begin) ++profiles_[index].slots;
-      }
-      {
-        std::lock_guard<std::mutex> lock(m_);
-        if (--pending_ == 0) cv_done_.notify_one();
-      }
-    }
-  }
-
-  Engine& engine_;
-  const bool profile_;
-  std::vector<std::thread> workers_;
-  std::vector<ThreadProfile> profiles_;
-  std::uint64_t commit_wait_ns_ = 0;
-  std::mutex m_;
-  std::condition_variable cv_start_, cv_done_;
-  std::span<const Pid> pids_;
-  std::vector<std::exception_ptr> errors_;
-  std::uint64_t generation_ = 0;
-  std::size_t pending_ = 0;
-  bool stop_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -283,11 +130,6 @@ Engine::Engine(const Program& program, EngineOptions options)
                 options_.detect_read_conflicts);
   audit_ = options_.audit;
   if (audit_ != nullptr) {
-    if (options_.cycle_threads > 1) {
-      throw ConfigError(
-          "EngineOptions::audit requires cycle_threads <= 1 (audit hooks run "
-          "unsynchronized on the calling thread)");
-    }
     log_reads_ = true;  // the auditor needs the address traces
     audit_->on_run_begin(program_, options_);
     if (options_.memory_model != MemoryModel::kReliable) {
@@ -318,22 +160,9 @@ Engine::Engine(const Program& program, EngineOptions options)
   if (kernel_ != nullptr) {
     soa_ = SoaStore(p, kernel_->registers());
     for (Pid pid = 0; pid < p; ++pid) kernel_->boot_lane(soa_, pid);
+    batch_buckets_.resize(kernel_->control_states());
   } else {
     for (Pid pid = 0; pid < p; ++pid) states_[pid] = program_.boot(pid);
-  }
-
-  if (options_.cycle_threads > 1) {
-    lanes_.resize(options_.cycle_threads);
-    pool_ = std::make_unique<CyclePool>(*this, options_.cycle_threads,
-                                        options_.profile_threads);
-  } else {
-    lanes_.resize(1);
-  }
-  if (kernel_ != nullptr) {
-    batch_buckets_.resize(lanes_.size());
-    for (auto& buckets : batch_buckets_) {
-      buckets.resize(kernel_->control_states());
-    }
   }
 
   // Observability: resolve everything once here so the slot loop's only
@@ -383,7 +212,7 @@ void Engine::commit_cell(Addr a, Word v, Pid pid) {
   mem_.write(a, v, pid);
 }
 
-void Engine::cycle_one(Pid pid, LaneLog& lane) {
+void Engine::cycle_one(Pid pid) {
   CycleTrace& trace = traces_[pid];
   trace.reset_for_cycle(log_reads_);
   // In audit mode the *enforced* budgets widen to the storage caps: the
@@ -397,22 +226,21 @@ void Engine::cycle_one(Pid pid, LaneLog& lane) {
                    !caches_.empty());
   const bool halting = !states_[pid]->cycle(ctx);
   trace.halting = halting;
-  // Mirror the (still cache-hot) outcome into the lane's compact log.
-  if (halting) lane.halts.push_back(pid);
+  // Mirror the (still cache-hot) outcome into the compact lane log.
+  if (halting) lane_.halts.push_back(pid);
   for (const WriteOp& op : trace.writes) {
-    lane.writes.push_back({static_cast<std::uint32_t>(op.addr), pid,
-                           op.value});
+    lane_.writes.push_back({static_cast<std::uint32_t>(op.addr), pid,
+                            op.value});
   }
 }
 
-void Engine::batch_chunk(std::size_t lane_index, std::span<const Pid> pids) {
-  LaneLog& lane = lanes_[lane_index];
+void Engine::batch_chunk(std::span<const Pid> pids) {
   const BatchContext ctx{mem_.words(), slot_,
-                         batch_traces_ ? traces_.data() : nullptr, &lane};
-  auto& buckets = batch_buckets_[lane_index];
+                         batch_traces_ ? traces_.data() : nullptr, &lane_};
+  auto& buckets = batch_buckets_;
   if (pids.empty()) return;
   if (buckets.size() == 1) {
-    // Single control state: the chunk IS the lane group, so the kernel
+    // Single control state: the live set IS the lane group, so the kernel
     // emits the lane log in exact ascending-PID order.
     kernel_->run(0, pids, ctx, soa_);
     return;
@@ -443,20 +271,16 @@ void Engine::batch_chunk(std::size_t lane_index, std::span<const Pid> pids) {
   // (COMMON/WEAK conflict rules are order-symmetric; the constructor
   // refuses ARBITRARY/PRIORITY), but halt events reach the trace sink in
   // log order, so restore ascending PIDs for those.
-  std::sort(lane.halts.begin(), lane.halts.end());
+  std::sort(lane_.halts.begin(), lane_.halts.end());
 }
 
 std::size_t Engine::run_cycles() {
-  for (LaneLog& lane : lanes_) {
-    lane.writes.clear();
-    lane.halts.clear();
-  }
-  if (pool_ && live_pids_.size() > 1) {
-    pool_->run_slot(live_pids_);
-  } else if (kernel_ != nullptr) {
-    batch_chunk(0, live_pids_);
+  lane_.writes.clear();
+  lane_.halts.clear();
+  if (kernel_ != nullptr) {
+    batch_chunk(live_pids_);
   } else {
-    for (Pid pid : live_pids_) cycle_one(pid, lanes_.front());
+    for (Pid pid : live_pids_) cycle_one(pid);
   }
   return live_pids_.size();
 }
@@ -493,12 +317,10 @@ void Engine::observe_slot(const FaultDecision& d, std::size_t started,
     event.restarts = static_cast<std::uint32_t>(d.restart.size());
     sink_->on_event(event);
 
-    std::size_t writes = 0;
-    for (const LaneLog& lane : lanes_) writes += lane.writes.size();
     TraceEvent commit;
     commit.kind = TraceEventKind::kCommit;
     commit.slot = slot_;
-    commit.writes = static_cast<std::uint32_t>(writes);
+    commit.writes = static_cast<std::uint32_t>(lane_.writes.size());
     sink_->on_event(commit);
 
     TraceEvent pe;
@@ -621,8 +443,8 @@ void Engine::commit_writes(const FaultDecision& d) {
     for (const TornWrite& tear : d.torn) mark_set(tear.pid, 1);
   }
 
-  // One pass over the slot's buffered writes in PID order — the lanes'
-  // compact logs, filled while each trace was cache-hot, so no trace is
+  // One pass over the slot's buffered writes in PID order — the compact
+  // lane log, filled while each trace was cache-hot, so no trace is
   // re-streamed here. A cell's stamp says whether it was already written
   // this slot: the first (lowest-PID) writer commits; later writers are
   // CRCW conflicts resolved against the committed value. This replaces the
@@ -640,21 +462,19 @@ void Engine::commit_writes(const FaultDecision& d) {
   const bool track_goal = incremental_goal_;
   const Addr goal_base = goal_base_;
   const Addr goal_end = goal_end_;
-  for (const LaneLog& lane : lanes_) {
-    for (const PendingWrite& op : lane.writes) {
-      if (casualties && mark_get(op.pid) != 0) continue;
-      const Addr addr = op.addr;
-      if (stamps[addr] == epoch) {
-        resolve_write_conflict(addr, op.value, op.pid);
-        continue;
-      }
-      stamps[addr] = epoch;
-      if (track_goal && addr >= goal_base && addr < goal_end) {
-        commit_cell(addr, op.value, op.pid);
-        continue;
-      }
-      mem_.write(addr, op.value, op.pid);
+  for (const PendingWrite& op : lane_.writes) {
+    if (casualties && mark_get(op.pid) != 0) continue;
+    const Addr addr = op.addr;
+    if (stamps[addr] == epoch) {
+      resolve_write_conflict(addr, op.value, op.pid);
+      continue;
     }
+    stamps[addr] = epoch;
+    if (track_goal && addr >= goal_base && addr < goal_end) {
+      commit_cell(addr, op.value, op.pid);
+      continue;
+    }
+    mem_.write(addr, op.value, op.pid);
   }
 
   // Torn writes (bit-atomic mode): the casualty's earlier writes land
@@ -786,12 +606,12 @@ void Engine::apply_transitions(const FaultDecision& d) {
   for (const TornWrite& tear : d.torn) fail(tear.pid);
 
   // ... voluntary halts take effect only for cycles that completed (the
-  // halters come from the lanes' cycle-phase logs; a processor the
+  // halters come from the lane log, in ascending PID order; a processor the
   // adversary failed this slot is no longer kLive and stays failed, i.e.
   // restartable) ...
   std::size_t halts = 0;
-  const auto halt_one = [&](Pid pid) {
-    if (status_[pid] != ProcStatus::kLive) return;
+  for (Pid pid : lane_.halts) {
+    if (status_[pid] != ProcStatus::kLive) continue;
     states_[pid].reset();
     status_[pid] = ProcStatus::kHalted;
     traces_[pid].clear();
@@ -802,18 +622,12 @@ void Engine::apply_transitions(const FaultDecision& d) {
     ++halts;
     ++tally_.halted;
     if (sink_ != nullptr) {
-      // Both sources walk ascending PIDs (lanes hold contiguous ascending
-      // chunks), so halt events come out in PID order regardless of
-      // cycle_threads or the batch backend.
       TraceEvent event;
       event.kind = TraceEventKind::kHalt;
       event.slot = slot_;
       event.pid = pid;
       sink_->on_event(event);
     }
-  };
-  for (const LaneLog& lane : lanes_) {
-    for (Pid pid : lane.halts) halt_one(pid);
   }
 
   // ... and restarts boot fresh states, live from the next slot.
@@ -1121,10 +935,6 @@ RunResult Engine::run(Adversary& adversary) {
     for (std::uint32_t count : restart_counts_) per_pid.observe(count);
   }
   result.phases = std::move(phase_work_);
-  if (pool_ && options_.profile_threads) {
-    result.thread_profile = pool_->profiles();
-    result.commit_wait_ns = pool_->commit_wait_ns();
-  }
 
   result.tally = tally_;
   return result;

@@ -53,8 +53,7 @@ struct EngineOptions;
 //                    cycles included);
 //   on_transitions — per slot, after failures/halts/restarts took effect;
 //   on_run_end     — once, when the slot loop exits normally.
-// Audit mode implies read logging and is incompatible with
-// EngineOptions::cycle_threads > 1 (hooks would race): ConfigError.
+// Audit mode implies read logging.
 class EngineAuditHook : public CycleAuditHook {
  public:
   virtual void on_run_begin(const Program& program,
@@ -200,29 +199,8 @@ struct EngineOptions {
   // budgets), an ARBITRARY/PRIORITY conflict model (its first-writer-wins
   // rule observes cross-lane-group write order, which batching reorders;
   // COMMON/WEAK cannot observe it), or a program without kernels.
-  // Engine::batch_active() reports which path was chosen. Composes with
-  // cycle_threads: each pool worker batches its own contiguous PID chunk.
+  // Engine::batch_active() reports which path was chosen.
   bool batch = false;
-
-  // Deterministic parallel cycle execution: values > 1 step the live
-  // processors' update cycles across a pool of this many OS threads.
-  // Each processor's reads/writes/trace stay in per-processor buffers and
-  // commits replay in PID order, so the RunResult (tally, memory, trace,
-  // pattern) is bit-identical to a sequential (cycle_threads <= 1) run.
-  // Only the cycle execution parallelizes; the adversary and the commit
-  // remain on the calling thread.
-  unsigned cycle_threads = 1;
-
-  // Minimum lanes each pool worker takes when cycle_threads > 1 splits a
-  // slot's live set (interpreter and batch paths alike). 0 = tuned default
-  // (2048). The live set is always split into contiguous ascending-PID
-  // chunks — worker i takes [i·chunk, (i+1)·chunk) — so raising the floor
-  // only idles trailing workers on small live sets; commit order, halt
-  // order, and therefore bit-identity are unaffected. The floor exists
-  // because a slot with few live lanes costs more in cross-core cache-line
-  // handoff than the split saves: below ~2k lanes per worker the batch
-  // kernels are memory-latency bound, not compute bound.
-  std::size_t lane_chunk = 0;
 
   // Safety valve: stop after this many slots even if the goal is unmet
   // (e.g. algorithm W genuinely need not terminate under restarts).
@@ -251,8 +229,8 @@ struct EngineOptions {
   // (JsonlTraceSink, BinaryTraceWriter, StreamAggregator, ...) changes
   // only how events are encoded, never which events fire or their order,
   // so traces of the same run in different formats are interconvertible
-  // bit-for-bit (obs/binary_trace.hpp) and identical across sequential,
-  // cycle_threads, and batch execution.
+  // bit-for-bit (obs/binary_trace.hpp) and identical across interpreter
+  // and batch execution.
   TraceSink* sink = nullptr;
 
   // Metrics registry: the engine records live-processors-per-slot and
@@ -267,13 +245,6 @@ struct EngineOptions {
   // installed sink (phase events need the attribution state anyway).
   bool attribute_phases = false;
 
-  // Wall-clock profiling of the cycle_threads pool: per-worker busy/idle
-  // time and the calling thread's commit-wait, into
-  // RunResult::thread_profile / commit_wait_ns. No-op when cycle_threads
-  // <= 1; off by default because the clock reads cost ~2 syscall-free
-  // rdtsc-ish reads per worker per slot.
-  bool profile_threads = false;
-
   // --- Conformance auditing (src/analysis, docs/analysis.md) ----------------
 
   // Model-conformance audit hook. Null (the default) keeps the fast path:
@@ -282,17 +253,9 @@ struct EngineOptions {
   // (2) widens the *enforced* per-cycle budgets to the storage caps
   // (kReadCap/kWriteCap) so over-budget cycles are reported by the auditor
   // with context instead of aborting the run at the first offence — the
-  // engine still throws ModelViolation at the caps — and (3) requires
-  // cycle_threads <= 1 (ConfigError otherwise). The hook must outlive the
-  // engine.
+  // engine still throws ModelViolation at the caps. The hook must outlive
+  // the engine.
   EngineAuditHook* audit = nullptr;
-};
-
-// Wall-clock profile of one cycle-pool worker (EngineOptions::profile_threads).
-struct ThreadProfile {
-  std::uint64_t busy_ns = 0;  // executing update cycles
-  std::uint64_t idle_ns = 0;  // parked between slot batches
-  std::uint64_t slots = 0;    // slot batches this worker participated in
 };
 
 struct RunResult {
@@ -307,12 +270,6 @@ struct RunResult {
   // (sink or attribute_phases, and the program published a PhaseSchedule).
   // Invariant: sums over phases equal the corresponding tally fields.
   std::vector<PhaseWork> phases;
-
-  // Cycle-pool wall-clock profile; populated iff profile_threads and
-  // cycle_threads > 1. commit_wait_ns is the calling thread's time spent
-  // waiting for workers to finish slot batches.
-  std::vector<ThreadProfile> thread_profile;
-  std::uint64_t commit_wait_ns = 0;
 };
 
 class Engine {
@@ -362,25 +319,14 @@ class Engine {
   std::optional<std::uint64_t> goal_unsatisfied() const;
 
  private:
-  // Lane logs (pram/soa.hpp LaneLog): one execution lane's compact per-slot
-  // log, filled during the cycle phase while each processor's freshly
-  // written trace is still cache-hot — every buffered write (tagged with
-  // its writer) plus the would-be halters, both in PID order within a lane.
-  // Sequential runs use one lane; with cycle_threads > 1 each worker owns
-  // the lane of its (contiguous, ascending) PID chunk, so reading the lanes
-  // in index order replays exact sequential PID order. commit_writes and
-  // apply_transitions consume these instead of re-streaming every live
-  // processor's trace per slot.
-
   std::size_t run_cycles();  // step 1; returns # of started cycles
-  // One processor's update cycle into traces_ plus `lane`'s compact log.
-  void cycle_one(Pid pid, LaneLog& lane);
-  // Batched path: run the kernel over `pids` (one worker's contiguous,
-  // ascending chunk), grouped by control state. The kernel fills lane
-  // `lane_index`'s compact log directly (LaneEmit), mirroring into traces_
-  // only when batch_traces_ — identical to what cycle_one calls over the
-  // same chunk would have produced.
-  void batch_chunk(std::size_t lane_index, std::span<const Pid> pids);
+  // One processor's update cycle into traces_ plus the compact lane_ log.
+  void cycle_one(Pid pid);
+  // Batched path: run the kernel over `pids` (ascending), grouped by
+  // control state. The kernel fills lane_ directly (LaneEmit), mirroring
+  // into traces_ only when batch_traces_ — identical to what cycle_one
+  // calls over the same PIDs would have produced.
+  void batch_chunk(std::span<const Pid> pids);
   // Per-slot phase attribution + event/metric emission; called once per
   // slot after the decision is validated, only when observability is on.
   void observe_slot(const FaultDecision& d, std::size_t started,
@@ -452,18 +398,21 @@ class Engine {
   std::vector<std::uint32_t> cell_stamp_;
   std::uint32_t commit_epoch_ = 0;
 
-  // Per-lane cycle-phase logs (see LaneLog): one for sequential runs,
-  // cycle_threads of them when the pool is active.
-  std::vector<LaneLog> lanes_;
+  // The slot's compact cycle-phase log (pram/soa.hpp LaneLog), filled
+  // while each processor's freshly written trace is still cache-hot: every
+  // buffered write (tagged with its writer) plus the would-be halters.
+  // commit_writes and apply_transitions consume it instead of re-streaming
+  // every live processor's trace per slot.
+  LaneLog lane_;
 
   // Batched SoA backend (EngineOptions::batch): the program's kernels, the
-  // register/control store they run over, and per-worker bucket scratch
-  // for grouping a chunk's PIDs by control state. kernel_ == nullptr means
-  // the interpreter path (states_) is active; in batch mode states_ stays
-  // null and all private state lives in soa_.
+  // register/control store they run over, and bucket scratch for grouping
+  // the live PIDs by control state. kernel_ == nullptr means the
+  // interpreter path (states_) is active; in batch mode states_ stays null
+  // and all private state lives in soa_.
   std::unique_ptr<BatchKernel> kernel_;
   SoaStore soa_;
-  std::vector<std::vector<std::vector<Pid>>> batch_buckets_;
+  std::vector<std::vector<Pid>> batch_buckets_;
   // Whether batched kernels materialize per-PID CycleTraces. False — the
   // oblivious fast path — when the adversary declares it never reads cycle
   // internals (Adversary::inspects_cycles), torn writes are off, and no
@@ -491,10 +440,6 @@ class Engine {
   Addr goal_base_ = 0;
   Addr goal_end_ = 0;
   std::uint64_t goal_unsat_ = 0;
-
-  // Worker pool for EngineOptions::cycle_threads > 1; lazily constructed.
-  struct CyclePool;
-  std::unique_ptr<CyclePool> pool_;
 
   mutable std::vector<Addr> read_buf_;  // EREW read-conflict scratch
 };

@@ -17,12 +17,12 @@
 // and every write is buffered, so the order in which lanes execute within
 // a slot is unobservable. A kernel emits every lane's effects through a
 // LaneEmit: the buffered writes land (PID-tagged, program order per lane)
-// in the chunk's LaneLog — the authoritative input to the engine's commit
+// in the slot's LaneLog — the authoritative input to the engine's commit
 // and transition phases — and, when the adversary inspects cycle internals
 // (Adversary::inspects_cycles), mirrored into the per-PID CycleTrace array
 // exactly as the interpreter would fill it. Lane groups are walked in
 // ascending-ctrl order over ascending PIDs, so the log's write order
-// matches interpreter PID order whenever a chunk has a single control
+// matches interpreter PID order whenever the live set has a single control
 // state; with several groups the per-lane order still holds and cross-lane
 // commit order is unobservable under COMMON/WEAK semantics (the engine
 // refuses to batch ARBITRARY/PRIORITY, whose first-writer-wins rule would
@@ -68,7 +68,7 @@ class SoaStore {
   std::vector<std::uint32_t> ctrl_;
 };
 
-// One buffered write in a chunk's lane log, tagged with its writer so the
+// One buffered write in the slot's lane log, tagged with its writer so the
 // commit phase can resolve CRCW conflicts and charge the tally per PID.
 // The address is narrowed to 32 bits on purpose: the lane logs are the
 // single largest memory stream of the slot loop (written once per buffered
@@ -82,7 +82,7 @@ struct PendingWrite {
   Word value = 0;
 };
 
-// A chunk's slot output: every lane's buffered writes (program order per
+// One slot's cycle-phase output: every lane's buffered writes (program order per
 // lane) plus the lanes that ended their cycle halting. This — not the
 // trace array — is what the engine commits and transitions from.
 struct LaneLog {
@@ -96,7 +96,7 @@ struct LaneLog {
 };
 
 // Everything a kernel may consult during one slot's cycle phase. `mem` is
-// the slot-start shared memory (frozen until commit); `log` is the chunk's
+// the slot-start shared memory (frozen until commit); `log` is the slot's
 // lane log every kernel must fill through LaneEmit; `traces` is the
 // engine's per-PID trace array, non-null only when the adversary (or
 // torn-write mode, or trace recording) needs cycle internals — LaneEmit

@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "util/parse.hpp"
+
 namespace rfsp {
 
 namespace {
@@ -10,22 +12,9 @@ constexpr std::string_view kStatusNames[] = {
     "solved", "unsolved", "model_violation", "adversary_violation",
     "check_failure"};
 
-std::uint64_t parse_u64_meta(const std::string& key, const std::string& text) {
-  if (text.empty()) throw ConfigError("schedule meta '" + key + "' is empty");
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw ConfigError("schedule meta '" + key + "' is not a number: '" +
-                        text + "'");
-    }
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      throw ConfigError("schedule meta '" + key + "' overflows: '" + text +
-                        "'");
-    }
-    value = value * 10 + digit;
-  }
-  return value;
+std::uint64_t parse_u64_meta(const std::string& key, const std::string& text,
+                             std::uint64_t max = UINT64_MAX) {
+  return parse_u64("schedule meta '" + key + "'", text, max);
 }
 
 WriteAllAlgo algo_from_string(const std::string& text) {
@@ -67,7 +56,7 @@ ReproSpec spec_from_meta(const FaultSchedule& schedule) {
   ReproSpec spec;
   spec.algo = algo_from_string(require("algo"));
   spec.n = parse_u64_meta("n", require("n"));
-  spec.p = static_cast<Pid>(parse_u64_meta("p", require("p")));
+  spec.p = static_cast<Pid>(parse_u64_meta("p", require("p"), UINT32_MAX));
   if (const auto it = schedule.meta.find("seed"); it != schedule.meta.end()) {
     spec.seed = parse_u64_meta("seed", it->second);
   }

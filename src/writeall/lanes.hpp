@@ -13,7 +13,7 @@
 //   * LaneContext over a lane view — LaneReg proxies onto the lane's SoA
 //     columns, so a lane touches only the registers its cycle uses: the
 //     batched backend, driven by LaneKernel below. A restarted lane's
-//     `waiting` flag is an ordinary register, so every chunk is one lane
+//     `waiting` flag is an ordinary register, so the live set is one lane
 //     group run in ascending PID order, exactly the interpreter's order.
 #pragma once
 

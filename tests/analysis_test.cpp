@@ -266,17 +266,6 @@ TEST(AuditMode, StorageCapStillThrowsUnderAudit) {
   EXPECT_EQ(auditor.report().count(AuditCheck::kReadBudget), 1u);
 }
 
-TEST(AuditMode, AuditRejectsCycleThreadPools) {
-  LambdaProgram program(2, 8, [](Pid, std::uint64_t, CycleContext&) {
-    return false;
-  });
-  Auditor auditor;
-  EngineOptions options;
-  options.audit = &auditor;
-  options.cycle_threads = 4;
-  EXPECT_THROW(Engine(program, options), ConfigError);
-}
-
 TEST(AuditMode, ViolationCapCountsPastTheCap) {
   LambdaProgram program(1, 8, [](Pid, std::uint64_t k, CycleContext& ctx) {
     for (Addr a = 0; a < 5; ++a) ctx.read(a);

@@ -1,8 +1,8 @@
 // Batched SoA backend (EngineOptions::batch, pram/soa.hpp): bit-identity
-// with the interpreter across algorithms, adversaries, and thread counts —
-// same tallies, memory, trace stream, and checkpoints — plus the fallback
-// gate (audit / read logging / tight budgets / unported programs keep the
-// interpreter) and cross-mode checkpoint resume.
+// with the interpreter across algorithms and adversaries — same tallies,
+// memory, trace stream, and checkpoints — plus the fallback gate (audit /
+// read logging / tight budgets / unported programs keep the interpreter)
+// and cross-mode checkpoint resume.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -149,18 +149,15 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
   return std::make_unique<NoFailures>();
 }
 
-void check_equivalence(WriteAllAlgo algo, const std::string& adversary_name,
-                       std::size_t threads) {
-  const std::string what = std::string(to_string(algo)) + " x " +
-                           adversary_name + " x threads=" +
-                           std::to_string(threads);
+void check_equivalence(WriteAllAlgo algo, const std::string& adversary_name) {
+  const std::string what =
+      std::string(to_string(algo)) + " x " + adversary_name;
   SCOPED_TRACE(what);
   const WriteAllConfig config{.n = 192, .p = 48, .seed = 5};
   const std::uint64_t seed = 77;
 
   EngineOptions options;
   options.max_slots = 4000;  // W need not terminate under restarts
-  options.cycle_threads = threads;
   if (adversary_name == "chaos") options.bit_atomic_writes = true;
 
   const auto interp_adv = make_adversary(adversary_name, algo, config, seed);
@@ -183,9 +180,7 @@ TEST(BatchEquivalence, FaultFree) {
   for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
                                   WriteAllAlgo::kX,
                                   WriteAllAlgo::kCombinedVX}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      check_equivalence(algo, "none", threads);
-    }
+    check_equivalence(algo, "none");
   }
 }
 
@@ -193,9 +188,7 @@ TEST(BatchEquivalence, RandomFaults) {
   for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
                                   WriteAllAlgo::kX,
                                   WriteAllAlgo::kCombinedVX}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      check_equivalence(algo, "random", threads);
-    }
+    check_equivalence(algo, "random");
   }
 }
 
@@ -203,9 +196,7 @@ TEST(BatchEquivalence, BurstFaults) {
   for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
                                   WriteAllAlgo::kX,
                                   WriteAllAlgo::kCombinedVX}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      check_equivalence(algo, "burst", threads);
-    }
+    check_equivalence(algo, "burst");
   }
 }
 
@@ -213,9 +204,7 @@ TEST(BatchEquivalence, StalkerFaults) {
   for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
                                   WriteAllAlgo::kX,
                                   WriteAllAlgo::kCombinedVX}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      check_equivalence(algo, "stalker", threads);
-    }
+    check_equivalence(algo, "stalker");
   }
 }
 
@@ -223,32 +212,7 @@ TEST(BatchEquivalence, ChaosWithTornWrites) {
   for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
                                   WriteAllAlgo::kX,
                                   WriteAllAlgo::kCombinedVX}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      check_equivalence(algo, "chaos", threads);
-    }
-  }
-}
-
-// Worker lane-chunk sizing is a scheduling knob: chunks stay contiguous in
-// ascending pid order, so every chunk size (including degenerate ones that
-// leave trailing workers idle) must reproduce the same run bit for bit.
-TEST(BatchEquivalence, LaneChunkInvariance) {
-  const WriteAllConfig config{.n = 192, .p = 48, .seed = 5};
-  EngineOptions base;
-  base.max_slots = 4000;
-  base.cycle_threads = 4;
-  base.batch = true;
-  ChaosAdversary ref_adv(77, /*allow_torn=*/false);
-  const FullOutcome ref =
-      run_full(WriteAllAlgo::kCombinedVX, config, ref_adv, base);
-  for (const std::size_t chunk :
-       {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
-    EngineOptions options = base;
-    options.lane_chunk = chunk;
-    ChaosAdversary adv(77, /*allow_torn=*/false);
-    const FullOutcome out =
-        run_full(WriteAllAlgo::kCombinedVX, config, adv, options);
-    expect_identical(ref, out, "lane_chunk=" + std::to_string(chunk));
+    check_equivalence(algo, "chaos");
   }
 }
 

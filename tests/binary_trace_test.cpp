@@ -28,8 +28,7 @@ struct MatrixCell {
   WriteAllAlgo algo;
   const char* algo_name;
   const char* adversary;
-  // Engine mode: 0 sequential, 1 cycle_threads=4, 2 batch.
-  int mode;
+  bool batch;  // engine mode: sequential interpreter or batch backend
 };
 
 std::unique_ptr<Adversary> make_adversary(std::string_view name) {
@@ -52,13 +51,12 @@ std::unique_ptr<Adversary> make_adversary(std::string_view name) {
   return std::make_unique<NoFailures>();
 }
 
-EngineOptions mode_options(int mode) {
+EngineOptions mode_options(bool batch) {
   EngineOptions options;
   // W need not terminate under restarts: bound every cell so the trace is
   // finite either way (a slot_limit run round-trips just the same).
   options.max_slots = 400;
-  if (mode == 1) options.cycle_threads = 4;
-  if (mode == 2) options.batch = true;
+  options.batch = batch;
   return options;
 }
 
@@ -66,7 +64,7 @@ EngineOptions mode_options(int mode) {
 // deterministic given the cell, so repeated calls replay the same events.
 WriteAllOutcome run_cell(const MatrixCell& cell, TraceSink& sink) {
   const auto adversary = make_adversary(cell.adversary);
-  EngineOptions options = mode_options(cell.mode);
+  EngineOptions options = mode_options(cell.batch);
   options.sink = &sink;
   return run_writeall(cell.algo, {.n = 256, .p = 32, .seed = 5}, *adversary,
                       options);
@@ -93,13 +91,13 @@ TEST(BinaryTraceRoundTrip, MatrixBitIdentical) {
 
   for (const auto& algo : kAlgos) {
     for (const char* adversary : kAdversaries) {
-      // Mode 0 is the reference; modes 1 (cycle_threads) and 2 (batch) must
+      // The sequential interpreter is the reference; the batch backend must
       // reproduce its bytes exactly.
       std::string reference_binary;
-      for (int mode = 0; mode < 3; ++mode) {
-        SCOPED_TRACE(std::string(algo.name) + " / " + adversary + " / mode " +
-                     std::to_string(mode));
-        const MatrixCell cell{algo.algo, algo.name, adversary, mode};
+      for (const bool batch : {false, true}) {
+        SCOPED_TRACE(std::string(algo.name) + " / " + adversary +
+                     (batch ? " / batch" : " / sequential"));
+        const MatrixCell cell{algo.algo, algo.name, adversary, batch};
 
         std::ostringstream jsonl_os;
         JsonlTraceSink jsonl_sink(jsonl_os);
@@ -122,7 +120,7 @@ TEST(BinaryTraceRoundTrip, MatrixBitIdentical) {
         EXPECT_EQ(reencode(jsonl, "binary"), binary);
 
         // Bit-identical across engine modes.
-        if (mode == 0) {
+        if (!batch) {
           reference_binary = binary;
         } else {
           EXPECT_EQ(binary, reference_binary);

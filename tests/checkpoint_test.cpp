@@ -228,6 +228,20 @@ TEST(ArtifactCompat, TreeOrderMetaOnResume) {
   std::filesystem::remove_all(dir);
 }
 
+// Malformed or out-of-range numeric flags, and flags the CLI does not
+// have, are usage errors (exit 2): no abort, and no silent narrowing of P
+// to 32 bits.
+TEST(CliErrors, BadNumericFlagsAreUsageErrors) {
+  using ::rfsp::testing::run_writeall_cli;
+  const auto dir = ::rfsp::testing::scratch_dir("cli_numeric_flags");
+  for (const char* args :
+       {"--n abc", "--algo X --n 1024 --p 4294967297",
+        "--adversary random --fail x", "--cycle-threads 4"}) {
+    EXPECT_EQ(run_writeall_cli(args, dir / "out.txt"), 2) << args;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CheckpointErrors, ShapeMismatchIsRejected) {
   NoFailures quiet;
   EngineOptions capture;

@@ -1,7 +1,6 @@
-// Fast-path regression tests: the engine's zero-allocation slot loop,
-// incremental goal tracking, and deterministic parallel cycle execution
-// must be observationally identical to the straightforward implementations
-// they replaced.
+// Fast-path regression tests: the engine's zero-allocation slot loop and
+// incremental goal tracking must be observationally identical to the
+// straightforward implementations they replaced.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -67,73 +66,6 @@ void expect_identical(const FullOutcome& a, const FullOutcome& b,
   }
   EXPECT_EQ(a.run.pattern.events().size(), b.run.pattern.events().size())
       << what;
-}
-
-// --- Deterministic parallel cycle execution --------------------------------
-
-// cycle_threads > 1 must produce bit-identical results to a sequential run:
-// same tallies, same per-slot trace, same final memory — under failures and
-// restarts, not just fault-free.
-TEST(ParallelCycles, BitIdenticalToSequentialUnderRandomFaults) {
-  for (const WriteAllAlgo algo :
-       {WriteAllAlgo::kW, WriteAllAlgo::kV, WriteAllAlgo::kX}) {
-    for (const std::uint64_t seed : {11u, 23u}) {
-      const WriteAllConfig config{.n = 192, .p = 48};
-      RandomAdversaryOptions rand_opt;
-      rand_opt.fail_prob = 0.08;
-      rand_opt.restart_prob = 0.6;
-      // Algorithm W is fail-stop: it need not terminate under restarts.
-      if (algo == WriteAllAlgo::kW) rand_opt.restart_prob = 0;
-      rand_opt.max_pattern = 400;
-
-      RandomAdversary sequential_adv(seed, rand_opt);
-      EngineOptions sequential_opt;
-      const FullOutcome sequential =
-          run_full(algo, config, sequential_adv, sequential_opt);
-
-      RandomAdversary parallel_adv(seed, rand_opt);
-      EngineOptions parallel_opt;
-      parallel_opt.cycle_threads = 4;
-      const FullOutcome parallel =
-          run_full(algo, config, parallel_adv, parallel_opt);
-
-      EXPECT_TRUE(sequential.run.goal_met);
-      expect_identical(sequential, parallel,
-                       std::string(to_string(algo)).c_str());
-    }
-  }
-}
-
-TEST(ParallelCycles, BitIdenticalFaultFree) {
-  for (const WriteAllAlgo algo :
-       {WriteAllAlgo::kW, WriteAllAlgo::kV, WriteAllAlgo::kX}) {
-    const WriteAllConfig config{.n = 256, .p = 256};
-    NoFailures none_a;
-    EngineOptions sequential_opt;
-    const FullOutcome sequential = run_full(algo, config, none_a,
-                                            sequential_opt);
-    NoFailures none_b;
-    EngineOptions parallel_opt;
-    parallel_opt.cycle_threads = 4;
-    const FullOutcome parallel = run_full(algo, config, none_b, parallel_opt);
-    EXPECT_TRUE(sequential.run.goal_met);
-    expect_identical(sequential, parallel,
-                     std::string(to_string(algo)).c_str());
-  }
-}
-
-// A ModelViolation thrown by some processor's cycle must surface no matter
-// which worker ran it.
-TEST(ParallelCycles, ModelViolationPropagates) {
-  LambdaProgram program(8, 16, [](Pid, std::uint64_t, CycleContext& ctx) {
-    for (Addr a = 0; a < 16; ++a) (void)ctx.read(a);  // blows the budget
-    return true;
-  });
-  NoFailures none;
-  EngineOptions options;
-  options.cycle_threads = 4;
-  Engine engine(program, options);
-  EXPECT_THROW(engine.run(none), ModelViolation);
 }
 
 // --- Incremental goal tracking ---------------------------------------------

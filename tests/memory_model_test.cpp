@@ -215,7 +215,7 @@ TEST(MemoryModelConfig, ModelMovesRequireTheirModel) {
 // --- Reliable backend: regression guarantee ----------------------------------
 
 // Selecting kReliable explicitly is the default engine bit for bit, across
-// all three execution backends.
+// both execution backends.
 TEST(ReliableModel, ExplicitSelectionMatchesDefaultAcrossBackends) {
   const WriteAllConfig config{.n = 64, .p = 8};
   EngineOptions base;
@@ -225,11 +225,10 @@ TEST(ReliableModel, ExplicitSelectionMatchesDefaultAcrossBackends) {
       run_writeall(WriteAllAlgo::kX, config, baseline_adversary, base);
   ASSERT_TRUE(baseline.solved);
 
-  for (const char* backend : {"sequential", "threads", "batch"}) {
+  for (const char* backend : {"sequential", "batch"}) {
     SCOPED_TRACE(backend);
     EngineOptions options = base;
     options.memory_model = MemoryModel::kReliable;
-    if (std::string(backend) == "threads") options.cycle_threads = 4;
     if (std::string(backend) == "batch") options.batch = true;
     ChaosAdversary adversary(91, /*allow_torn=*/false);
     const WriteAllOutcome outcome =

@@ -179,23 +179,6 @@ TEST(TraceSink, EventOrderWithinSlot) {
   EXPECT_TRUE(events.back().goal_met);
 }
 
-TEST(TraceSink, ParallelStreamMatchesSequential) {
-  auto jsonl_of = [](unsigned threads) {
-    BurstAdversary adversary({.period = 4, .count = 16});
-    std::ostringstream os;
-    JsonlTraceSink sink(os);
-    EngineOptions options;
-    options.cycle_threads = threads;
-    options.sink = &sink;
-    const auto out = run_writeall(WriteAllAlgo::kX,
-                                  {.n = 512, .p = 64, .seed = 1}, adversary,
-                                  options);
-    EXPECT_TRUE(out.solved);
-    return os.str();
-  };
-  EXPECT_EQ(jsonl_of(1), jsonl_of(4));
-}
-
 TEST(TraceSink, JsonlLineFormat) {
   BurstAdversary adversary({.period = 4, .count = 16});
   std::ostringstream os;
@@ -395,38 +378,6 @@ TEST(EngineMetrics, InvariantsAgainstTally) {
       metrics.histogram("engine.restarts_per_processor");
   EXPECT_EQ(restarts.count(), p);
   EXPECT_EQ(restarts.sum(), t.restarts);
-}
-
-// ---------------------------------------------------------------------------
-// Thread profiling
-
-TEST(ThreadProfile, PopulatedWhenRequested) {
-  BurstAdversary adversary({.period = 4, .count = 16});
-  EngineOptions options;
-  options.cycle_threads = 4;
-  options.profile_threads = true;
-  const auto out = run_writeall(WriteAllAlgo::kX,
-                                {.n = 1024, .p = 128, .seed = 1}, adversary,
-                                options);
-  ASSERT_TRUE(out.solved);
-  ASSERT_EQ(out.run.thread_profile.size(), 4u);
-  std::uint64_t total_slots = 0;
-  for (const ThreadProfile& worker : out.run.thread_profile) {
-    total_slots += worker.slots;
-  }
-  EXPECT_GT(total_slots, 0u);
-}
-
-TEST(ThreadProfile, EmptyWithoutOptIn) {
-  BurstAdversary adversary({.period = 4, .count = 16});
-  EngineOptions options;
-  options.cycle_threads = 4;
-  const auto out = run_writeall(WriteAllAlgo::kX,
-                                {.n = 512, .p = 64, .seed = 1}, adversary,
-                                options);
-  ASSERT_TRUE(out.solved);
-  EXPECT_TRUE(out.run.thread_profile.empty());
-  EXPECT_EQ(out.run.commit_wait_ns, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -109,6 +109,10 @@ TEST(ScheduleFormat, MetaSpecRoundTrip) {
   incomplete.meta["n"] = "not-a-number";
   incomplete.meta["p"] = "4";
   EXPECT_THROW(spec_from_meta(incomplete), ConfigError);
+  // P is 32-bit: a wider value is refused, not truncated.
+  incomplete.meta["n"] = "64";
+  incomplete.meta["p"] = "4294967297";
+  EXPECT_THROW(spec_from_meta(incomplete), ConfigError);
 }
 
 // Reproducers recorded while a van Emde Boas tree order existed carry
