@@ -55,7 +55,9 @@ using namespace rfsp;
                "  --record F      record the fault schedule (JSONL)\n"
                "  --replay F      replay a recorded schedule instead of the\n"
                "                  random adversary\n"
-               "  --checkpoint F  save engine checkpoints to F (JSON)\n"
+               "  --checkpoint F  save engine checkpoints to F (format\n"
+               "                  rfsp-checkpoint v2: JSON header line,\n"
+               "                  binary body)\n"
                "  --checkpoint-every K  checkpoint cadence in slots\n"
                "  --resume F      restore a checkpoint and continue\n"
                "  --trace-out F   stream engine events to F (format from the\n"

@@ -24,9 +24,9 @@
 //                --record run.schedule.jsonl
 //   writeall_cli --replay run.schedule.jsonl
 //   writeall_cli --algo VX --n 4096 --p 256 --adversary thrashing
-//                --checkpoint ck.json --checkpoint-every 64
+//                --checkpoint ck.rfck --checkpoint-every 64
 //   writeall_cli --algo VX --n 4096 --p 256 --adversary thrashing
-//                --resume ck.json
+//                --resume ck.rfck
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -81,7 +81,8 @@ using namespace rfsp;
       "  --record FILE      record the fault schedule (JSONL reproducer)\n"
       "  --replay FILE      replay a recorded schedule; its meta supplies\n"
       "                     algo/n/p/seed defaults\n"
-      "  --checkpoint FILE  save engine checkpoints to FILE (JSON)\n"
+      "  --checkpoint FILE  save engine checkpoints to FILE (rfsp-checkpoint\n"
+      "                     v2: JSON header line, binary body)\n"
       "  --checkpoint-every K  checkpoint cadence in slots (with --checkpoint)\n"
       "  --resume FILE      restore a checkpoint and continue the run\n"
       "  --crash-at-slot S  simulate a kill at the first checkpoint with\n"

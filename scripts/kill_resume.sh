@@ -11,7 +11,13 @@
 #   3. resumed       — restore the checkpoint and run to completion.
 #
 # The resumed run's S / S' / |F| / parallel-time lines must equal the
-# baseline's exactly; any divergence exits nonzero. CI runs this script.
+# baseline's exactly; any divergence exits nonzero.
+#
+# A second part kills for real: eight times, a run that checkpoints every
+# slot gets SIGKILL after 1-4 s, most likely mid-write. The checkpoint is
+# written to a temp file and renamed into place, so whatever the file on
+# disk holds must resume to the straight run's fingerprint. CI runs this
+# script, also on the sanitizer build.
 #
 # Usage: scripts/kill_resume.sh [build-dir] [algo] [n] [p]
 set -euo pipefail
@@ -44,14 +50,14 @@ fingerprint "$workdir/baseline.txt"
 
 echo "== crashed run (checkpoint every 64 slots, killed at slot >= 512)"
 "$cli" "${common[@]}" \
-  --checkpoint "$workdir/ck.json" --checkpoint-every 64 --crash-at-slot 512
-if [ ! -s "$workdir/ck.json" ]; then
+  --checkpoint "$workdir/ck.rfck" --checkpoint-every 64 --crash-at-slot 512
+if [ ! -s "$workdir/ck.rfck" ]; then
   echo "FAIL: the crashed run left no checkpoint behind" >&2
   exit 1
 fi
 
 echo "== resumed run"
-"$cli" "${common[@]}" --resume "$workdir/ck.json" >"$workdir/resumed.txt"
+"$cli" "${common[@]}" --resume "$workdir/ck.rfck" >"$workdir/resumed.txt"
 fingerprint "$workdir/resumed.txt"
 
 if diff <(fingerprint "$workdir/baseline.txt") \
@@ -62,3 +68,35 @@ else
   cat "$workdir/diff.txt" >&2
   exit 1
 fi
+
+echo "== kill -9 during checkpoint writes (X, N=2^18, a checkpoint every slot)"
+kill_flags=(--algo X --n 262144 --p 1024 --batch 1 --adversary random
+            --fail 0.02 --restart 0.5 --seed 3)
+"$cli" "${kill_flags[@]}" >"$workdir/kill_baseline.txt"
+for delay in 1.0 2.5 1.5 3.5 2.0 4.0 3.0 1.2; do
+  rm -f "$workdir/ck.rfck" "$workdir/ck.rfck.tmp"
+  "$cli" "${kill_flags[@]}" \
+    --checkpoint "$workdir/ck.rfck" --checkpoint-every 1 >/dev/null &
+  pid=$!
+  sleep "$delay"
+  kill -9 "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || true
+  if [ ! -e "$workdir/ck.rfck" ]; then
+    echo "  killed after ${delay}s: no checkpoint written yet"
+    continue
+  fi
+  slot=$(head -1 "$workdir/ck.rfck" | grep -o '"slot":[0-9]*' || true)
+  if ! "$cli" "${kill_flags[@]}" --resume "$workdir/ck.rfck" \
+      >"$workdir/kill_resumed.txt"; then
+    echo "FAIL: resume after a kill at ${delay}s (${slot}) exited nonzero" >&2
+    exit 1
+  fi
+  if ! diff <(fingerprint "$workdir/kill_baseline.txt") \
+            <(fingerprint "$workdir/kill_resumed.txt") >"$workdir/diff.txt"; then
+    echo "FAIL: resume after a kill at ${delay}s (${slot}) diverged:" >&2
+    cat "$workdir/diff.txt" >&2
+    exit 1
+  fi
+  echo "  killed after ${delay}s, resumed from ${slot}: bit-identical"
+done
+echo "PASS: every killed run resumed to the baseline"

@@ -5,6 +5,7 @@
 
 #include "replay/json.hpp"
 #include "util/error.hpp"
+#include "util/varint.hpp"
 
 namespace rfsp {
 
@@ -41,42 +42,10 @@ std::uint64_t load_le(std::string_view data, std::size_t pos, unsigned bytes) {
   return v;
 }
 
-void append_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-// LEB128 read: true with `p` advanced when a full varint was available,
-// false (and `p` untouched by the caller's reckoning) when the data ran
-// out mid-varint. Over-long or overflowing varints are corruption, not
-// starvation: those throw.
-bool try_varint(std::string_view data, std::size_t& p, std::uint64_t& value) {
-  std::uint64_t v = 0;
-  unsigned shift = 0;
-  std::size_t q = p;
-  while (true) {
-    if (q >= data.size()) return false;
-    const auto b = static_cast<unsigned char>(data[q++]);
-    if (shift >= 64) throw TraceFormatError("varint longer than 10 bytes");
-    if (shift == 63 && (b & 0x7f) > 1) {
-      throw TraceFormatError("varint overflows 64 bits");
-    }
-    v |= std::uint64_t(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-  }
-  p = q;
-  value = v;
-  return true;
-}
-
 bool try_varint_u32(std::string_view data, std::size_t& p, const char* field,
                     std::uint32_t& value) {
   std::uint64_t v = 0;
-  if (!try_varint(data, p, v)) return false;
+  if (!try_varint<TraceFormatError>(data, p, v)) return false;
   if (v > ~std::uint32_t{0}) {
     throw TraceFormatError(std::string(field) + " field overflows 32 bits");
   }
@@ -209,7 +178,9 @@ BinaryTraceDecoder::Result BinaryTraceDecoder::decode(std::string_view data,
     throw TraceFormatError("unknown trace record tag " + std::to_string(tag));
   }
   std::uint64_t delta = 0;
-  if (!try_varint(data, p, delta)) return Result::kNeedMore;
+  if (!try_varint<TraceFormatError>(data, p, delta)) {
+    return Result::kNeedMore;
+  }
 
   out = TraceEvent{};
   out.kind = static_cast<TraceEventKind>(tag);
@@ -236,7 +207,7 @@ BinaryTraceDecoder::Result BinaryTraceDecoder::decode(std::string_view data,
     case TraceEventKind::kPhase: {
       std::uint64_t length = 0;
       if (!try_varint_u32(data, p, "phase", out.phase) ||
-          !try_varint(data, p, length)) {
+          !try_varint<TraceFormatError>(data, p, length)) {
         return Result::kNeedMore;
       }
       if (length > kMaxPhaseNameBytes) {

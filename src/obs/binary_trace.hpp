@@ -33,8 +33,9 @@
 //     run_end(6)  u8 flags: bit0 goal_met, bit1 deadlock, bit2 slot_limit
 //                 (readers reject unknown bits)
 //
-// varint = LEB128: 7 payload bits per byte, low group first, high bit set
-// on continuation bytes; at most 10 bytes (readers reject longer).
+// varint = LEB128 (util/varint.hpp): 7 payload bits per byte, low group
+// first, high bit set on continuation bytes; at most 10 bytes (readers
+// reject longer).
 //
 // The record sequence preserves the engine's deterministic ordering
 // contract — slot order, and within a slot

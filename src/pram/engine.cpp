@@ -728,25 +728,44 @@ void Engine::restore(const EngineCheckpoint& cp, Adversary* adversary) {
     throw ConfigError("checkpoint shape does not match the program "
                       "(different N, P, or memory model?)");
   }
+  // Memory-model state is checked in full before anything is applied: an
+  // out-of-range address would otherwise surface later as an invariant
+  // failure or as a ModelViolation charged to an innocent PID.
+  if (!cp.caches.empty() && caches_.size() != cp.caches.size()) {
+    throw ConfigError(
+        "checkpoint carries per-processor caches but the engine is not "
+        "running the persistent-cache memory model");
+  }
+  for (const ProcCache& cache : cp.caches) {
+    for (const CacheEntry& entry : cache.entries) {
+      if (entry.addr >= mem_.size()) {
+        throw ConfigError("checkpoint cache entry address " +
+                          std::to_string(entry.addr) +
+                          " is outside the " + std::to_string(mem_.size()) +
+                          "-cell memory");
+      }
+    }
+  }
+  if (!cp.injected_faults.empty() && fault_map_ == nullptr) {
+    throw ConfigError(
+        "checkpoint carries injected cell faults but the engine is not "
+        "running the faulty-cells memory model");
+  }
+  for (const Addr addr : cp.injected_faults) {
+    if (addr >= fault_map_->memory_size()) {
+      throw ConfigError("checkpoint injected-fault address " +
+                        std::to_string(addr) + " is outside the " +
+                        std::to_string(fault_map_->memory_size()) +
+                        "-cell memory");
+    }
+  }
   mem_.restore_storage(cp.memory);
   if (!cp.caches.empty()) {
-    if (caches_.size() != cp.caches.size()) {
-      throw ConfigError(
-          "checkpoint carries per-processor caches but the engine is not "
-          "running the persistent-cache memory model");
-    }
     caches_ = cp.caches;
   } else {
     for (ProcCache& cache : caches_) cache.clear();
   }
-  if (!cp.injected_faults.empty()) {
-    if (fault_map_ == nullptr) {
-      throw ConfigError(
-          "checkpoint carries injected cell faults but the engine is not "
-          "running the faulty-cells memory model");
-    }
-    for (const Addr addr : cp.injected_faults) fault_map_->inject(addr);
-  }
+  for (const Addr addr : cp.injected_faults) fault_map_->inject(addr);
   status_ = cp.status;
   live_pids_.clear();
   for (Pid pid = 0; pid < states_.size(); ++pid) {

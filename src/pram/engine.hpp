@@ -94,8 +94,8 @@ struct EngineCheckpoint {
   std::vector<std::optional<std::vector<Word>>> states;
   std::vector<std::uint64_t> adversary;
 
-  // Memory-model backend state (pram/faults.hpp). Empty under the reliable
-  // model, so reliable checkpoints keep their pre-backend serialized form.
+  // Memory-model backend state (pram/faults.hpp); empty under the reliable
+  // model.
   // `caches`: one per-processor write-back cache per PID (persistent-cache
   // model). `injected_faults`: cells the adversary killed at run time, in
   // injection order (faulty-cells model; the static fault set is derived
@@ -106,8 +106,6 @@ struct EngineCheckpoint {
   // Free-form context the *saver* attaches (the engine never writes it).
   // The CLIs record config the run silently depends on — the memory model
   // and its options — and refuse to resume under contradicting flags.
-  // Empty maps serialize to nothing, so meta-free checkpoints are
-  // byte-identical to the pre-meta format.
   std::map<std::string, std::string> meta;
 
   friend bool operator==(const EngineCheckpoint&,

@@ -1,5 +1,5 @@
 // Minimal JSON reader/writer for the resilience artifacts (fault-schedule
-// JSONL files and engine checkpoints — docs/resilience.md). Internal to
+// JSONL files and engine checkpoint headers — docs/resilience.md). Internal to
 // src/replay: hand-rolled so the library keeps zero external dependencies.
 //
 // Supported surface: objects, arrays, strings (with \" \\ \/ \b \f \n \r \t

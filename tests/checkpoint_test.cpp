@@ -1,7 +1,8 @@
-// Checkpoint/restore (EngineCheckpoint, docs/resilience.md §3): JSON
-// round-trips, the checkpoint-at-every-slot == straight-run determinism
-// matrix, resume-composability with the simulator, and the error paths
-// (shape mismatches, unserializable programs, restore-after-run).
+// Checkpoint/restore (EngineCheckpoint, docs/resilience.md §3): file-format
+// round-trips and hostile inputs, the checkpoint-at-every-slot ==
+// straight-run determinism matrix, resume-composability with the simulator,
+// and the error paths (shape mismatches, out-of-range model state,
+// unserializable programs, restore-after-run).
 #include <gtest/gtest.h>
 
 #include "fault/adversaries.hpp"
@@ -10,6 +11,8 @@
 #include "replay/checkpoint.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
+#include "util/crc32.hpp"
+#include "util/varint.hpp"
 #include "writeall/runner.hpp"
 
 namespace rfsp {
@@ -18,54 +21,138 @@ namespace {
 using ::rfsp::testing::ChaosAdversary;
 using ::rfsp::testing::LambdaProgram;
 
-TEST(CheckpointFormat, JsonRoundTripIsExact) {
+// A small checkpoint touching every body array, for the format tests.
+EngineCheckpoint sample_checkpoint() {
   EngineCheckpoint cp;
   cp.slot = 640;
   cp.tally = {.completed_work = 10, .attempted_work = 12, .failures = 3,
-              .restarts = 2, .slots = 7, .halted = 1, .peak_live = 4};
+              .restarts = 2, .slots = 7, .halted = 1, .peak_live = 4,
+              .persists = 5};
   cp.memory = {0, -5, INT64_MAX, INT64_MIN, 42};
   cp.status = {ProcStatus::kLive, ProcStatus::kFailed, ProcStatus::kHalted};
   cp.states.emplace_back(std::vector<Word>{1, -2, 3});
   cp.states.emplace_back(std::nullopt);
   cp.states.emplace_back(std::vector<Word>{});
   cp.adversary = {UINT64_MAX, 0, 7};
+  cp.caches.push_back({.entries = {{.addr = 1, .value = -7}},
+                       .unpersisted_cycles = 2});
+  cp.caches.push_back({});
+  cp.caches.push_back({});
+  cp.injected_faults = {4, 0};
+  cp.meta = {{"memory_model", "persistent-cache"}};
+  return cp;
+}
 
-  const std::string text = checkpoint_to_json(cp);
-  const EngineCheckpoint back = checkpoint_from_json(text);
+// Replaces the body of an encoded checkpoint and re-seals its header
+// (body_bytes and crc32), so a crafted body gets past the checksum and
+// reaches the body decoder.
+std::string reseal(const std::string& encoded, std::string_view body) {
+  std::string file =
+      encoded.substr(0, encoded.find(R"("body_bytes":)")) +
+      R"("body_bytes":)" + std::to_string(body.size()) + R"(,"crc32":)";
+  file += std::to_string(crc32(body, crc32(file))) + "}\n";
+  return file + std::string(body);
+}
+
+// The name predates the binary body; the round-trip is exact both ways.
+TEST(CheckpointFormat, JsonRoundTripIsExact) {
+  const EngineCheckpoint cp = sample_checkpoint();
+  const std::string bytes = encode_checkpoint(cp);
+  const EngineCheckpoint back = decode_checkpoint(bytes);
   EXPECT_EQ(cp, back);
-  EXPECT_EQ(text, checkpoint_to_json(back));  // canonical
+  EXPECT_EQ(bytes, encode_checkpoint(back));  // canonical
+
+  // The first line is the readable header; the body is past it.
+  const std::string header = bytes.substr(0, bytes.find('\n'));
+  EXPECT_EQ(header.rfind(R"({"format":"rfsp-checkpoint","version":2,)", 0),
+            0u);
+  EXPECT_NE(header.find(R"("persists":5)"), std::string::npos);
+
+  // Save and load go through a temp file renamed into place.
+  const auto dir = ::rfsp::testing::scratch_dir("checkpoint_file");
+  const std::string path = (dir / "ck.rfck").string();
+  save_checkpoint(cp, path);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(load_checkpoint(path), cp);
+  EXPECT_THROW(save_checkpoint(cp, (dir / "missing" / "ck.rfck").string()),
+               ConfigError);
+  // A failed rename (the target is a directory) removes the temp file.
+  std::filesystem::create_directory(dir / "taken");
+  EXPECT_THROW(save_checkpoint(cp, (dir / "taken").string()), ConfigError);
+  EXPECT_FALSE(std::filesystem::exists(dir / "taken.tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 // Saver-attached meta (the CLIs record the memory model so a checkpoint
-// cannot be silently resumed under the wrong one): round-trips exactly, and an empty map serializes to no "meta" key at all,
-// keeping meta-free documents byte-identical to the pre-meta format.
+// cannot be silently resumed under the wrong one) round-trips exactly; an
+// empty map is written as an empty object and reads back empty.
 TEST(CheckpointFormat, MetaRoundTripAndAbsentWhenEmpty) {
   EngineCheckpoint cp;
   cp.slot = 3;
   cp.memory = {1};
-  EXPECT_EQ(checkpoint_to_json(cp).find("\"meta\""), std::string::npos);
+  EXPECT_NE(encode_checkpoint(cp).find(R"("meta":{})"), std::string::npos);
+  EXPECT_TRUE(decode_checkpoint(encode_checkpoint(cp)).meta.empty());
 
   cp.meta = {{"memory_model", "faulty-cells"},
-             {"note", "a \"quoted\" value"}};
-  const std::string text = checkpoint_to_json(cp);
-  const EngineCheckpoint back = checkpoint_from_json(text);
+             {"note", "a \"quoted\"\nvalue"}};
+  const std::string bytes = encode_checkpoint(cp);
+  const EngineCheckpoint back = decode_checkpoint(bytes);
   EXPECT_EQ(cp, back);
-  EXPECT_EQ(text, checkpoint_to_json(back));  // canonical
-
-  // A pre-meta document (no "meta" key) parses to an empty map.
-  EngineCheckpoint bare = cp;
-  bare.meta.clear();
-  EXPECT_TRUE(checkpoint_from_json(checkpoint_to_json(bare)).meta.empty());
+  EXPECT_EQ(bytes, encode_checkpoint(back));  // canonical
 }
 
 TEST(CheckpointFormat, RejectsMalformedInput) {
-  EXPECT_THROW(checkpoint_from_json("{}"), ConfigError);
-  EXPECT_THROW(checkpoint_from_json(R"({"format":"other","version":1})"),
+  EXPECT_THROW(decode_checkpoint(""), ConfigError);
+  EXPECT_THROW(decode_checkpoint("{}\n"), ConfigError);
+  EXPECT_THROW(decode_checkpoint("{\"format\":\"other\",\"version\":2}\n"),
                ConfigError);
   EXPECT_THROW(
-      checkpoint_from_json(
-          R"({"format":"rfsp-checkpoint","version":2,"slot":0})"),
+      decode_checkpoint(R"({"format":"rfsp-checkpoint","version":2,"slot":0})"),
       ConfigError);
+
+  // A version-1 document (JSON body) is refused by name.
+  try {
+    decode_checkpoint(
+        R"({"format":"rfsp-checkpoint","version":1,"slot":0,"tally":{)"
+        R"("completed":0,"attempted":0,"failures":0,"restarts":0,"slots":0,)"
+        R"("halted":0,"peak_live":0},"memory":[1],"status":[],"states":[],)"
+        R"("adversary":[]})"
+        "\n");
+    ADD_FAILURE() << "a version-1 checkpoint decoded";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+
+  const std::string good = encode_checkpoint(sample_checkpoint());
+  const std::size_t body_at = good.find('\n') + 1;
+  const std::string body = good.substr(body_at);
+  ASSERT_EQ(decode_checkpoint(reseal(good, body)), sample_checkpoint());
+
+  // Every proper prefix: a kill mid-write without the rename.
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    EXPECT_THROW(decode_checkpoint(good.substr(0, len)), ConfigError)
+        << "prefix of " << len << " bytes";
+  }
+  // Every single-byte flip, in the header and in the body.
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0x20, 0x80, 0xff}) {
+      std::string bad = good;
+      bad[i] = static_cast<char>(bad[i] ^ mask);
+      EXPECT_THROW(decode_checkpoint(bad), ConfigError)
+          << "byte " << i << " (" << (i < body_at ? "header" : "body")
+          << ") ^ " << int(mask);
+    }
+  }
+  // Checksummed but hostile bodies: a length prefix of 2^62 (must not
+  // reach resize), a truncated body, and trailing bytes after the arrays.
+  std::string huge;
+  append_varint(huge, std::uint64_t{1} << 62);
+  EXPECT_THROW(decode_checkpoint(reseal(good, huge)), ConfigError);
+  EXPECT_THROW(decode_checkpoint(reseal(good, body.substr(0, body.size() - 1))),
+               ConfigError);
+  EXPECT_THROW(decode_checkpoint(reseal(good, body + '\0')), ConfigError);
+  EXPECT_THROW(decode_checkpoint(good + '\0'), ConfigError);
 }
 
 // --- Determinism: resume == never stopped -----------------------------------
@@ -192,7 +279,7 @@ TEST(ArtifactCompat, TreeOrderMetaOnResume) {
   using ::rfsp::testing::read_text;
   using ::rfsp::testing::run_writeall_cli;
   const auto dir = ::rfsp::testing::scratch_dir("tree_order_resume");
-  const auto ck = dir / "ck.json";
+  const auto ck = dir / "ck.rfck";
   const std::string flags =
       "--algo VX --n 512 --p 32 --adversary random --fail 0.05 --seed 3 "
       "--batch 1";
@@ -280,6 +367,43 @@ TEST(CheckpointErrors, ProgramWithoutSaveStateIsRejected) {
   Engine engine(program, options);
   NoFailures quiet;
   EXPECT_THROW(engine.run(quiet), ConfigError);
+}
+
+// Memory-model state whose addresses fall outside memory is a typed error at
+// restore, not an invariant failure (injected faults) or a ModelViolation
+// at the first cache flush (cache entries). All processors are failed, so
+// nothing else in the checkpoint can be the cause.
+EngineCheckpoint failed_machine(Addr cells, Pid p) {
+  EngineCheckpoint cp;
+  cp.memory.resize(cells);
+  cp.status.assign(p, ProcStatus::kFailed);
+  cp.states.resize(p);
+  return cp;
+}
+
+TEST(CheckpointErrors, InjectedFaultOutOfRangeIsRejected) {
+  LambdaProgram program(2, 4, [](Pid, std::uint64_t, CycleContext&) {
+    return true;
+  });
+  EngineOptions options;
+  options.memory_model = MemoryModel::kFaultyCells;
+  Engine engine(program, options);
+  EngineCheckpoint cp = failed_machine(4, 2);
+  cp.injected_faults = {1, 4};
+  EXPECT_THROW(engine.restore(cp), ConfigError);
+}
+
+TEST(CheckpointErrors, CacheAddressOutOfRangeIsRejected) {
+  LambdaProgram program(2, 4, [](Pid, std::uint64_t, CycleContext&) {
+    return true;
+  });
+  EngineOptions options;
+  options.memory_model = MemoryModel::kPersistentCache;
+  Engine engine(program, options);
+  EngineCheckpoint cp = failed_machine(4, 2);
+  cp.caches.resize(2);
+  cp.caches[1].entries = {{.addr = 4, .value = 1}};
+  EXPECT_THROW(engine.restore(cp), ConfigError);
 }
 
 TEST(CheckpointErrors, RestoreAfterRunIsRejected) {

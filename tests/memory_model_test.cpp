@@ -485,20 +485,10 @@ TEST(ModelFormats, CheckpointCarriesCachesAndInjectedFaults) {
   cp.caches.push_back({});  // trivial but present: must survive verbatim
   cp.injected_faults = {0, 2};
 
-  const std::string text = checkpoint_to_json(cp);
-  const EngineCheckpoint back = checkpoint_from_json(text);
+  const std::string bytes = encode_checkpoint(cp);
+  const EngineCheckpoint back = decode_checkpoint(bytes);
   EXPECT_EQ(back, cp);
-  EXPECT_EQ(checkpoint_to_json(back), text);  // canonical
-
-  // Reliable checkpoints carry none of the new keys (byte-compatibility
-  // with pre-model documents).
-  EngineCheckpoint plain;
-  plain.slot = 1;
-  plain.memory = {0};
-  const std::string plain_text = checkpoint_to_json(plain);
-  EXPECT_EQ(plain_text.find("\"caches\""), std::string::npos);
-  EXPECT_EQ(plain_text.find("\"faults\""), std::string::npos);
-  EXPECT_EQ(plain_text.find("\"persists\""), std::string::npos);
+  EXPECT_EQ(encode_checkpoint(back), bytes);  // canonical
 }
 
 // --- Backend-aware audit -----------------------------------------------------

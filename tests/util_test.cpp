@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/bits.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/fixed_vec.hpp"
 #include "util/rng.hpp"
@@ -94,6 +95,21 @@ TEST(FixedVec, Clear) {
   EXPECT_TRUE(v.empty());
   v.push_back(9);
   EXPECT_EQ(v[0], 9);
+}
+
+// --- crc32 -------------------------------------------------------------------
+
+// The standard CRC-32 check value, and chaining across a split at every
+// offset (the sliced loop and the byte tail must agree).
+TEST(Crc32, MatchesCheckValueAndChains) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+  const std::string text = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(crc32(text), 0x414FA339u);
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    const std::string_view v(text);
+    EXPECT_EQ(crc32(v.substr(cut), crc32(v.substr(0, cut))), crc32(text));
+  }
 }
 
 // --- rng ---------------------------------------------------------------------
