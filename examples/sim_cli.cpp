@@ -30,6 +30,7 @@
 #include "replay/schedule.hpp"
 #include "sim/discipline.hpp"
 #include "sim/simulator.hpp"
+#include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
@@ -45,8 +46,9 @@ using namespace rfsp;
                "                  odd-even-sort|bitonic-sort|stencil|matmul|\n"
                "                  leader-elect|components|sort-scan\n"
                "                  (default prefix-sum)\n"
-               "  --n N           simulated size (default 256; bitonic needs\n"
-               "                  a power of two, matmul a square)\n"
+               "  --n N           simulated size, at least 1 (default 256;\n"
+               "                  bitonic-sort needs a power of two, matmul\n"
+               "                  a square, stencil at least 3)\n"
                "  --p P           physical processors (default N/8+1)\n"
                "  --inner NAME    VX|X|V embedded Write-All (default VX)\n"
                "  --fail PROB     per-slot failure probability (default 0.05)\n"
@@ -95,6 +97,26 @@ std::vector<Word> random_values(std::size_t n, std::uint64_t seed,
   return v;
 }
 
+// The simulated size each workload accepts; anything else is a usage error
+// caught before the workload is built. Unknown names are left to the
+// workload switch below.
+void check_size(const std::string& program, Addr n) {
+  if (n < 1) usage("--n must be at least 1");
+  if (program == "bitonic-sort" && !is_pow2(n)) {
+    usage("bitonic-sort needs --n a power of two, not " + std::to_string(n));
+  }
+  if (program == "stencil" && n < 3) {
+    usage("stencil needs --n at least 3 (interior cells)");
+  }
+  if (program == "matmul") {
+    Addr m = 1;
+    while ((m + 1) * (m + 1) <= n) ++m;
+    if (m * m != n) {
+      usage("matmul needs --n a square (m*m), not " + std::to_string(n));
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,7 +151,8 @@ int main(int argc, char** argv) {
   };
 
   const std::string name = take("program", "prefix-sum");
-  const Addr n = take_u64("n", "256");
+  const Addr n = take_u64("n", "256", UINT32_MAX);
+  check_size(name, n);
   const Pid p =
       static_cast<Pid>(take_u64("p", std::to_string(n / 8 + 1), UINT32_MAX));
   const std::string inner_name = take("inner", "VX");

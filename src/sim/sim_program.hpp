@@ -18,8 +18,13 @@
 //  * simulated words are 32-bit unsigned values (they travel stamped);
 //  * concurrent writes in one simulated step must follow COMMON CRCW (or
 //    be conflict-free: EREW/CREW programs qualify trivially);
-//  * `step` must let exceptions propagate (the executor uses an internal
-//    exception to discover the read set incrementally).
+//  * `step` must terminate and stay well-defined when loaded words read 0:
+//    the executor discovers the read set by replaying the step, and after
+//    a replay's first uncached load every load reads 0, every store is
+//    dropped and the outcome is discarded (docs/simulation.md);
+//  * `step` must let exceptions propagate (a replay that keeps loading on
+//    those zeros past its load budget is cut short by an internal
+//    exception).
 #pragma once
 
 #include <cstdint>

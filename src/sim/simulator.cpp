@@ -13,45 +13,65 @@ namespace rfsp {
 
 namespace {
 
-// Thrown by the replay context at the first load whose value is not yet in
-// the fetch cache; the executor then spends one update cycle fetching it.
-struct NeedFetch {
-  Addr addr;
-};
-
 // StepContext that serves loads from a fetch cache (plus the step's own
 // stores) and records stores into an overlay. Deterministic given the
 // cache, so re-running it every micro-cycle is safe.
+//
+// The first load that hits neither records its address and marks the
+// replay missed. Every value the step saw before that was real, so the
+// miss is exactly the cell a fault-free run would read next. From then on
+// loads read 0 unchecked and stores are dropped: the step runs to its end
+// on fabricated values and the executor discards whatever it produced.
 class ReplayContext final : public StepContext {
  public:
   ReplayContext(const SimLayout& layout, Pid j,
-                std::span<const Word> pairs, std::size_t fetched)
-      : layout_(layout), j_(j), pairs_(pairs), fetched_(fetched) {}
+                std::span<const Word> pairs, std::size_t fetched,
+                unsigned load_cap)
+      : layout_(layout), j_(j), pairs_(pairs), fetched_(fetched),
+        load_cap_(load_cap) {}
 
   Word load(Addr a) override {
+    if (miss_) return after_miss();
     RFSP_CHECK_MSG(a < layout_.data_cells, "simulated load out of bounds");
     return fetch(layout_.data + a);
   }
 
   void store(Addr a, Word v) override {
+    if (miss_) return;
     RFSP_CHECK_MSG(a < layout_.data_cells, "simulated store out of bounds");
     overlay_[layout_.data + a] = sim_word(v);
   }
 
   Word reg(unsigned r) override {
+    if (miss_) return after_miss();
     RFSP_CHECK_MSG(r < layout_.reg_count, "register index out of range");
     return fetch(layout_.reg_cell(j_, r));
   }
 
   void set_reg(unsigned r, Word v) override {
+    if (miss_) return;
     RFSP_CHECK_MSG(r < layout_.reg_count, "register index out of range");
     overlay_[layout_.reg_cell(j_, r)] = sim_word(v);
   }
 
-  // Final (deduplicated, address-ordered) writes of the completed step.
+  // The first uncached cell the step loaded, if any.
+  const std::optional<Addr>& miss() const { return miss_; }
+
+  // Final (deduplicated, address-ordered) writes of a step that did not
+  // miss.
   const std::map<Addr, Word>& writes() const { return overlay_; }
 
  private:
+  // Cuts short a missed replay that keeps loading: a step such as
+  // `while (ctx.load(a) == 0) ++a;` never ends on zeros. Only a replay
+  // already being discarded throws it.
+  struct Runaway {};
+
+  Word after_miss() {
+    if (++loads_after_miss_ > load_cap_) throw Runaway{};
+    return 0;
+  }
+
   Word fetch(Addr abs) {
     // Read-your-own-writes within the step.
     if (const auto it = overlay_.find(abs); it != overlay_.end()) {
@@ -60,13 +80,17 @@ class ReplayContext final : public StepContext {
     for (std::size_t i = 0; i < fetched_; ++i) {
       if (static_cast<Addr>(pairs_[2 * i]) == abs) return pairs_[2 * i + 1];
     }
-    throw NeedFetch{abs};
+    miss_ = abs;
+    return 0;
   }
 
   const SimLayout& layout_;
   Pid j_;
   std::span<const Word> pairs_;
   std::size_t fetched_;
+  unsigned load_cap_;
+  unsigned loads_after_miss_ = 0;
+  std::optional<Addr> miss_;
   std::map<Addr, Word> overlay_;
 };
 
@@ -94,16 +118,21 @@ class ComputeTask final : public TaskSpec {
     const Pid j = static_cast<Pid>(task);
 
     ReplayContext replay(layout_, j, pairs,
-                         static_cast<std::size_t>(fetched));
+                         static_cast<std::size_t>(fetched), fetch_cap_);
     try {
       program_.step(replay, j, t_);
-    } catch (const NeedFetch& miss) {
+    } catch (...) {
+      // A missed replay computed on fabricated zeros: whatever it threw,
+      // the runaway guard included, is discarded with its outcome.
+      if (!replay.miss()) throw;
+    }
+    if (const auto& miss = replay.miss()) {
       if (fetched >= static_cast<Word>(fetch_cap_)) {
         throw ConfigError("SimProgram::step exceeds its declared load "
                           "budget (max_loads + registers)");
       }
-      pairs[2 * fetched] = static_cast<Word>(miss.addr);
-      pairs[2 * fetched + 1] = ctx.read(miss.addr);
+      pairs[2 * fetched] = static_cast<Word>(*miss);
+      pairs[2 * fetched + 1] = ctx.read(*miss);
       ++fetched;
       return;
     }

@@ -277,7 +277,7 @@ TEST(CheckpointResume, SimulatorKillAndResume) {
 // removed "veb" order is a usage error (exit 2).
 TEST(ArtifactCompat, TreeOrderMetaOnResume) {
   using ::rfsp::testing::read_text;
-  using ::rfsp::testing::run_writeall_cli;
+  using ::rfsp::testing::run_cli;
   const auto dir = ::rfsp::testing::scratch_dir("tree_order_resume");
   const auto ck = dir / "ck.rfck";
   const std::string flags =
@@ -292,16 +292,18 @@ TEST(ArtifactCompat, TreeOrderMetaOnResume) {
                : text.substr(begin, end - begin);
   };
 
-  ASSERT_EQ(run_writeall_cli(flags, dir / "straight.txt"), 0);
-  ASSERT_EQ(run_writeall_cli(flags + " --checkpoint '" + ck.string() +
-                                 "' --checkpoint-every 16 --crash-at-slot 64",
-                             dir / "crash.txt"),
+  ASSERT_EQ(run_cli(RFSP_WRITEALL_CLI, flags, dir / "straight.txt"), 0);
+  ASSERT_EQ(run_cli(RFSP_WRITEALL_CLI,
+                    flags + " --checkpoint '" + ck.string() +
+                        "' --checkpoint-every 16 --crash-at-slot 64",
+                    dir / "crash.txt"),
             0);
   EngineCheckpoint cp = load_checkpoint(ck.string());
   cp.meta["tree_order"] = "heap";
   save_checkpoint(cp, ck.string());
-  ASSERT_EQ(run_writeall_cli(flags + " --resume '" + ck.string() + "'",
-                             dir / "resumed.txt"),
+  ASSERT_EQ(run_cli(RFSP_WRITEALL_CLI,
+                    flags + " --resume '" + ck.string() + "'",
+                    dir / "resumed.txt"),
             0);
   const std::string straight = tally(read_text(dir / "straight.txt"));
   EXPECT_FALSE(straight.empty());
@@ -309,8 +311,9 @@ TEST(ArtifactCompat, TreeOrderMetaOnResume) {
 
   cp.meta["tree_order"] = "veb";
   save_checkpoint(cp, ck.string());
-  EXPECT_EQ(run_writeall_cli(flags + " --resume '" + ck.string() + "'",
-                             dir / "veb.txt"),
+  EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI,
+                    flags + " --resume '" + ck.string() + "'",
+                    dir / "veb.txt"),
             2);
   std::filesystem::remove_all(dir);
 }
@@ -319,12 +322,32 @@ TEST(ArtifactCompat, TreeOrderMetaOnResume) {
 // have, are usage errors (exit 2): no abort, and no silent narrowing of P
 // to 32 bits.
 TEST(CliErrors, BadNumericFlagsAreUsageErrors) {
-  using ::rfsp::testing::run_writeall_cli;
+  using ::rfsp::testing::run_cli;
   const auto dir = ::rfsp::testing::scratch_dir("cli_numeric_flags");
   for (const char* args :
        {"--n abc", "--algo X --n 1024 --p 4294967297",
         "--adversary random --fail x", "--cycle-threads 4"}) {
-    EXPECT_EQ(run_writeall_cli(args, dir / "out.txt"), 2) << args;
+    EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI, args, dir / "out.txt"), 2) << args;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A simulated size the chosen workload cannot take is a usage error
+// (exit 2), caught before the workload is built: no crash on an empty
+// list, no internal invariant failure, no silently smaller matrix.
+TEST(CliErrors, BadSimSizesAreUsageErrors) {
+  using ::rfsp::testing::run_cli;
+  const auto dir = ::rfsp::testing::scratch_dir("cli_sim_sizes");
+  for (const char* args :
+       {"--program list-ranking --n 0", "--program prefix-sum --n 0",
+        "--program components --n 0", "--program bitonic-sort --n 100",
+        "--program stencil --n 2", "--program matmul --n 10"}) {
+    EXPECT_EQ(run_cli(RFSP_SIM_CLI, args, dir / "out.txt"), 2) << args;
+  }
+  for (const char* args :
+       {"--program bitonic-sort --n 1", "--program stencil --n 3",
+        "--program matmul --n 9"}) {
+    EXPECT_EQ(run_cli(RFSP_SIM_CLI, args, dir / "out.txt"), 0) << args;
   }
   std::filesystem::remove_all(dir);
 }

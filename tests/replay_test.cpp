@@ -131,13 +131,15 @@ TEST(ArtifactCompat, VebTreeOrderScheduleIsRejected) {
   const auto dir = ::rfsp::testing::scratch_dir("veb_schedule");
   const auto schedule = dir / "schedule.jsonl";
   save_schedule(s, schedule.string());
-  EXPECT_EQ(::rfsp::testing::run_writeall_cli(
-                "--replay '" + schedule.string() + "'", dir / "out.txt"),
+  EXPECT_EQ(::rfsp::testing::run_cli(RFSP_WRITEALL_CLI,
+                                     "--replay '" + schedule.string() + "'",
+                                     dir / "out.txt"),
             2);
   s.meta["tree_order"] = "heap";
   save_schedule(s, schedule.string());
-  EXPECT_EQ(::rfsp::testing::run_writeall_cli(
-                "--replay '" + schedule.string() + "'", dir / "out.txt"),
+  EXPECT_EQ(::rfsp::testing::run_cli(RFSP_WRITEALL_CLI,
+                                     "--replay '" + schedule.string() + "'",
+                                     dir / "out.txt"),
             0);
   std::filesystem::remove_all(dir);
 }

@@ -318,5 +318,137 @@ TEST(Simulate, LoadBudgetViolationIsReported) {
   EXPECT_THROW(simulate(program, none), ConfigError);
 }
 
+TEST(Simulate, StoreBudgetViolationIsReported) {
+  // Three distinct stores against a budget of max_stores + registers = 1.
+  class Scribbler final : public SimProgram {
+   public:
+    std::string_view name() const override { return "scribbler"; }
+    Pid processors() const override { return 2; }
+    Addr memory_cells() const override { return 8; }
+    Step steps() const override { return 1; }
+    void step(StepContext& ctx, Pid j, Step) const override {
+      for (Addr a = 0; a < 3; ++a) ctx.store(4 * j + a, a + 1);
+    }
+    unsigned max_stores() const override { return 1; }  // lies
+    unsigned registers() const override { return 0; }
+  };
+  Scribbler program;
+  NoFailures none;
+  EXPECT_THROW(simulate(program, none), ConfigError);
+}
+
+TEST(Simulate, OutOfRangeLoadBeforeAMissThrows) {
+  // Out of range on the first load, before anything was fetched.
+  class Overreach final : public SimProgram {
+   public:
+    std::string_view name() const override { return "overreach"; }
+    Pid processors() const override { return 1; }
+    Addr memory_cells() const override { return 4; }
+    Step steps() const override { return 1; }
+    void step(StepContext& ctx, Pid, Step) const override {
+      ctx.store(0, ctx.load(memory_cells()));
+    }
+    unsigned registers() const override { return 0; }
+  };
+  // Out of range on a load computed from a real, fetched value: the replay
+  // that first reads cell 0 runs past the bad index on a fabricated 0, the
+  // next one reaches it with the real value and must throw.
+  class Indirect final : public SimProgram {
+   public:
+    std::string_view name() const override { return "indirect"; }
+    Pid processors() const override { return 1; }
+    Addr memory_cells() const override { return 4; }
+    Step steps() const override { return 1; }
+    void init(std::span<Word> memory) const override { memory[0] = 7; }
+    void step(StepContext& ctx, Pid, Step) const override {
+      ctx.store(1, ctx.load(ctx.load(0) + 1));
+    }
+    unsigned registers() const override { return 0; }
+  };
+  NoFailures none;
+  EXPECT_THROW(simulate(Overreach(), none), std::logic_error);
+  NoFailures again;
+  EXPECT_THROW(simulate(Indirect(), again), std::logic_error);
+}
+
+// Every real run of this step is well-defined, but a replay that has missed
+// sees fabricated zeros: the check on `v` fails, the indirect load goes out
+// of range, and the scan for a non-zero cell never ends.
+class FragileProgram final : public SimProgram {
+ public:
+  static constexpr Pid kN = 6;
+  static constexpr Addr kVals = 0;          // kN non-zero values
+  static constexpr Addr kPtr = kVals + kN;  // kPtr[j] = 1 + a kVals index
+  static constexpr Addr kScan = kPtr + kN;  // non-zero iff index % 3 == 2
+  static constexpr Addr kOut = kScan + kN + 3;
+
+  std::string_view name() const override { return "fragile"; }
+  Pid processors() const override { return kN; }
+  Addr memory_cells() const override { return kOut + kN; }
+  Step steps() const override { return 3; }
+  void init(std::span<Word> memory) const override {
+    for (Pid j = 0; j < kN; ++j) {
+      memory[kVals + j] = 10 + 3 * j;
+      memory[kPtr + j] = 1 + (j + 1) % kN;
+    }
+    for (Addr k = 0; k < kN + 3; ++k) memory[kScan + k] = k % 3 == 2;
+  }
+  void step(StepContext& ctx, Pid j, Step t) const override {
+    const Word v = ctx.load(kVals + j);
+    RFSP_CHECK_MSG(v != 0, "values are non-zero");
+    const Word w = ctx.load(ctx.load(kPtr + j) - 1);
+    Addr a = kScan + j;
+    while (ctx.load(a) == 0) ++a;  // at most two zeros before a hit
+    ctx.store(kOut + j, v * w + (a - kScan) + t);
+  }
+  unsigned max_loads() const override { return 6; }
+  unsigned max_stores() const override { return 1; }
+  unsigned registers() const override { return 0; }
+};
+
+TEST(Simulate, ReplayAfterMissIsDiscarded) {
+  // The executor must discard the outcome of every missed replay of
+  // FragileProgram — a throw, an out-of-range load, an endless scan — and
+  // still reproduce the reference.
+  const FragileProgram program;
+  const std::vector<Word> expected = reference_run(program);
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    RandomAdversary adversary(seed, {.fail_prob = 0.1, .restart_prob = 0.5});
+    const SimResult r =
+        simulate(program, adversary, {.physical_processors = 4});
+    ASSERT_TRUE(r.completed) << "seed " << seed;
+    EXPECT_EQ(r.memory, expected) << "seed " << seed;
+  }
+}
+
+TEST(Simulate, GoldenTallyUnderRandomFaults) {
+  // The two instances of rfsp-bench's sim-executor job at seed 1. Their
+  // tallies pin the executor's schedule: a change to how a step's read set
+  // is discovered must leave every figure untouched.
+  const RandomAdversaryOptions faults{.fail_prob = 0.05, .restart_prob = 0.5};
+  const auto run = [&](const SimProgram& program, Pid p) {
+    RandomAdversary adversary(1 ^ 0xadde, faults);
+    const SimResult r =
+        simulate(program, adversary, {.physical_processors = p});
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.memory, reference_run(program));
+    return r.tally;
+  };
+  const WorkTally prefix =
+      run(PrefixSumProgram(random_values(256, 1, 1000)), 33);
+  EXPECT_EQ(prefix.completed_work, 240926u);
+  EXPECT_EQ(prefix.attempted_work, 253523u);
+  EXPECT_EQ(prefix.failures, 12597u);
+  EXPECT_EQ(prefix.restarts, 12594u);
+  EXPECT_EQ(prefix.slots, 8446u);
+  const WorkTally bitonic =
+      run(BitonicSortProgram(random_values(64, 1, 10000)), 9);
+  EXPECT_EQ(bitonic.completed_work, 121933u);
+  EXPECT_EQ(bitonic.attempted_work, 128388u);
+  EXPECT_EQ(bitonic.failures, 6455u);
+  EXPECT_EQ(bitonic.restarts, 6454u);
+  EXPECT_EQ(bitonic.slots, 15714u);
+}
+
 }  // namespace
 }  // namespace rfsp

@@ -193,13 +193,14 @@ class LambdaAdversary final : public Adversary {
   Decide decide_;
 };
 
-// Runs the writeall_cli example binary with `args` (shell syntax), stdout to
-// `stdout_path`, stderr discarded. Returns the exit status, or -1 when the
-// process did not exit normally.
-inline int run_writeall_cli(const std::string& args,
-                            const std::filesystem::path& stdout_path) {
-  const std::string cmd = std::string("'") + RFSP_WRITEALL_CLI + "' " + args +
-                          " > '" + stdout_path.string() + "' 2>/dev/null";
+// Runs an example binary (RFSP_WRITEALL_CLI, RFSP_SIM_CLI) with `args`
+// (shell syntax), stdout to `stdout_path`, stderr discarded. Returns the
+// exit status — 128 + N when the binary dies of signal N, as the shell
+// reports it — or -1 when the shell did not exit normally.
+inline int run_cli(const char* binary, const std::string& args,
+                   const std::filesystem::path& stdout_path) {
+  const std::string cmd = std::string("'") + binary + "' " + args + " > '" +
+                          stdout_path.string() + "' 2>/dev/null";
   const int status = std::system(cmd.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
