@@ -1,32 +1,12 @@
 #include "fault/adversaries.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/wordio.hpp"
 
 namespace rfsp {
-
-namespace {
-
-// Live processors that ran a cycle this slot, ascending PID.
-std::vector<Pid> started_pids(const MachineView& view) {
-  std::vector<Pid> out;
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
-    if (view.trace(pid).started) out.push_back(pid);
-  }
-  return out;
-}
-
-std::vector<Pid> failed_pids(const MachineView& view) {
-  std::vector<Pid> out;
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
-    if (view.status(pid) == ProcStatus::kFailed) out.push_back(pid);
-  }
-  return out;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // RandomAdversary
@@ -41,7 +21,7 @@ RandomAdversary::RandomAdversary(std::uint64_t seed,
 
 FaultDecision RandomAdversary::decide(const MachineView& view) {
   FaultDecision d;
-  const std::vector<Pid> started = started_pids(view);
+  const std::span<const Pid> started = view.started_pids();
 
   std::size_t mid_failures = 0;
   for (Pid pid : started) {
@@ -57,18 +37,20 @@ FaultDecision RandomAdversary::decide(const MachineView& view) {
     }
     ++pattern_used_;
   }
-  for (Pid pid : failed_pids(view)) {
-    if (rng_.chance(opt_.restart_prob)) {
+  for (Pid pid = 0; pid < view.processors(); ++pid) {
+    if (view.status(pid) == ProcStatus::kFailed &&
+        rng_.chance(opt_.restart_prob)) {
       d.restart.push_back(pid);
       ++pattern_used_;
     }
   }
   // Avoid stranding the machine: if this decision fails every live processor
-  // and restarts nobody, revive one casualty.
+  // and restarts nobody, revive one casualty. Only post-write failures can
+  // take the last started cycle, so with fail_after_frac == 0 this never
+  // fires.
   const std::size_t casualties =
       d.fail_mid_cycle.size() + d.fail_after_cycle.size();
-  if (casualties == started.size() && !started.empty() && d.restart.empty() &&
-      failed_pids(view).empty()) {
+  if (casualties == started.size() && !started.empty() && d.restart.empty()) {
     const Pid revive = d.fail_after_cycle.empty() ? d.fail_mid_cycle.front()
                                                   : d.fail_after_cycle.front();
     d.restart.push_back(revive);
@@ -100,10 +82,7 @@ ScheduledAdversary::ScheduledAdversary(FaultPattern pattern)
 FaultDecision ScheduledAdversary::decide(const MachineView& view) {
   FaultDecision d;
   const auto& events = pattern_.events();
-  std::size_t started = 0;
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
-    if (view.trace(pid).started) ++started;
-  }
+  const std::size_t started = view.started_pids().size();
 
   std::vector<std::uint8_t> failing(view.processors(), 0);
   while (next_event_ < events.size() && events[next_event_].time <= view.slot()) {
@@ -169,15 +148,16 @@ FaultDecision BurstAdversary::decide(const MachineView& view) {
   // Always revive old casualties (whether or not this is a burst slot), so
   // the machine keeps its processors when restart == false bursts pile up.
   if (opt_.restart) {
-    for (Pid pid : failed_pids(view)) {
+    for (Pid pid = 0; pid < view.processors(); ++pid) {
       if (pattern_used_ >= opt_.max_pattern) break;
+      if (view.status(pid) != ProcStatus::kFailed) continue;
       d.restart.push_back(pid);
       ++pattern_used_;
     }
   }
   if (view.slot() % opt_.period != 0) return d;
 
-  const std::vector<Pid> started = started_pids(view);
+  const std::span<const Pid> started = view.started_pids();
   if (started.size() <= 1) return d;
   // Fail the highest-PID started processors; the lowest always survives.
   const std::size_t victims =
@@ -205,12 +185,13 @@ void BurstAdversary::load_state(std::span<const std::uint64_t> data) {
 FaultDecision ThrashingAdversary::decide(const MachineView& view) {
   FaultDecision d;
   // Revive all previous casualties so the whole machine thrashes again.
-  for (Pid pid : failed_pids(view)) {
+  for (Pid pid = 0; pid < view.processors(); ++pid) {
     if (pattern_used_ >= max_pattern_) break;
+    if (view.status(pid) != ProcStatus::kFailed) continue;
     d.restart.push_back(pid);
     ++pattern_used_;
   }
-  const std::vector<Pid> started = started_pids(view);
+  const std::span<const Pid> started = view.started_pids();
   if (started.size() <= 1) return d;
   // Abort every started cycle except the lowest PID's (Example 2.2 lets one
   // write through per slot), then revive the casualties immediately.

@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "fault/adversary.hpp"
 #include "util/rng.hpp"
@@ -46,7 +46,7 @@ class RandomAdversary final : public Adversary {
 
   std::string_view name() const override { return "random"; }
   FaultDecision decide(const MachineView& view) override;
-  // Samples over started cycles only — reads CycleTrace::started, never the
+  // Samples over the started set (MachineView::started_pids) only, never the
   // buffered writes, so the batched backend may skip trace materialization.
   bool inspects_cycles() const override { return false; }
   void save_state(std::vector<std::uint64_t>& out) const override;
@@ -84,7 +84,7 @@ class ScheduledAdversary final : public Adversary {
 struct BurstAdversaryOptions {
   Slot period = 1;          // act every `period` slots
   Pid count = 1;            // processors to fail per burst
-  bool restart = true;      // revive the casualties in the same decision
+  bool restart = true;      // revive the casualties at the next decision
   std::uint64_t max_pattern = UINT64_MAX;  // |F| budget
 };
 

@@ -1,6 +1,7 @@
 #include "fault/halving.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "util/error.hpp"
 
@@ -37,12 +38,9 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
   std::vector<std::uint8_t> in_unvisited(n_, 0);
   for (Addr i : unvisited) in_unvisited[i] = 1;
 
-  std::size_t started = 0;
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
-    const CycleTrace& trace = view.trace(pid);
-    if (!trace.started) continue;
-    ++started;
-    for (const WriteOp& op : trace.writes) {
+  const std::span<const Pid> started = view.started_pids();
+  for (Pid pid : started) {
+    for (const WriteOp& op : view.trace(pid).writes) {
       if (op.addr >= x_base_ && op.addr < x_base_ + n_ &&
           (op.value & visited_mask_) != 0) {
         const Addr cell = op.addr - x_base_;
@@ -61,10 +59,8 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
 
   // Fail every processor writing into a chosen cell.
   std::vector<Pid> victims;
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
-    const CycleTrace& trace = view.trace(pid);
-    if (!trace.started) continue;
-    for (const WriteOp& op : trace.writes) {
+  for (Pid pid : started) {
+    for (const WriteOp& op : view.trace(pid).writes) {
       if (op.addr >= x_base_ && op.addr < x_base_ + n_ &&
           (op.value & visited_mask_) != 0 &&
           doomed_cell[op.addr - x_base_] != 0) {
@@ -78,7 +74,7 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
   // halves; guard constraint 2(i) by sparing one victim if all started
   // cycles would be aborted. Without revival, also never kill the machine's
   // last processor.
-  if (victims.size() == started && !victims.empty()) victims.pop_back();
+  if (victims.size() == started.size() && !victims.empty()) victims.pop_back();
   for (Pid pid : victims) {
     d.fail_mid_cycle.push_back(pid);
     if (options_.revive) d.restart.push_back(pid);

@@ -1,5 +1,7 @@
 #include "fault/iteration_killer.hpp"
 
+#include <span>
+
 #include "util/error.hpp"
 
 namespace rfsp {
@@ -14,36 +16,21 @@ IterationKiller::IterationKiller(Slot window, Slot kill_phase)
 FaultDecision IterationKiller::decide(const MachineView& view) {
   FaultDecision d;
   const Slot phi = view.slot() % window_;
+  const std::span<const Pid> started = view.started_pids();
   if (phi == kill_phase_) {
     // First strike: fail-and-restart everyone but the lowest started PID.
-    bool spared = false;
-    for (Pid pid = 0; pid < view.processors(); ++pid) {
-      if (!view.trace(pid).started) continue;
-      if (!spared) {
-        spared = true;
-        continue;
-      }
-      d.fail_mid_cycle.push_back(pid);
-      d.restart.push_back(pid);
+    for (std::size_t i = 1; i < started.size(); ++i) {
+      d.fail_mid_cycle.push_back(started[i]);
+      d.restart.push_back(started[i]);
     }
   } else if (phi == kill_phase_ + 1) {
     // Second strike: the spared survivor (still the lowest started PID —
     // the restarts did not change indices). Constraint 2(i) needs another
     // completer, so with fewer than two started processors the strike is
     // skipped (a single-processor machine cannot be stalled this way).
-    std::size_t started = 0;
-    for (Pid pid = 0; pid < view.processors(); ++pid) {
-      if (view.trace(pid).started) ++started;
-    }
-    if (started >= 2) {
-      for (Pid pid = 0; pid < view.processors(); ++pid) {
-        if (view.trace(pid).started &&
-            view.status(pid) == ProcStatus::kLive) {
-          d.fail_mid_cycle.push_back(pid);
-          d.restart.push_back(pid);
-          break;
-        }
-      }
+    if (started.size() >= 2) {
+      d.fail_mid_cycle.push_back(started.front());
+      d.restart.push_back(started.front());
     }
   }
   return d;

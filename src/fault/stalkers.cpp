@@ -110,14 +110,9 @@ FaultDecision LeafStalker::decide(const MachineView& view) {
   FaultDecision d;
   if (released_) return d;
 
+  const std::span<const Pid> started = view.started_pids();
   std::vector<Pid> touching;
-  std::size_t started = 0;
-  std::size_t live_or_failed = 0;  // processors still in the computation
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
-    if (view.status(pid) != ProcStatus::kHalted) ++live_or_failed;
-    const CycleTrace& trace = view.trace(pid);
-    if (!trace.started) continue;
-    ++started;
+  for (Pid pid : started) {
     if (committed_position(view, layout_, stamp_, pid) == target_node_) {
       touching.push_back(pid);
     }
@@ -126,11 +121,11 @@ FaultDecision LeafStalker::decide(const MachineView& view) {
   if (!opt_.restart_variant) {
     // Fail-stop case: kill touchers permanently until one processor is left
     // alive in the whole machine; that survivor finishes alone.
-    if (started <= 1) {
+    if (started.size() <= 1) {
       released_ = true;
       return d;
     }
-    std::size_t alive = started;
+    std::size_t alive = started.size();
     for (Pid pid : touching) {
       if (alive <= 1) break;
       d.fail_mid_cycle.push_back(pid);
@@ -142,9 +137,13 @@ FaultDecision LeafStalker::decide(const MachineView& view) {
   // Restart case: touchers are failed and instantly revived (they resume at
   // the stalked leaf and are caught again) until every processor that is
   // still in the computation is simultaneously at the leaf.
+  std::size_t live_or_failed = 0;  // processors still in the computation
   std::size_t at_leaf = touching.size();
   for (Pid pid = 0; pid < view.processors(); ++pid) {
-    if (view.status(pid) == ProcStatus::kFailed &&
+    const ProcStatus status = view.status(pid);
+    if (status == ProcStatus::kHalted) continue;
+    ++live_or_failed;
+    if (status == ProcStatus::kFailed &&
         committed_position(view, layout_, stamp_, pid) == target_node_) {
       ++at_leaf;
     }
@@ -158,7 +157,8 @@ FaultDecision LeafStalker::decide(const MachineView& view) {
     return d;
   }
   for (Pid pid : touching) {
-    if (d.fail_mid_cycle.size() + 1 >= started) break;  // keep a completer
+    // Keep a completer.
+    if (d.fail_mid_cycle.size() + 1 >= started.size()) break;
     d.fail_mid_cycle.push_back(pid);
     d.restart.push_back(pid);
   }

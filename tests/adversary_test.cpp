@@ -4,7 +4,15 @@
 #include <gtest/gtest.h>
 
 #include "fault/adversaries.hpp"
+#include "fault/halving.hpp"
+#include "fault/iteration_killer.hpp"
+#include "fault/stalkers.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
+#include "util/crc32.hpp"
+#include "writeall/acc.hpp"
+#include "writeall/algx.hpp"
+#include "writeall/combined.hpp"
 #include "writeall/runner.hpp"
 
 namespace rfsp {
@@ -46,6 +54,24 @@ TEST(RandomAdversary, PatternBudgetRespectedForFailures) {
   const auto out = run_writeall(WriteAllAlgo::kX, config, adversary);
   EXPECT_TRUE(out.solved);
   EXPECT_LE(out.run.tally.failures, 40u);
+}
+
+TEST(RandomAdversary, NeverStrandsWithPostWriteFailures) {
+  // Post-write failures are not clamped, so one decision can fail every
+  // started processor while older casualties stay down; the adversary must
+  // then revive one itself or the next slot has no live processor.
+  const WriteAllConfig config{.n = 64, .p = 4};
+  RandomAdversaryOptions opt;
+  opt.fail_prob = 0.3;
+  opt.restart_prob = 0.5;
+  opt.fail_after_frac = 0.3;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    RandomAdversary adversary(seed, opt);
+    WriteAllOutcome out;
+    ASSERT_NO_THROW(out = run_writeall(WriteAllAlgo::kX, config, adversary))
+        << "seed " << seed;
+    EXPECT_TRUE(out.solved) << "seed " << seed;
+  }
 }
 
 TEST(BurstAdversary, ControlsPatternSizeDeterministically) {
@@ -132,6 +158,124 @@ TEST(NoFailures, ProducesEmptyPattern) {
   EXPECT_TRUE(out.solved);
   EXPECT_EQ(out.run.tally.pattern_size(), 0u);
   EXPECT_TRUE(out.run.pattern.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden decision streams: the CRC-32 of one fixed run's recorded
+// FaultSchedule per stock adversary. A change to how an adversary reads the
+// machine must leave every decision, and every RNG draw behind it, as is.
+
+// RecordingAdversary keeps the base inspects_cycles() (true); this forwards
+// the inner adversary's, so a batch run keeps its started-flags-only path.
+class Recorder final : public Adversary {
+ public:
+  Recorder(Adversary& inner, FaultSchedule& out)
+      : inner_(inner), recording_(inner, out) {}
+  std::string_view name() const override { return inner_.name(); }
+  FaultDecision decide(const MachineView& view) override {
+    return recording_.decide(view);
+  }
+  bool inspects_cycles() const override { return inner_.inspects_cycles(); }
+
+ private:
+  Adversary& inner_;
+  RecordingAdversary recording_;
+};
+
+std::uint32_t decision_digest(const Program& program, Adversary& adversary,
+                              EngineOptions options = {}) {
+  FaultSchedule schedule;
+  Recorder recorder(adversary, schedule);
+  Engine engine(program, options);
+  engine.run(recorder);
+  EXPECT_EQ(engine.batch_active(), options.batch);
+  EXPECT_FALSE(schedule.entries.empty());
+  return crc32(schedule_to_jsonl(schedule));
+}
+
+std::uint32_t writeall_digest(WriteAllAlgo algo, const WriteAllConfig& config,
+                              Adversary& adversary,
+                              EngineOptions options = {}) {
+  return decision_digest(*make_writeall(algo, config), adversary, options);
+}
+
+TEST(GoldenDecisions, Random) {
+  // fail_after_frac == 0: every failure is clamped mid-cycle, so the
+  // strand guard never fires.
+  RandomAdversaryOptions opt;
+  opt.fail_prob = 0.2;
+  opt.restart_prob = 0.6;
+  const WriteAllConfig config{.n = 256, .p = 64};
+  RandomAdversary interp(17, opt);
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, config, interp), 0xced903dau);
+  // The batch backend shows the adversary started flags only.
+  RandomAdversary batch(17, opt);
+  EngineOptions batch_options;
+  batch_options.batch = true;
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, config, batch, batch_options),
+            0xced903dau);
+}
+
+TEST(GoldenDecisions, Burst) {
+  BurstAdversary adversary({.period = 4, .count = 8});
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kCombinedVX, {.n = 256, .p = 64},
+                            adversary),
+            0xf2d20aa9u);
+}
+
+TEST(GoldenDecisions, Thrashing) {
+  ThrashingAdversary adversary;
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, {.n = 64, .p = 64}, adversary),
+            0x5ceb92bdu);
+}
+
+TEST(GoldenDecisions, Scheduled) {
+  // Failures and restarts on a fixed stride, some of them inapplicable
+  // (skipped) when their slot arrives.
+  FaultPattern pattern;
+  for (Slot t = 0; t < 60; ++t) {
+    pattern.add(FaultTag::kFailure, static_cast<Pid>((t * 7) % 16), t);
+    pattern.add(FaultTag::kFailure, static_cast<Pid>((t * 3 + 1) % 16), t);
+    if (t >= 2) {
+      pattern.add(FaultTag::kRestart, static_cast<Pid>(((t - 2) * 7) % 16), t);
+    }
+  }
+  ScheduledAdversary adversary(pattern);
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, {.n = 128, .p = 16}, adversary),
+            0x0ab046b3u);
+  EXPECT_GT(adversary.skipped(), 0u);
+}
+
+TEST(GoldenDecisions, IterationKiller) {
+  const CombinedVX program({.n = 64, .p = 8});
+  IterationKiller adversary(2 * program.layout().v.iteration);
+  EXPECT_EQ(decision_digest(program, adversary), 0xa060a781u);
+}
+
+TEST(GoldenDecisions, Halving) {
+  HalvingAdversary adversary(0, 64);
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, {.n = 64, .p = 64}, adversary),
+            0x104b442eu);
+  HalvingAdversary no_revive(0, 64, Word{0xffffffff}, {.revive = false});
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, {.n = 64, .p = 64}, no_revive),
+            0x63a031f9u);
+}
+
+TEST(GoldenDecisions, PostOrderStalker) {
+  const AlgX program({.n = 64, .p = 64});
+  PostOrderStalker adversary(program.layout());
+  EXPECT_EQ(decision_digest(program, adversary), 0x573a197au);
+}
+
+TEST(GoldenDecisions, LeafStalker) {
+  const AccWriteAll fail_stop_program({.n = 128, .p = 128, .seed = 7});
+  LeafStalker fail_stop(fail_stop_program.layout(),
+                        {.restart_variant = false});
+  EXPECT_EQ(decision_digest(fail_stop_program, fail_stop), 0x58d61d7du);
+  const AccWriteAll restart_program({.n = 64, .p = 64, .seed = 3});
+  LeafStalker restart(restart_program.layout(), {.restart_variant = true});
+  EXPECT_EQ(decision_digest(restart_program, restart), 0xc527a04cu);
+  EXPECT_TRUE(restart.released());
 }
 
 }  // namespace
