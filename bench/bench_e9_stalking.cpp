@@ -12,6 +12,7 @@
 #include "fault/adversaries.hpp"
 #include "fault/stalkers.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
 #include "util/table.hpp"
 #include "writeall/acc.hpp"
 #include "writeall/algx.hpp"
@@ -24,28 +25,28 @@ struct Outcome {
   std::uint64_t s = 0;
   std::uint64_t f = 0;
   std::uint64_t slots = 0;
-  FaultPattern pattern;
+  FaultSchedule schedule;  // the on-line run's recorded moves
 };
 
 Outcome run_acc_online(Addr n, bool restart_variant, std::uint64_t seed) {
   const AccWriteAll program({.n = n, .p = static_cast<Pid>(n), .seed = seed});
   LeafStalker adversary(program.layout(), {.restart_variant = restart_variant});
-  EngineOptions options;
-  options.record_pattern = true;
-  Engine engine(program, options);
-  const RunResult result = engine.run(adversary);
+  FaultSchedule schedule;
+  RecordingAdversary recorder(adversary, schedule);
+  Engine engine(program);
+  const RunResult result = engine.run(recorder);
   Outcome o;
   if (!result.goal_met) return o;
   o.s = result.tally.completed_work;
   o.f = result.tally.pattern_size();
   o.slots = result.tally.slots;
-  o.pattern = std::move(result.pattern);
+  o.schedule = std::move(schedule);
   return o;
 }
 
-Outcome run_acc_offline(Addr n, const FaultPattern& pattern,
+Outcome run_acc_offline(Addr n, const FaultSchedule& schedule,
                         std::uint64_t fresh_seed) {
-  ScheduledAdversary adversary(pattern);
+  ScheduledAdversary adversary(schedule);
   const auto out = run_writeall(
       WriteAllAlgo::kAcc, {.n = n, .p = static_cast<Pid>(n), .seed = fresh_seed},
       adversary);
@@ -68,7 +69,7 @@ void print_report() {
       for (int trial = 0; trial < kTrials; ++trial) {
         const Outcome online = run_acc_online(n, restart, 100 + trial);
         const Outcome offline =
-            run_acc_offline(n, online.pattern, 900 + trial);
+            run_acc_offline(n, online.schedule, 900 + trial);
         online_sum += static_cast<double>(online.s);
         offline_sum += static_cast<double>(offline.s);
         online_slots += static_cast<double>(online.slots);

@@ -371,16 +371,22 @@ int main(int argc, char** argv) {
                                            : trace_format);
     }
     MetricsRegistry metrics;
+    std::ofstream metrics_os;
 
     SimOptions sim_options{.physical_processors = p, .inner = inner};
-    sim_options.memory_model = memory_model;
-    sim_options.faulty_cells = faulty_cells;
-    sim_options.persistent_cache = persistent_cache;
-    sim_options.sink = sink.get();
-    if (!metrics_out.empty()) sim_options.metrics = &metrics;
+    EngineOptions& engine = sim_options.engine;
+    engine.memory_model = memory_model;
+    engine.faulty_cells = faulty_cells;
+    engine.persistent_cache = persistent_cache;
+    engine.sink = sink.get();
+    if (!metrics_out.empty()) {
+      metrics_os.open(metrics_out);
+      if (!metrics_os) usage("cannot write " + metrics_out);
+      engine.metrics = &metrics;
+    }
     if (checkpoint_every > 0) {
-      sim_options.checkpoint_every = checkpoint_every;
-      sim_options.on_checkpoint = [&](const EngineCheckpoint& cp) {
+      engine.checkpoint_every = checkpoint_every;
+      engine.on_checkpoint = [&](const EngineCheckpoint& cp) {
         EngineCheckpoint stamped_cp = cp;
         if (memory_model != MemoryModel::kReliable) {
           stamped_cp.meta["memory_model"] =
@@ -456,9 +462,8 @@ int main(int argc, char** argv) {
       std::cout << "events saved to  " << trace_out << '\n';
     }
     if (!metrics_out.empty()) {
-      std::ofstream os(metrics_out);
-      metrics.write_json(os);
-      os << "\n";
+      metrics.write_json(metrics_os);
+      metrics_os << "\n";
       std::cout << "metrics saved to " << metrics_out << '\n';
     }
     if (audit_on) {

@@ -1,12 +1,14 @@
 // writeall_cli — run any Write-All algorithm against any adversary from
-// the command line; export per-slot traces (CSV) and failure patterns
-// (text), or replay a saved pattern as an off-line adversary.
+// the command line; stream the run's events (--trace-out: per-slot S/S'
+// and every failure/restart, as JSONL, CSV or binary).
 //
 // Resilience tooling (docs/resilience.md): --record captures the run's
-// fault schedule as a portable JSONL reproducer, --replay re-runs one,
-// --checkpoint/--checkpoint-every/--resume drive engine checkpointing
-// (with --crash-at-slot simulating a kill for scripts/kill_resume.sh),
-// and --shrink-out minimizes a recorded violation before archiving it.
+// fault schedule as a portable JSONL reproducer, --replay re-runs one
+// exactly, --pattern-in runs one as an off-line adversary (§5) under the
+// flags' own config, --checkpoint/--checkpoint-every/--resume drive engine
+// checkpointing (with --crash-at-slot simulating a kill for
+// scripts/kill_resume.sh), and --shrink-out minimizes a recorded violation
+// before archiving it.
 //
 // Conformance auditing (docs/analysis.md): --audit 1 runs the model-
 // conformance auditor over the run (budgets, phase order, write agreement,
@@ -19,10 +21,12 @@
 // Examples:
 //   writeall_cli --algo X --n 4096 --p 256 --adversary random --fail 0.1
 //   writeall_cli --algo VX --n 1024 --p 1024 --adversary halving
-//                --trace run.csv --pattern-out run.pattern
+//                --trace-out run.csv
 //   writeall_cli --algo X --n 1024 --p 64 --adversary random
 //                --record run.schedule.jsonl
 //   writeall_cli --replay run.schedule.jsonl
+//   writeall_cli --algo X --n 1024 --p 64 --seed 2
+//                --pattern-in run.schedule.jsonl
 //   writeall_cli --algo VX --n 4096 --p 256 --adversary thrashing
 //                --checkpoint ck.rfck --checkpoint-every 64
 //   writeall_cli --algo VX --n 4096 --p 256 --adversary thrashing
@@ -32,7 +36,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "analysis/oblivious.hpp"
@@ -76,11 +79,12 @@ using namespace rfsp;
       "  --restart PROB     random adversary restart prob (0.5)\n"
       "  --burst-period K   burst adversary period (4)\n"
       "  --burst-count K    burst adversary victims per burst (P/4)\n"
-      "  --pattern-in FILE  replay a saved pattern (off-line adversary)\n"
-      "  --pattern-out FILE save the run's failure pattern\n"
       "  --record FILE      record the fault schedule (JSONL reproducer)\n"
       "  --replay FILE      replay a recorded schedule; its meta supplies\n"
       "                     algo/n/p/seed defaults\n"
+      "  --pattern-in FILE  run a recorded schedule as an off-line adversary\n"
+      "                     under these flags' config (its meta is not\n"
+      "                     applied; moves that no longer apply are skipped)\n"
       "  --checkpoint FILE  save engine checkpoints to FILE (rfsp-checkpoint\n"
       "                     v2: JSON header line, binary body)\n"
       "  --checkpoint-every K  checkpoint cadence in slots (with --checkpoint)\n"
@@ -89,7 +93,6 @@ using namespace rfsp;
       "                     slot >= S (the file keeps the previous one)\n"
       "  --shrink-out FILE  on a violation, minimize the recorded schedule\n"
       "                     and save the reproducer (needs --record)\n"
-      "  --trace FILE       save the per-slot trace as CSV\n"
       "  --trace-out FILE   stream engine events to FILE (format from the\n"
       "                     extension: .csv -> csv, .bin/.rft -> binary,\n"
       "                     else JSONL; see --trace-format)\n"
@@ -207,21 +210,21 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = take_u64("seed", meta_or("seed", "1"));
   const Slot max_slots = take_u64(
       "max-slots", meta_or("max_slots", std::to_string(Slot{1} << 26)));
-  const std::string adversary_name = take("adversary", "none");
+  // Empty when the flag is absent (no failures): --pattern-in refuses an
+  // explicit one.
+  const std::string adversary_name = take("adversary", "");
   const double fail = take_double("fail", "0.05");
   const double restart = take_double("restart", "0.5");
   const Slot burst_period = take_u64("burst-period", "4");
   const Pid burst_count = static_cast<Pid>(take_u64(
       "burst-count", std::to_string(std::max(1u, p / 4)), UINT32_MAX));
   const std::string pattern_in = take("pattern-in", "");
-  const std::string pattern_out = take("pattern-out", "");
   const std::string record_file = take("record", "");
   const std::string checkpoint_file = take("checkpoint", "");
   const Slot checkpoint_every = take_u64("checkpoint-every", "0");
   const std::string resume_file = take("resume", "");
   const Slot crash_at = take_u64("crash-at-slot", "0");
   const std::string shrink_out = take("shrink-out", "");
-  const std::string trace_file = take("trace", "");
   const std::string trace_out = take("trace-out", "");
   const std::string trace_format = take("trace-format", "");
   const std::string metrics_out = take("metrics-out", "");
@@ -253,6 +256,10 @@ int main(int argc, char** argv) {
   }
   if (!shrink_out.empty() && record_file.empty()) {
     usage("--shrink-out needs --record");
+  }
+  if (!pattern_in.empty() && (have_replay || !adversary_name.empty())) {
+    usage("--pattern-in is the run's adversary: it excludes --replay and "
+          "--adversary");
   }
 
   // Resume checkpoints load before the config is built: the run silently
@@ -365,13 +372,9 @@ int main(int argc, char** argv) {
     if (have_replay) {
       adversary = std::make_unique<ReplayAdversary>(replay_schedule);
     } else if (!pattern_in.empty()) {
-      std::ifstream in(pattern_in);
-      if (!in) usage("cannot read " + pattern_in);
-      std::stringstream buffer;
-      buffer << in.rdbuf();
       adversary =
-          std::make_unique<ScheduledAdversary>(pattern_from_text(buffer.str()));
-    } else if (adversary_name == "none") {
+          std::make_unique<ScheduledAdversary>(load_schedule(pattern_in));
+    } else if (adversary_name.empty() || adversary_name == "none") {
       adversary = std::make_unique<NoFailures>();
     } else if (adversary_name == "random") {
       adversary = std::make_unique<RandomAdversary>(
@@ -411,8 +414,6 @@ int main(int argc, char** argv) {
     options.max_slots = max_slots;
     options.batch = batch_on;
     options.bit_atomic_writes = have_replay && schedule_has_torn(replay_schedule);
-    options.record_pattern = !pattern_out.empty();
-    options.record_trace = !trace_file.empty();
     options.memory_model = memory_model;
     options.faulty_cells = faulty_cells;
     options.persistent_cache = persistent_cache;
@@ -490,7 +491,12 @@ int main(int argc, char** argv) {
       options.sink = sink.get();
     }
     MetricsRegistry metrics;
-    if (!metrics_out.empty()) options.metrics = &metrics;
+    std::ofstream metrics_os;
+    if (!metrics_out.empty()) {
+      metrics_os.open(metrics_out);
+      if (!metrics_os) usage("cannot write " + metrics_out);
+      options.metrics = &metrics;
+    }
     options.attribute_phases = show_phases;
 
     // Violation path: diagnose, dump the recorded reproducer, optionally
@@ -554,8 +560,7 @@ int main(int argc, char** argv) {
     const auto& t = out.run.tally;
     std::cout << "algorithm        " << to_string(algo) << "\n"
               << "N / P            " << n << " / " << p << "\n"
-              << "adversary        "
-              << (pattern_in.empty() ? active->name() : "replay") << "\n"
+              << "adversary        " << active->name() << "\n"
               << "solved           " << (out.solved ? "yes" : "NO") << "\n"
               << "completed S      " << t.completed_work << "\n"
               << "attempted S'     " << t.attempted_work << "\n"
@@ -569,25 +574,12 @@ int main(int argc, char** argv) {
 
     dump_recording(out.solved ? ProbeStatus::kSolved : ProbeStatus::kUnsolved,
                    "");
-    if (!pattern_out.empty()) {
-      std::ofstream os(pattern_out);
-      os << pattern_to_text(out.run.pattern);
-      std::cout << "pattern saved to " << pattern_out << " ("
-                << out.run.pattern.size() << " events)\n";
-    }
-    if (!trace_file.empty()) {
-      std::ofstream os(trace_file);
-      write_trace_csv(os, out.run.trace);
-      std::cout << "trace saved to   " << trace_file << " ("
-                << out.run.trace.size() << " slots)\n";
-    }
     if (!trace_out.empty()) {
       std::cout << "events saved to  " << trace_out << "\n";
     }
     if (!metrics_out.empty()) {
-      std::ofstream os(metrics_out);
-      metrics.write_json(os);
-      os << "\n";
+      metrics.write_json(metrics_os);
+      metrics_os << "\n";
       std::cout << "metrics saved to " << metrics_out << "\n";
     }
     if (!out.run.phases.empty()) {

@@ -8,6 +8,8 @@
 #     exactly (and jsonl -> binary the engine's binary bytes),
 #   * `trace_cli check A B` to find the decoded event streams identical,
 #   * `trace_cli stat` of both files to agree line for line.
+# One case runs §5's off-line adversary: a schedule recorded with --record
+# under one seed, re-run with --pattern-in under another.
 # Exits non-zero on the first violation. This is the CI gate for the
 # lossless-transport contract in docs/observability.md.
 #
@@ -79,6 +81,13 @@ run_case x-thrashing --algo X --n 2048 --p 256 --seed 5 \
   --adversary thrashing --max-slots 400
 run_case w-burst --algo W --n 4096 --p 512 --seed 7 \
   --adversary burst --burst-period 4 --burst-count 64
+
+# Off-line: X's schedule recorded under random faults (seed 1), run with
+# --pattern-in under seed 2.
+schedule="$work_dir/x-random.schedule.jsonl"
+"$cli" --algo X --n 2048 --p 256 --seed 1 --adversary random --fail 0.1 \
+  --restart 0.4 --record "$schedule" >/dev/null
+run_case x-offline --algo X --n 2048 --p 256 --seed 2 --pattern-in "$schedule"
 
 if [ "$status" = 0 ]; then
   echo "trace round-trip OK: binary and JSONL streams are interconvertible"

@@ -13,14 +13,6 @@ double WorkTally::overhead_ratio(std::uint64_t input_size) const {
          static_cast<double>(input_size + pattern_size());
 }
 
-void write_trace_csv(std::ostream& out, std::span<const SlotStats> trace) {
-  out << "slot,started,completed,failures,restarts\n";
-  for (const SlotStats& s : trace) {
-    out << s.slot << ',' << s.started << ',' << s.completed << ','
-        << s.failures << ',' << s.restarts << '\n';
-  }
-}
-
 void write_phase_csv(std::ostream& out, std::span<const PhaseWork> phases) {
   out << "phase,completed,attempted,failures,restarts,slots\n";
   for (const PhaseWork& p : phases) {

@@ -39,20 +39,6 @@ struct WorkTally {
   friend bool operator==(const WorkTally&, const WorkTally&) = default;
 };
 
-// Per-slot time series, recorded by the engine when
-// EngineOptions::record_trace is set. Σ completed over a trace equals the
-// run's S; Σ started equals S'.
-struct SlotStats {
-  std::uint64_t slot = 0;
-  std::uint32_t started = 0;    // live processors that ran a cycle
-  std::uint32_t completed = 0;  // cycles that committed
-  std::uint32_t failures = 0;   // failure events this slot
-  std::uint32_t restarts = 0;   // restart events this slot
-};
-
-// CSV export (header + one row per slot), for plotting run dynamics.
-void write_trace_csv(std::ostream& out, std::span<const SlotStats> trace);
-
 // One phase's slice of a run's accounting, attributed slot-by-slot through
 // the program's PhaseSchedule (obs/phase.hpp). Over a run,
 // Σ completed_work == WorkTally::completed_work (and likewise for S', |F|,

@@ -17,8 +17,6 @@ EngineOptions replay_options(EngineOptions options, Auditor& auditor) {
   options.metrics = nullptr;
   options.checkpoint_every = 0;
   options.on_checkpoint = nullptr;
-  options.record_pattern = false;
-  options.record_trace = false;
   return options;
 }
 
@@ -102,20 +100,15 @@ AuditedSimRun audit_simulation(const SimProgram& program, Adversary& adversary,
   {
     RecordingAdversary recorder(adversary, out.schedule);
     SimOptions opt = options;
-    opt.audit = &first;
+    opt.engine.audit = &first;
     out.result = simulate(program, recorder, opt);
   }
   if (audit.fingerprint) {
     Auditor second(audit);
     ReplayAdversary replayer(out.schedule);
     SimOptions opt = options;
-    opt.audit = &second;
-    opt.sink = nullptr;
-    opt.metrics = nullptr;
-    opt.checkpoint_every = 0;
-    opt.on_checkpoint = nullptr;
+    opt.engine = replay_options(options.engine, second);
     opt.resume = nullptr;
-    opt.record_pattern = false;
     try {
       simulate(program, replayer, opt);
       diff_fingerprints(first, second, first.report_mutable(),

@@ -34,8 +34,8 @@ AuditedRun audit_writeall(WriteAllAlgo algo, const WriteAllConfig& config,
                           Adversary& adversary, EngineOptions options = {},
                           AuditOptions audit = {});
 
-// Same protocol for the Theorem 4.1 simulator (SimOptions::audit is the
-// engine passthrough; this driver owns the record/replay double run).
+// Same protocol for the Theorem 4.1 simulator (SimOptions::engine.audit is
+// the engine passthrough; this function owns the record/replay double run).
 struct AuditedSimRun {
   SimResult result;
   FaultSchedule schedule;

@@ -74,69 +74,6 @@ void RandomAdversary::load_state(std::span<const std::uint64_t> data) {
 }
 
 // ---------------------------------------------------------------------------
-// ScheduledAdversary
-
-ScheduledAdversary::ScheduledAdversary(FaultPattern pattern)
-    : pattern_(std::move(pattern)) {}
-
-FaultDecision ScheduledAdversary::decide(const MachineView& view) {
-  FaultDecision d;
-  const auto& events = pattern_.events();
-  const std::size_t started = view.started_pids().size();
-
-  std::vector<std::uint8_t> failing(view.processors(), 0);
-  while (next_event_ < events.size() && events[next_event_].time <= view.slot()) {
-    const FaultEvent& e = events[next_event_++];
-    const Pid pid = e.pid;
-    if (pid >= view.processors()) {
-      ++skipped_;
-      continue;
-    }
-    if (e.tag == FaultTag::kFailure) {
-      const bool live =
-          view.status(pid) == ProcStatus::kLive && view.trace(pid).started;
-      if (!live || failing[pid]) {
-        ++skipped_;
-        continue;
-      }
-      // Keep at least one started cycle alive (self-clamp; see header).
-      if (d.fail_mid_cycle.size() + 1 >= started) {
-        ++skipped_;
-        continue;
-      }
-      d.fail_mid_cycle.push_back(pid);
-      failing[pid] = 1;
-    } else {
-      const bool restartable =
-          view.status(pid) == ProcStatus::kFailed || failing[pid];
-      if (!restartable) {
-        ++skipped_;
-        continue;
-      }
-      if (std::find(d.restart.begin(), d.restart.end(), pid) !=
-          d.restart.end()) {
-        ++skipped_;
-        continue;
-      }
-      d.restart.push_back(pid);
-    }
-  }
-  return d;
-}
-
-void ScheduledAdversary::save_state(std::vector<std::uint64_t>& out) const {
-  U64Writer w(out);
-  w.put(next_event_);
-  w.put(skipped_);
-}
-
-void ScheduledAdversary::load_state(std::span<const std::uint64_t> data) {
-  U64Reader r(data);
-  next_event_ = static_cast<std::size_t>(r.get());
-  skipped_ = r.get();
-}
-
-// ---------------------------------------------------------------------------
 // BurstAdversary
 
 BurstAdversary::BurstAdversary(BurstAdversaryOptions opt) : opt_(opt) {

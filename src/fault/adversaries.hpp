@@ -4,8 +4,6 @@
 //  * RandomAdversary   — i.i.d. failures/restarts (the "particular random
 //                        failure model" discussed for [KPS 90]); self-clamps
 //                        to respect model constraint 2(i).
-//  * ScheduledAdversary— replays a pre-scripted FaultPattern: an *off-line*
-//                        (non-adaptive) adversary in the sense of §5.
 //  * BurstAdversary    — deterministically fails (and by default immediately
 //                        restarts) `count` processors every `period` slots;
 //                        the knob used by experiments that sweep M = |F|.
@@ -56,29 +54,6 @@ class RandomAdversary final : public Adversary {
   Rng rng_;
   RandomAdversaryOptions opt_;
   std::uint64_t pattern_used_ = 0;
-};
-
-class ScheduledAdversary final : public Adversary {
- public:
-  // Events whose targets are in the wrong state when their slot arrives are
-  // skipped (counted in `skipped()`); if applying the slot's failures would
-  // abort every started cycle, failures are dropped from the back until one
-  // survivor remains (off-line patterns cannot adapt, the model still must
-  // hold). Pattern events must be in non-decreasing time order.
-  explicit ScheduledAdversary(FaultPattern pattern);
-
-  std::string_view name() const override { return "scheduled"; }
-  FaultDecision decide(const MachineView& view) override;
-  bool inspects_cycles() const override { return false; }
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void load_state(std::span<const std::uint64_t> data) override;
-
-  std::uint64_t skipped() const { return skipped_; }
-
- private:
-  FaultPattern pattern_;
-  std::size_t next_event_ = 0;
-  std::uint64_t skipped_ = 0;
 };
 
 struct BurstAdversaryOptions {

@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "fault/pattern.hpp"
 #include "pram/types.hpp"
 #include "pram/view.hpp"
 

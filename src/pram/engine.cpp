@@ -900,28 +900,6 @@ RunResult Engine::run(Adversary& adversary) {
     if (sink_ != nullptr || metrics_ != nullptr || !phase_work_.empty()) {
       observe_slot(decision, started, completed, failure_events);
     }
-    if (options_.record_trace) {
-      result.trace.push_back({slot_, static_cast<std::uint32_t>(started),
-                              static_cast<std::uint32_t>(completed),
-                              static_cast<std::uint32_t>(failure_events),
-                              static_cast<std::uint32_t>(
-                                  decision.restart.size())});
-    }
-    if (options_.record_pattern) {
-      for (Pid pid : decision.fail_mid_cycle) {
-        result.pattern.add(FaultTag::kFailure, pid, slot_);
-      }
-      for (Pid pid : decision.fail_after_cycle) {
-        result.pattern.add(FaultTag::kFailure, pid, slot_);
-      }
-      for (const TornWrite& tear : decision.torn) {
-        result.pattern.add(FaultTag::kFailure, tear.pid, slot_);
-      }
-      for (Pid pid : decision.restart) {
-        result.pattern.add(FaultTag::kRestart, pid, slot_);
-      }
-    }
-
     apply_transitions(decision);
     if (audit_ != nullptr) audit_->on_transitions(slot_, decision);
 

@@ -26,7 +26,6 @@
 
 #include "accounting/tally.hpp"
 #include "fault/adversary.hpp"
-#include "fault/pattern.hpp"
 #include "pram/memory.hpp"
 #include "pram/program.hpp"
 #include "pram/soa.hpp"
@@ -168,13 +167,6 @@ struct EngineOptions {
   // check needs the log (model == kErew && detect_read_conflicts).
   bool log_reads = false;
 
-  // Record the full failure pattern (can be large) into RunResult::pattern.
-  bool record_pattern = false;
-
-  // Record the per-slot time series (started/completed/failures/restarts)
-  // into RunResult::trace — one SlotStats per slot.
-  bool record_trace = false;
-
   // Use Program::goal_cells (when the program provides it) to track goal
   // satisfaction incrementally at commit time instead of calling
   // Program::goal once per slot. Results are identical by the goal_cells
@@ -261,8 +253,6 @@ struct RunResult {
   bool goal_met = false;    // Program::goal held
   bool deadlock = false;    // every processor halted but the goal is unmet
   bool slot_limit = false;  // max_slots exhausted
-  FaultPattern pattern;     // populated iff EngineOptions::record_pattern
-  std::vector<SlotStats> trace;  // populated iff EngineOptions::record_trace
 
   // Per-phase S/S'/|F| breakdown; populated iff phase attribution ran
   // (sink or attribute_phases, and the program published a PhaseSchedule).

@@ -1,10 +1,12 @@
 #include "replay/schedule.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "replay/json.hpp"
 #include "util/error.hpp"
+#include "util/wordio.hpp"
 
 namespace rfsp {
 
@@ -225,6 +227,59 @@ void ReplayAdversary::load_state(std::span<const std::uint64_t> data) {
   if (cursor_ > schedule_.entries.size()) {
     throw ConfigError("replay cursor beyond the schedule");
   }
+}
+
+FaultDecision ScheduledAdversary::decide(const MachineView& view) {
+  FaultDecision d;
+  const std::size_t started = view.started_pids().size();
+  std::vector<std::uint8_t> failing(view.processors(), 0);
+
+  const auto fail = [&](Pid pid) {
+    const bool live = pid < view.processors() &&
+                      view.status(pid) == ProcStatus::kLive &&
+                      view.trace(pid).started;
+    // Keep at least one started cycle alive (self-clamp; see header).
+    if (!live || failing[pid] || d.fail_mid_cycle.size() + 1 >= started) {
+      ++skipped_;
+      return;
+    }
+    d.fail_mid_cycle.push_back(pid);
+    failing[pid] = 1;
+  };
+  const auto restart = [&](Pid pid) {
+    const bool restartable =
+        pid < view.processors() &&
+        (view.status(pid) == ProcStatus::kFailed || failing[pid]);
+    if (!restartable ||
+        std::find(d.restart.begin(), d.restart.end(), pid) != d.restart.end()) {
+      ++skipped_;
+      return;
+    }
+    d.restart.push_back(pid);
+  };
+
+  const auto& entries = schedule_.entries;
+  while (next_entry_ < entries.size() &&
+         entries[next_entry_].slot <= view.slot()) {
+    const FaultDecision& moves = entries[next_entry_++].decision;
+    for (Pid pid : moves.fail_mid_cycle) fail(pid);
+    for (Pid pid : moves.fail_after_cycle) fail(pid);
+    for (const TornWrite& tear : moves.torn) fail(tear.pid);
+    for (Pid pid : moves.restart) restart(pid);
+  }
+  return d;
+}
+
+void ScheduledAdversary::save_state(std::vector<std::uint64_t>& out) const {
+  U64Writer w(out);
+  w.put(next_entry_);
+  w.put(skipped_);
+}
+
+void ScheduledAdversary::load_state(std::span<const std::uint64_t> data) {
+  U64Reader r(data);
+  next_entry_ = static_cast<std::size_t>(r.get());
+  skipped_ = r.get();
 }
 
 }  // namespace rfsp

@@ -65,7 +65,8 @@ FaultSchedule load_schedule(const std::string& path);
 // caller-owned schedule. The schedule reference must outlive the wrapper;
 // ownership stays with the caller so the recording survives an engine
 // throw (the violating decision is recorded before the engine validates
-// it — exactly what the shrinker needs).
+// it — exactly what the shrinker needs). Recording reads nothing of the
+// machine but the slot, so the wrapper inspects cycles iff `inner` does.
 class RecordingAdversary final : public Adversary {
  public:
   RecordingAdversary(Adversary& inner, FaultSchedule& out)
@@ -73,6 +74,7 @@ class RecordingAdversary final : public Adversary {
 
   std::string_view name() const override { return inner_.name(); }
   FaultDecision decide(const MachineView& view) override;
+  bool inspects_cycles() const override { return inner_.inspects_cycles(); }
   void save_state(std::vector<std::uint64_t>& out) const override {
     inner_.save_state(out);
   }
@@ -87,7 +89,8 @@ class RecordingAdversary final : public Adversary {
 
 // Replays a schedule exactly: the recorded decision at each recorded slot,
 // an empty decision everywhere else. Checkpoint-aware (save/load = cursor),
-// so record/replay composes with checkpoint/restore.
+// so record/replay composes with checkpoint/restore. It reads only the
+// slot; torn writes get their per-PID traces from bit_atomic_writes.
 class ReplayAdversary final : public Adversary {
  public:
   explicit ReplayAdversary(FaultSchedule schedule)
@@ -95,6 +98,7 @@ class ReplayAdversary final : public Adversary {
 
   std::string_view name() const override { return "replay"; }
   FaultDecision decide(const MachineView& view) override;
+  bool inspects_cycles() const override { return false; }
   void save_state(std::vector<std::uint64_t>& out) const override {
     out.push_back(cursor_);
   }
@@ -105,6 +109,34 @@ class ReplayAdversary final : public Adversary {
  private:
   FaultSchedule schedule_;
   std::uint64_t cursor_ = 0;
+};
+
+// Replays a schedule as an *off-line* (non-adaptive) adversary in §5's
+// sense: e.g. a stalker's recorded schedule run against fresh coins, where
+// the machine no longer matches the recording. Each entry's failures
+// (mid-cycle, post-write and torn alike) apply as mid-cycle failures, in
+// the order mid, after, torn, then its restarts; memory-model moves (cells,
+// drop) are ignored. A move whose target is in the wrong state when its
+// slot arrives is skipped (counted in `skipped()`), and failures that
+// would abort the last started cycle are skipped too: an off-line schedule
+// cannot adapt, but the model must still hold.
+class ScheduledAdversary final : public Adversary {
+ public:
+  explicit ScheduledAdversary(FaultSchedule schedule)
+      : schedule_(std::move(schedule)) {}
+
+  std::string_view name() const override { return "scheduled"; }
+  FaultDecision decide(const MachineView& view) override;
+  bool inspects_cycles() const override { return false; }
+  void save_state(std::vector<std::uint64_t>& out) const override;
+  void load_state(std::span<const std::uint64_t> data) override;
+
+  std::uint64_t skipped() const { return skipped_; }
+
+ private:
+  FaultSchedule schedule_;
+  std::size_t next_entry_ = 0;
+  std::uint64_t skipped_ = 0;
 };
 
 }  // namespace rfsp

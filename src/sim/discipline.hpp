@@ -16,8 +16,9 @@
 // Registers are private by construction and are not checked.
 //
 // A program that passes for discipline D executes correctly under
-// simulate() configured for D (COMMON-compatible disciplines on the
-// default engine; ARBITRARY via SimOptions::discipline).
+// simulate(), which picks the engine's CRCW model from the program's
+// declared discipline (COMMON for the COMMON-compatible ones; ARBITRARY
+// for ARBITRARY).
 #pragma once
 
 #include <string>

@@ -477,31 +477,28 @@ std::unique_ptr<Program> make_simulation_program(const SimProgram& program,
 
 SimResult simulate(const SimProgram& program, Adversary& adversary,
                    SimOptions options) {
+  const EngineOptions defaults;
+  if (options.engine.read_budget != defaults.read_budget ||
+      options.engine.write_budget != defaults.write_budget ||
+      options.engine.model != defaults.model) {
+    throw ConfigError(
+        "simulate() sets the executor's read_budget, write_budget and model "
+        "itself; leave them at their defaults in SimOptions::engine");
+  }
   const SimLayout layout(program, options.physical_processors);
   const SimulationProgram outer(program, layout, options.inner);
 
-  EngineOptions eopt;
+  EngineOptions eopt = std::move(options.engine);
   // The simulation machine's update cycle: the embedded Write-All cycle
   // (<= 4 reads) plus the phase-word read. Fixed per machine (§2.1).
   eopt.read_budget = 5;
   eopt.write_budget = 2;
-  eopt.max_slots = options.max_slots;
-  eopt.record_pattern = options.record_pattern;
-  eopt.sink = options.sink;
-  eopt.metrics = options.metrics;
   // ARBITRARY programs run on a fail-stop machine "of the same type"
   // (Theorem 4.1): the engine breaks same-slot commit races arbitrarily
   // and the commit markers make the outcome stable thereafter.
   if (program.discipline() == CrcwModel::kArbitrary) {
     eopt.model = CrcwModel::kArbitrary;
   }
-
-  eopt.checkpoint_every = options.checkpoint_every;
-  eopt.on_checkpoint = options.on_checkpoint;
-  eopt.audit = options.audit;
-  eopt.memory_model = options.memory_model;
-  eopt.faulty_cells = options.faulty_cells;
-  eopt.persistent_cache = options.persistent_cache;
 
   Engine engine(outer, eopt);
   if (options.resume != nullptr) engine.restore(*options.resume, &adversary);
@@ -510,7 +507,6 @@ SimResult simulate(const SimProgram& program, Adversary& adversary,
   SimResult result;
   result.tally = run.tally;
   result.completed = run.goal_met;
-  result.pattern = std::move(run.pattern);
   result.passes = phase_pass(engine.memory().read(layout.phase));
   result.memory.reserve(layout.data_cells);
   for (Addr i = 0; i < layout.data_cells; ++i) {

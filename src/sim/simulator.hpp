@@ -41,39 +41,21 @@ enum class SimInner { kCombinedVX, kX, kV };
 struct SimOptions {
   Pid physical_processors = 0;  // P (1 <= P <= N); 0 = P = N
   SimInner inner = SimInner::kCombinedVX;
-  Slot max_slots = Slot{1} << 26;
-  bool record_pattern = false;
-  // Observability passthrough (see obs/trace.hpp, obs/metrics.hpp): the
-  // engine emits slot/failure/restart/halt events to `sink` and run totals
-  // into `metrics`. The simulation has no fixed-length phase structure
-  // (passes advance dynamically), so no kPhase events are produced.
-  TraceSink* sink = nullptr;
-  MetricsRegistry* metrics = nullptr;
 
-  // Memory-model passthrough (pram/faults.hpp, docs/fault-models.md): the
-  // *physical* machine's shared memory runs under this model — faulty
-  // cells hit the simulator's own structures (scratch logs, phase word,
-  // simulated memory) alike, and the persistent-cache model delays the
-  // executor's commits by its persist cadence.
-  MemoryModel memory_model = MemoryModel::kReliable;
-  FaultyCellsOptions faulty_cells;
-  PersistentCacheOptions persistent_cache;
+  // The physical machine's engine options, passed straight through:
+  // max_slots, the sink and metrics (no kPhase events — passes advance
+  // dynamically, so the run has no fixed phase structure), the memory
+  // model (faulty cells hit the simulator's own structures too; the
+  // persistent cache delays its commits), checkpointing, and the audit
+  // hook (which audits the simulator's own cycles, not the simulated
+  // program's). simulate() fixes the machine constants itself — 5-read,
+  // 2-write update cycles and the CRCW model from SimProgram::discipline()
+  // — and throws ConfigError if read_budget, write_budget or model is set.
+  EngineOptions engine;
 
-  // Checkpoint passthrough (src/replay, docs/resilience.md): capture an
-  // EngineCheckpoint every `checkpoint_every` slots into `on_checkpoint`
-  // (0 = off), and/or resume a run from a previously captured checkpoint
-  // (`resume` must outlive the simulate() call).
-  Slot checkpoint_every = 0;
-  std::function<void(const EngineCheckpoint&)> on_checkpoint;
+  // Resume from a previously captured checkpoint (src/replay,
+  // docs/resilience.md); must outlive the simulate() call.
   const EngineCheckpoint* resume = nullptr;
-
-  // Conformance-audit passthrough (src/analysis, docs/analysis.md): the
-  // hook watches the *physical* machine's update cycles, i.e. it audits the
-  // simulator's own discipline, not the simulated program's. Note the
-  // simulation machine runs 5-read update cycles, so the audited read
-  // budget is 5 here. The record/replay obliviousness probe lives in
-  // analysis/oblivious.hpp (audit_simulation).
-  EngineAuditHook* audit = nullptr;
 };
 
 struct SimResult {
@@ -81,7 +63,6 @@ struct SimResult {
   bool completed = false;        // all τ steps simulated
   std::vector<Word> memory;      // final simulated shared memory
   std::uint64_t passes = 0;      // Write-All passes executed (2τ)
-  FaultPattern pattern;          // iff record_pattern
 };
 
 // Memory map of a simulation run (exposed for tests and adversaries).

@@ -89,21 +89,21 @@ TEST(BurstAdversary, ControlsPatternSizeDeterministically) {
 
 TEST(ScheduledAdversary, ReplaysARecordedPatternExactly) {
   // Record an adaptive random run against deterministic algorithm X, then
-  // replay its pattern as an off-line adversary: the executions coincide.
+  // replay its schedule as an off-line adversary: the executions coincide.
   const WriteAllConfig config{.n = 128, .p = 128};
   RandomAdversaryOptions opt;
   opt.fail_prob = 0.15;
   opt.restart_prob = 0.7;
-  opt.fail_after_frac = 0.0;  // the pattern format does not keep mid/after
+  opt.fail_after_frac = 0.0;  // off-line replay applies every failure mid-cycle
 
   RandomAdversary recordee(23, opt);
-  EngineOptions eopt;
-  eopt.record_pattern = true;
-  const auto recorded = run_writeall(WriteAllAlgo::kX, config, recordee, eopt);
+  FaultSchedule schedule;
+  RecordingAdversary recorder(recordee, schedule);
+  const auto recorded = run_writeall(WriteAllAlgo::kX, config, recorder);
   ASSERT_TRUE(recorded.solved);
-  ASSERT_GT(recorded.run.pattern.size(), 0u);
+  ASSERT_GT(schedule.move_count(), 0u);
 
-  ScheduledAdversary replay(recorded.run.pattern);
+  ScheduledAdversary replay(schedule);
   const auto replayed = run_writeall(WriteAllAlgo::kX, config, replay);
   EXPECT_TRUE(replayed.solved);
   EXPECT_EQ(replayed.run.tally.completed_work,
@@ -113,10 +113,11 @@ TEST(ScheduledAdversary, ReplaysARecordedPatternExactly) {
 }
 
 TEST(ScheduledAdversary, SkipsInapplicableEvents) {
-  FaultPattern pattern;
-  pattern.add(FaultTag::kRestart, 0, 0);  // nobody failed yet
-  pattern.add(FaultTag::kFailure, 200, 0);  // out of range PID
-  ScheduledAdversary adversary(pattern);
+  FaultSchedule schedule;
+  schedule.entries.push_back(
+      {0, {.fail_mid_cycle = {200},  // out of range PID
+           .restart = {0}}});        // nobody failed yet
+  ScheduledAdversary adversary(schedule);
   const WriteAllConfig config{.n = 16, .p = 4};
   const auto out = run_writeall(WriteAllAlgo::kX, config, adversary);
   EXPECT_TRUE(out.solved);
@@ -152,12 +153,24 @@ TEST(ThrashingAdversary, CompletedWorkStaysSubquadraticForX) {
 TEST(NoFailures, ProducesEmptyPattern) {
   const WriteAllConfig config{.n = 64, .p = 16};
   NoFailures none;
-  EngineOptions eopt;
-  eopt.record_pattern = true;
-  const auto out = run_writeall(WriteAllAlgo::kV, config, none, eopt);
+  FaultSchedule schedule;
+  RecordingAdversary recorder(none, schedule);
+  const auto out = run_writeall(WriteAllAlgo::kV, config, recorder);
   EXPECT_TRUE(out.solved);
   EXPECT_EQ(out.run.tally.pattern_size(), 0u);
-  EXPECT_TRUE(out.run.pattern.empty());
+  EXPECT_TRUE(schedule.entries.empty());
+}
+
+TEST(RecordingAdversary, ForwardsInspectsCycles) {
+  // Recording reads only the slot, so a batch run that records keeps the
+  // started-flags-only path exactly when the recorded adversary allows it.
+  FaultSchedule schedule;
+  RandomAdversary random(1);
+  EXPECT_FALSE(RecordingAdversary(random, schedule).inspects_cycles());
+  const AlgX program({.n = 64, .p = 64});
+  PostOrderStalker stalker(program.layout());
+  EXPECT_TRUE(RecordingAdversary(stalker, schedule).inspects_cycles());
+  EXPECT_FALSE(ReplayAdversary(schedule).inspects_cycles());
 }
 
 // ---------------------------------------------------------------------------
@@ -165,27 +178,10 @@ TEST(NoFailures, ProducesEmptyPattern) {
 // FaultSchedule per stock adversary. A change to how an adversary reads the
 // machine must leave every decision, and every RNG draw behind it, as is.
 
-// RecordingAdversary keeps the base inspects_cycles() (true); this forwards
-// the inner adversary's, so a batch run keeps its started-flags-only path.
-class Recorder final : public Adversary {
- public:
-  Recorder(Adversary& inner, FaultSchedule& out)
-      : inner_(inner), recording_(inner, out) {}
-  std::string_view name() const override { return inner_.name(); }
-  FaultDecision decide(const MachineView& view) override {
-    return recording_.decide(view);
-  }
-  bool inspects_cycles() const override { return inner_.inspects_cycles(); }
-
- private:
-  Adversary& inner_;
-  RecordingAdversary recording_;
-};
-
 std::uint32_t decision_digest(const Program& program, Adversary& adversary,
                               EngineOptions options = {}) {
   FaultSchedule schedule;
-  Recorder recorder(adversary, schedule);
+  RecordingAdversary recorder(adversary, schedule);
   Engine engine(program, options);
   engine.run(recorder);
   EXPECT_EQ(engine.batch_active(), options.batch);
@@ -232,15 +228,15 @@ TEST(GoldenDecisions, Thrashing) {
 TEST(GoldenDecisions, Scheduled) {
   // Failures and restarts on a fixed stride, some of them inapplicable
   // (skipped) when their slot arrives.
-  FaultPattern pattern;
+  FaultSchedule schedule;
   for (Slot t = 0; t < 60; ++t) {
-    pattern.add(FaultTag::kFailure, static_cast<Pid>((t * 7) % 16), t);
-    pattern.add(FaultTag::kFailure, static_cast<Pid>((t * 3 + 1) % 16), t);
-    if (t >= 2) {
-      pattern.add(FaultTag::kRestart, static_cast<Pid>(((t - 2) * 7) % 16), t);
-    }
+    FaultDecision moves;
+    moves.fail_mid_cycle = {static_cast<Pid>((t * 7) % 16),
+                            static_cast<Pid>((t * 3 + 1) % 16)};
+    if (t >= 2) moves.restart = {static_cast<Pid>(((t - 2) * 7) % 16)};
+    schedule.entries.push_back({t, std::move(moves)});
   }
-  ScheduledAdversary adversary(pattern);
+  ScheduledAdversary adversary(std::move(schedule));
   EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, {.n = 128, .p = 16}, adversary),
             0x0ab046b3u);
   EXPECT_GT(adversary.skipped(), 0u);

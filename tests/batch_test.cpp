@@ -14,6 +14,7 @@
 #include "fault/stalkers.hpp"
 #include "obs/trace.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
 #include "writeall/algx.hpp"
 #include "writeall/combined.hpp"
 #include "writeall/runner.hpp"
@@ -27,20 +28,20 @@ using ::rfsp::testing::ChaosAdversary;
 using ::rfsp::testing::LambdaProgram;
 
 // One full observable run: outcome, tallies, final memory, goal counter,
-// the structured trace-event stream, and periodic checkpoints.
+// the structured trace-event stream, the adversary's recorded decisions,
+// and periodic checkpoints.
 struct FullOutcome {
   RunResult run;
   std::vector<Word> memory;
   std::optional<std::uint64_t> goal_unsat;
   bool batch_active = false;
   std::vector<TraceEvent> events;
+  FaultSchedule schedule;
   std::vector<EngineCheckpoint> checkpoints;
 };
 
 FullOutcome run_full(WriteAllAlgo algo, const WriteAllConfig& config,
                      Adversary& adversary, EngineOptions options) {
-  options.record_trace = true;
-  options.record_pattern = true;
   CollectingTraceSink sink;
   options.sink = &sink;
   FullOutcome out;
@@ -51,7 +52,8 @@ FullOutcome run_full(WriteAllAlgo algo, const WriteAllConfig& config,
   const auto program = make_writeall(algo, config);
   Engine engine(*program, options);
   out.batch_active = engine.batch_active();
-  out.run = engine.run(adversary);
+  RecordingAdversary recorder(adversary, out.schedule);
+  out.run = engine.run(recorder);
   const auto words = engine.memory().words();
   out.memory.assign(words.begin(), words.end());
   out.goal_unsat = engine.goal_unsatisfied();
@@ -68,20 +70,11 @@ void expect_identical(const FullOutcome& a, const FullOutcome& b,
   EXPECT_EQ(a.memory, b.memory) << what;
   EXPECT_EQ(a.goal_unsat, b.goal_unsat) << what;
 
-  // Slot-by-slot trace records.
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size()) << what;
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace[i].started, b.run.trace[i].started) << what;
-    EXPECT_EQ(a.run.trace[i].completed, b.run.trace[i].completed) << what;
-    EXPECT_EQ(a.run.trace[i].failures, b.run.trace[i].failures) << what;
-    EXPECT_EQ(a.run.trace[i].restarts, b.run.trace[i].restarts) << what;
-  }
+  // Recorded decisions (the adversary saw identical MachineViews).
+  EXPECT_EQ(a.schedule, b.schedule) << what;
 
-  // Recorded fault pattern (the adversary saw identical MachineViews).
-  ASSERT_EQ(a.run.pattern.events().size(), b.run.pattern.events().size())
-      << what;
-
-  // Structured trace-event stream, field by field.
+  // Structured trace-event stream, field by field: its kSlot events are
+  // the slot-by-slot S/S' series.
   ASSERT_EQ(a.events.size(), b.events.size()) << what;
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     const TraceEvent& ea = a.events[i];

@@ -9,6 +9,7 @@
 #include "fault/halving.hpp"
 #include "programs/programs.hpp"
 #include "replay/checkpoint.hpp"
+#include "replay/schedule.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 #include "util/crc32.hpp"
@@ -247,8 +248,8 @@ TEST(CheckpointResume, SimulatorKillAndResume) {
 
   std::vector<EngineCheckpoint> checkpoints;
   SimOptions capture{.physical_processors = 5};
-  capture.checkpoint_every = 8;
-  capture.on_checkpoint = [&](const EngineCheckpoint& cp) {
+  capture.engine.checkpoint_every = 8;
+  capture.engine.on_checkpoint = [&](const EngineCheckpoint& cp) {
     checkpoints.push_back(cp);
   };
   ChaosAdversary observed_adversary(33, /*allow_torn=*/false);
@@ -318,6 +319,44 @@ TEST(ArtifactCompat, TreeOrderMetaOnResume) {
   std::filesystem::remove_all(dir);
 }
 
+// §5's off-line adversary from the CLI: a schedule recorded under seed 1
+// runs with --pattern-in under seed 2 (fresh ACC coins) and the run still
+// solves. A failure pattern in the old text format is refused by the
+// schedule decoder with a typed error (exit 5), not an abort.
+TEST(ArtifactCompat, PatternInRunsRecordedScheduleOffLine) {
+  using ::rfsp::testing::read_text;
+  using ::rfsp::testing::run_cli;
+  const auto dir = ::rfsp::testing::scratch_dir("pattern_in_offline");
+  const auto schedule = dir / "s.jsonl";
+  const std::string config = "--algo ACC --n 256 --p 64 ";
+  ASSERT_EQ(run_cli(RFSP_WRITEALL_CLI,
+                    config + "--seed 1 --adversary random --fail 0.1 "
+                             "--record '" + schedule.string() + "'",
+                    dir / "online.txt"),
+            0);
+  ASSERT_GT(load_schedule(schedule.string()).move_count(), 0u);
+  EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI,
+                    config + "--seed 2 --pattern-in '" + schedule.string() +
+                        "'",
+                    dir / "offline.txt"),
+            0);
+  const std::string offline = read_text(dir / "offline.txt");
+  EXPECT_NE(offline.find("adversary        scheduled"), std::string::npos);
+  EXPECT_NE(offline.find("solved           yes"), std::string::npos);
+
+  const auto text_pattern = dir / "old.pattern";
+  {
+    std::ofstream out(text_pattern);
+    out << "F 3 0\n";
+  }
+  EXPECT_THROW(load_schedule(text_pattern.string()), ConfigError);
+  EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI,
+                    config + "--pattern-in '" + text_pattern.string() + "'",
+                    dir / "old.txt"),
+            5);
+  std::filesystem::remove_all(dir);
+}
+
 // Malformed or out-of-range numeric flags, and flags the CLI does not
 // have, are usage errors (exit 2): no abort, and no silent narrowing of P
 // to 32 bits.
@@ -329,6 +368,46 @@ TEST(CliErrors, BadNumericFlagsAreUsageErrors) {
         "--adversary random --fail x", "--cycle-threads 4"}) {
     EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI, args, dir / "out.txt"), 2) << args;
   }
+  std::filesystem::remove_all(dir);
+}
+
+// The legacy recording flags are gone (--trace-out x.csv and --record
+// replace them), and --pattern-in is the run's adversary, so it excludes
+// --replay and --adversary: all usage errors (exit 2).
+TEST(CliErrors, RemovedRecordingFlagsAndPatternInConflicts) {
+  using ::rfsp::testing::run_cli;
+  const auto dir = ::rfsp::testing::scratch_dir("cli_pattern_flags");
+  const std::string schedule = "'" + (dir / "s.jsonl").string() + "'";
+  ASSERT_EQ(run_cli(RFSP_WRITEALL_CLI,
+                    "--algo X --n 64 --p 16 --adversary random --fail 0.1 "
+                    "--record " + schedule,
+                    dir / "record.txt"),
+            0);
+  for (const std::string& args :
+       {"--algo X --n 64 --p 16 --trace '" + (dir / "x.csv").string() + "'",
+        "--algo X --n 64 --p 16 --pattern-out '" + (dir / "p").string() + "'",
+        "--pattern-in " + schedule + " --replay " + schedule,
+        "--algo X --n 64 --p 16 --pattern-in " + schedule +
+            " --adversary random"}) {
+    EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI, args, dir / "out.txt"), 2) << args;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// --metrics-out is opened before the run, like --trace-out: a path that
+// cannot be written is a usage error, not a run that reports success.
+TEST(CliErrors, UnwritableMetricsOut) {
+  using ::rfsp::testing::run_cli;
+  const auto dir = ::rfsp::testing::scratch_dir("cli_metrics_out");
+  const std::string bad =
+      " --metrics-out '" + (dir / "missing" / "m.json").string() + "'";
+  EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI, "--algo X --n 64 --p 16" + bad,
+                    dir / "writeall.txt"),
+            2);
+  EXPECT_EQ(run_cli(RFSP_SIM_CLI, "--program prefix-sum --n 16 --p 4" + bad,
+                    dir / "sim.txt"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir / "missing"));
   std::filesystem::remove_all(dir);
 }
 

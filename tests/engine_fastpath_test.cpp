@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "fault/adversaries.hpp"
+#include "obs/trace.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
 #include "util/error.hpp"
 #include "writeall/runner.hpp"
 
@@ -23,16 +25,22 @@ struct FullOutcome {
   RunResult run;
   std::vector<Word> memory;
   std::optional<std::uint64_t> goal_unsat;
+  std::vector<TraceEvent> slots;  // the kSlot events, one per slot
+  FaultSchedule schedule;
 };
 
 FullOutcome run_full(WriteAllAlgo algo, const WriteAllConfig& config,
                      Adversary& adversary, EngineOptions options) {
-  options.record_trace = true;
-  options.record_pattern = true;
+  CollectingTraceSink sink;
+  options.sink = &sink;
   const auto program = make_writeall(algo, config);
   Engine engine(*program, options);
   FullOutcome out;
-  out.run = engine.run(adversary);
+  RecordingAdversary recorder(adversary, out.schedule);
+  out.run = engine.run(recorder);
+  for (const TraceEvent& e : sink.events()) {
+    if (e.kind == TraceEventKind::kSlot) out.slots.push_back(e);
+  }
   const auto words = engine.memory().words();
   out.memory.assign(words.begin(), words.end());
   out.goal_unsat = engine.goal_unsatisfied();
@@ -57,15 +65,8 @@ void expect_identical(const FullOutcome& a, const FullOutcome& b,
 
   EXPECT_EQ(a.memory, b.memory) << what;
 
-  ASSERT_EQ(a.run.trace.size(), b.run.trace.size()) << what;
-  for (std::size_t i = 0; i < a.run.trace.size(); ++i) {
-    EXPECT_EQ(a.run.trace[i].started, b.run.trace[i].started) << what;
-    EXPECT_EQ(a.run.trace[i].completed, b.run.trace[i].completed) << what;
-    EXPECT_EQ(a.run.trace[i].failures, b.run.trace[i].failures) << what;
-    EXPECT_EQ(a.run.trace[i].restarts, b.run.trace[i].restarts) << what;
-  }
-  EXPECT_EQ(a.run.pattern.events().size(), b.run.pattern.events().size())
-      << what;
+  EXPECT_EQ(a.slots, b.slots) << what;
+  EXPECT_EQ(a.schedule, b.schedule) << what;
 }
 
 // --- Incremental goal tracking ---------------------------------------------

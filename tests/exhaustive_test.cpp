@@ -7,6 +7,8 @@
 #include <tuple>
 
 #include "fault/adversaries.hpp"
+#include "obs/trace.hpp"
+#include "replay/schedule.hpp"
 #include "writeall/runner.hpp"
 
 namespace rfsp {
@@ -16,10 +18,12 @@ namespace {
 WriteAllOutcome run_single_fault(WriteAllAlgo algo, Addr n, Pid p, Pid victim,
                                  Slot when, Slot restart_delay,
                                  bool restart) {
-  FaultPattern pattern;
-  pattern.add(FaultTag::kFailure, victim, when);
-  if (restart) pattern.add(FaultTag::kRestart, victim, when + restart_delay);
-  ScheduledAdversary adversary(std::move(pattern));
+  FaultSchedule schedule;
+  schedule.entries.push_back({when, {.fail_mid_cycle = {victim}}});
+  if (restart) {
+    schedule.entries.push_back({when + restart_delay, {.restart = {victim}}});
+  }
+  ScheduledAdversary adversary(std::move(schedule));
   EngineOptions options;
   options.max_slots = 1 << 16;
   return run_writeall(algo, {.n = n, .p = p, .seed = 3}, adversary, options);
@@ -74,12 +78,12 @@ TEST(DoubleFaultSweep, PairsOfStrikesOnX) {
     for (Slot gap = 1; gap <= 7; gap += 3) {
       for (Pid v1 = 0; v1 < p; v1 += 3) {
         const Pid v2 = (v1 + 1) % p;
-        FaultPattern pattern;
-        pattern.add(FaultTag::kFailure, v1, first);
-        pattern.add(FaultTag::kFailure, v2, first + gap);
-        pattern.add(FaultTag::kRestart, v1, first + gap);
-        pattern.add(FaultTag::kRestart, v2, first + gap + 2);
-        ScheduledAdversary adversary(std::move(pattern));
+        FaultSchedule schedule;
+        schedule.entries = {
+            {first, {.fail_mid_cycle = {v1}}},
+            {first + gap, {.fail_mid_cycle = {v2}, .restart = {v1}}},
+            {first + gap + 2, {.restart = {v2}}}};
+        ScheduledAdversary adversary(std::move(schedule));
         const auto out = run_writeall(WriteAllAlgo::kX,
                                       {.n = n, .p = p, .seed = 1}, adversary);
         ASSERT_TRUE(out.solved)
@@ -98,8 +102,9 @@ TEST(AccountingInvariants, HoldAcrossAlgorithmsAndAdversaries) {
       RandomAdversary adversary(
           41, {.fail_prob = fail, .restart_prob = 0.6,
                .fail_after_frac = 0.25});
+      CollectingTraceSink sink;
       EngineOptions options;
-      options.record_trace = true;
+      options.sink = &sink;
       const auto out = run_writeall(
           algo, {.n = 200, .p = 50, .seed = 2}, adversary, options);
       ASSERT_TRUE(out.solved) << to_string(algo) << " fail=" << fail;
@@ -113,12 +118,13 @@ TEST(AccountingInvariants, HoldAcrossAlgorithmsAndAdversaries) {
       // Peak concurrency is bounded by P; some slot ran at least 1.
       EXPECT_GE(t.peak_live, 1u);
       EXPECT_LE(t.peak_live, 50u);
-      // The trace decomposes the tallies exactly.
+      // The slot events decompose the tallies exactly.
       std::uint64_t s = 0, sp = 0;
-      for (const SlotStats& slot : out.run.trace) {
-        s += slot.completed;
-        sp += slot.started;
-        EXPECT_LE(slot.completed, slot.started);
+      for (const TraceEvent& e : sink.events()) {
+        if (e.kind != TraceEventKind::kSlot) continue;
+        s += e.completed;
+        sp += e.started;
+        EXPECT_LE(e.completed, e.started);
       }
       EXPECT_EQ(s, t.completed_work);
       EXPECT_EQ(sp, t.attempted_work);

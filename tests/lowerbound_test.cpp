@@ -5,6 +5,7 @@
 
 #include "fault/adversaries.hpp"
 #include "fault/halving.hpp"
+#include "replay/schedule.hpp"
 #include "util/bits.hpp"
 #include "writeall/runner.hpp"
 
@@ -56,8 +57,8 @@ TEST(LowerBound, BoundBindsOnlyCorrectAlgorithms) {
   EXPECT_LE(s, 6.0 * static_cast<double>(n));  // far below N log N
 
   // ... and the incorrectness half: one permanent crash starves a cell.
-  FaultPattern one_death;
-  one_death.add(FaultTag::kFailure, 3, 0);
+  FaultSchedule one_death;
+  one_death.entries.push_back({0, {.fail_mid_cycle = {3}}});
   ScheduledAdversary crash(one_death);
   EngineOptions options;
   options.max_slots = 4096;

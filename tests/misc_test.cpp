@@ -9,8 +9,10 @@
 
 #include "fault/adversaries.hpp"
 #include "fault/stalkers.hpp"
+#include "obs/trace.hpp"
 #include "pram/engine.hpp"
 #include "programs/programs.hpp"
+#include "replay/schedule.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "writeall/acc.hpp"
@@ -113,19 +115,49 @@ TEST(PostOrderStalker, TinyInstances) {
 }
 
 TEST(SimOptions, PatternRecordingPassesThrough) {
+  // The recorded schedule and the engine's failure/restart events (the
+  // sink passes straight through SimOptions::engine) both carry |F|.
   PrefixSumProgram program({3, 1, 4, 1, 5, 9, 2, 6});
   RandomAdversary adversary(5, {.fail_prob = 0.2, .restart_prob = 0.6});
+  FaultSchedule schedule;
+  RecordingAdversary recorder(adversary, schedule);
+  CollectingTraceSink sink;
   const SimResult r = simulate(
-      program, adversary, {.physical_processors = 4, .record_pattern = true});
+      program, recorder,
+      {.physical_processors = 4, .engine = {.sink = &sink}});
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.pattern.size(), r.tally.pattern_size());
+  EXPECT_GT(r.tally.pattern_size(), 0u);
+  EXPECT_EQ(schedule.move_count(), r.tally.pattern_size());
+  const auto fault_events = std::count_if(
+      sink.events().begin(), sink.events().end(), [](const TraceEvent& e) {
+        return e.kind == TraceEventKind::kFailure ||
+               e.kind == TraceEventKind::kRestart;
+      });
+  EXPECT_EQ(static_cast<std::uint64_t>(fault_events),
+            r.tally.pattern_size());
+}
+
+TEST(SimOptions, MachineConstantsAreTheExecutors) {
+  // simulate() fixes the update-cycle budgets and the CRCW model; a caller
+  // that sets one gets an error, not a silently overridden value.
+  PrefixSumProgram program({1, 2, 3, 4});
+  NoFailures none;
+  EXPECT_THROW(simulate(program, none, {.engine = {.read_budget = 5}}),
+               ConfigError);
+  EXPECT_THROW(simulate(program, none, {.engine = {.write_budget = 3}}),
+               ConfigError);
+  EXPECT_THROW(
+      simulate(program, none, {.engine = {.model = CrcwModel::kArbitrary}}),
+      ConfigError);
+  EXPECT_TRUE(simulate(program, none, {.physical_processors = 2}).completed);
 }
 
 TEST(SimOptions, SlotLimitSurfacesAsIncomplete) {
   PrefixSumProgram program({1, 2, 3, 4, 5, 6, 7, 8});
   NoFailures none;
   const SimResult r =
-      simulate(program, none, {.physical_processors = 4, .max_slots = 3});
+      simulate(program, none,
+               {.physical_processors = 4, .engine = {.max_slots = 3}});
   EXPECT_FALSE(r.completed);
   EXPECT_LT(r.passes, 2 * program.steps());
 }

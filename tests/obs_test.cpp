@@ -390,8 +390,8 @@ TEST(SimObservability, SinkReconstructsTally) {
   MetricsRegistry metrics;
   SimOptions options;
   options.physical_processors = 4;
-  options.sink = &sink;
-  options.metrics = &metrics;
+  options.engine.sink = &sink;
+  options.engine.metrics = &metrics;
   const SimResult r = simulate(program, adversary, options);
   ASSERT_TRUE(r.completed);
 

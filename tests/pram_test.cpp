@@ -3,11 +3,11 @@
 // accounting, and adversary validation.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "fault/adversaries.hpp"
+#include "obs/trace.hpp"
 #include "pram/engine.hpp"
 #include "pram/memory.hpp"
+#include "replay/schedule.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
 
@@ -427,16 +427,19 @@ TEST(Engine, PatternRecordingMatchesTally) {
     }
     return d;
   });
-  EngineOptions options;
-  options.record_pattern = true;
-  Engine engine(program, options);
-  const RunResult result = engine.run(adversary);
-  EXPECT_EQ(result.pattern.size(), result.tally.pattern_size());
-  EXPECT_EQ(result.pattern.failures(), 1u);
-  EXPECT_EQ(result.pattern.restarts(), 1u);
-  EXPECT_EQ(result.pattern.events()[0].tag, FaultTag::kFailure);
-  EXPECT_EQ(result.pattern.events()[0].pid, 2u);
-  EXPECT_EQ(result.pattern.events()[0].time, 1u);
+  FaultSchedule schedule;
+  RecordingAdversary recorder(adversary, schedule);
+  Engine engine(program);
+  const RunResult result = engine.run(recorder);
+  EXPECT_EQ(schedule.move_count(), result.tally.pattern_size());
+  ASSERT_EQ(schedule.entries.size(), 2u);
+  EXPECT_EQ(schedule.entries[0].slot, 1u);
+  EXPECT_EQ(schedule.entries[0].decision.fail_mid_cycle,
+            std::vector<Pid>{2});
+  EXPECT_EQ(schedule.entries[1].slot, 2u);
+  EXPECT_EQ(schedule.entries[1].decision.restart, std::vector<Pid>{2});
+  EXPECT_EQ(result.tally.failures, 1u);
+  EXPECT_EQ(result.tally.restarts, 1u);
 }
 
 TEST(Engine, WorkAccountingPerSlot) {
@@ -483,34 +486,29 @@ TEST(Engine, TraceRecordingSumsToTallies) {
     }
     return d;
   });
+  CollectingTraceSink sink;
   EngineOptions options;
-  options.record_trace = true;
+  options.sink = &sink;
   Engine engine(program, options);
   const RunResult result = engine.run(adversary);
   ASSERT_TRUE(result.goal_met);
-  ASSERT_EQ(result.trace.size(), result.tally.slots);
 
-  std::uint64_t started = 0, completed = 0, failures = 0, restarts = 0;
-  for (const SlotStats& s : result.trace) {
-    started += s.started;
-    completed += s.completed;
-    failures += s.failures;
-    restarts += s.restarts;
+  std::uint64_t slots = 0, started = 0, completed = 0, failures = 0,
+                restarts = 0;
+  for (const TraceEvent& e : sink.events()) {
+    if (e.kind != TraceEventKind::kSlot) continue;
+    EXPECT_EQ(e.slot, slots);
+    ++slots;
+    started += e.started;
+    completed += e.completed;
+    failures += e.failures;
+    restarts += e.restarts;
   }
+  EXPECT_EQ(slots, result.tally.slots);
   EXPECT_EQ(started, result.tally.attempted_work);
   EXPECT_EQ(completed, result.tally.completed_work);
   EXPECT_EQ(failures, result.tally.failures);
   EXPECT_EQ(restarts, result.tally.restarts);
-}
-
-TEST(Engine, TraceCsvFormat) {
-  std::vector<SlotStats> trace = {{0, 3, 2, 1, 0}, {1, 3, 3, 0, 1}};
-  std::ostringstream os;
-  write_trace_csv(os, trace);
-  EXPECT_EQ(os.str(),
-            "slot,started,completed,failures,restarts\n"
-            "0,3,2,1,0\n"
-            "1,3,3,0,1\n");
 }
 
 TEST(Engine, ZeroProcessorsRejected) {

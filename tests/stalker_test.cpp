@@ -8,6 +8,7 @@
 #include "fault/adversaries.hpp"
 #include "fault/stalkers.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
 #include "util/bits.hpp"
 #include "writeall/acc.hpp"
 #include "writeall/algx.hpp"
@@ -76,16 +77,16 @@ TEST(LeafStalker, OnLineBeatsOffLineAgainstAcc) {
       .n = n, .p = static_cast<Pid>(n), .seed = 11};
   const AccWriteAll program(online_config);
   LeafStalker stalker(program.layout(), {.restart_variant = false});
-  EngineOptions record;
-  record.record_pattern = true;
-  Engine engine(program, record);
-  const RunResult online = engine.run(stalker);
+  FaultSchedule schedule;
+  RecordingAdversary recorder(stalker, schedule);
+  Engine engine(program);
+  const RunResult online = engine.run(recorder);
   ASSERT_TRUE(online.goal_met);
 
   // Same pattern, fresh coins: off-line in the §5 sense.
   const WriteAllConfig offline_config{
       .n = n, .p = static_cast<Pid>(n), .seed = 999};
-  ScheduledAdversary offline(online.pattern);
+  ScheduledAdversary offline(schedule);
   const auto replay =
       run_writeall(WriteAllAlgo::kAcc, offline_config, offline);
   ASSERT_TRUE(replay.solved);

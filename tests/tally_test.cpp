@@ -106,25 +106,6 @@ TEST(WorkTally, OverheadRatioSmallestInput) {
   EXPECT_DOUBLE_EQ(idle.overhead_ratio(1), 0.0);
 }
 
-TEST(TraceCsv, GoldenOutput) {
-  const SlotStats trace[] = {
-      {.slot = 0, .started = 4, .completed = 3, .failures = 1, .restarts = 0},
-      {.slot = 1, .started = 4, .completed = 4, .failures = 0, .restarts = 2},
-  };
-  std::ostringstream os;
-  write_trace_csv(os, trace);
-  EXPECT_EQ(os.str(),
-            "slot,started,completed,failures,restarts\n"
-            "0,4,3,1,0\n"
-            "1,4,4,0,2\n");
-}
-
-TEST(TraceCsv, EmptyTraceIsHeaderOnly) {
-  std::ostringstream os;
-  write_trace_csv(os, {});
-  EXPECT_EQ(os.str(), "slot,started,completed,failures,restarts\n");
-}
-
 TEST(PhaseCsv, GoldenOutput) {
   const PhaseWork phases[] = {
       {.name = "alloc", .completed_work = 10, .attempted_work = 12,
