@@ -32,43 +32,47 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/binary_trace.hpp"
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace rfsp;
 
-[[noreturn]] void usage(const std::string& error = "") {
-  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-  std::cerr <<
-      "usage: trace_cli <command> [args]\n"
-      "  convert IN OUT [--to jsonl|binary|csv]\n"
-      "                     re-encode a trace (IN format is sniffed; the\n"
-      "                     target defaults from OUT's extension)\n"
-      "  stat IN [--window K]\n"
-      "                     reconstruct and print the tally, phases, and\n"
-      "                     trailing-window rates (default window 64)\n"
-      "  check IN [IN2]     verify stream invariants; with IN2 also require\n"
-      "                     the two decoded streams to be identical\n"
-      "  tail IN [--follow 1] [--interval-ms 250] [--width 64] [--window K]\n"
-      "                     terminal timeline view of a recorded or live\n"
-      "                     trace\n"
-      "IN/OUT may be '-' for stdin/stdout (except tail, which needs a\n"
-      "file it can re-poll).\n";
-  std::exit(2);
-}
+const std::vector<cli::Flag> kFlags = {
+    {"to", "F", "convert: target jsonl|binary|csv (default from OUT)"},
+    {"window", "K", "stat/tail: trailing-window rates (default 64)"},
+    {"follow", "1", "tail: keep polling a growing file"},
+    {"interval-ms", "MS", "tail: poll interval (default 250)"},
+    {"width", "K", "tail: timeline width (default 64)"},
+};
+
+constexpr const char* kUsageHead =
+    "usage: trace_cli <command> [args]\n"
+    "  convert IN OUT [--to F]\n"
+    "                     re-encode a trace (IN format is sniffed; the\n"
+    "                     target defaults from OUT's extension)\n"
+    "  stat IN [--window K]\n"
+    "                     reconstruct and print the tally, phases, and\n"
+    "                     trailing-window rates\n"
+    "  check IN [IN2]     verify stream invariants; with IN2 also require\n"
+    "                     the two decoded streams to be identical\n"
+    "  tail IN [--follow 1] [--interval-ms MS] [--width K] [--window K]\n"
+    "                     terminal timeline view of a recorded or live\n"
+    "                     trace\n"
+    "IN/OUT may be '-' for stdin/stdout (except tail, which needs a\n"
+    "file it can re-poll).\n"
+    "options:\n";
 
 // One event as its canonical JSONL line, for divergence messages.
 std::string event_to_jsonl(const TraceEvent& event) {
@@ -425,59 +429,44 @@ int cmd_tail(const std::string& path, bool follow, unsigned interval_ms,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
+  cli::Args args(kUsageHead, kFlags, argc, argv, 2, /*positional=*/true);
+  if (argc < 2) args.usage();
   const std::string command = argv[1];
-
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      if (i + 1 >= argc) usage("missing value for " + arg);
-      options[arg.substr(2)] = argv[++i];
-    } else {
-      positional.push_back(std::move(arg));
-    }
-  }
-  auto take = [&](const std::string& key, const std::string& fallback) {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    std::string value = it->second;
-    options.erase(it);
-    return value;
-  };
+  const std::vector<std::string>& positional = args.positional();
 
   try {
     int status = 0;
     if (command == "convert") {
-      if (positional.size() != 2) usage("convert needs IN and OUT");
-      const std::string to = take("to", "");
-      if (!options.empty()) usage("unknown option --" + options.begin()->first);
+      if (positional.size() != 2) args.usage("convert needs IN and OUT");
+      const std::string to = args.take("to", "");
+      args.finish();
       status = cmd_convert(positional[0], positional[1], to);
     } else if (command == "stat") {
-      if (positional.size() != 1) usage("stat needs IN");
-      const std::size_t window = parse_u64("--window", take("window", "64"));
-      if (!options.empty()) usage("unknown option --" + options.begin()->first);
+      if (positional.size() != 1) args.usage("stat needs IN");
+      const std::size_t window = args.take_u64("window", "64");
+      args.finish();
       status = cmd_stat(positional[0], window);
     } else if (command == "check") {
       if (positional.empty() || positional.size() > 2) {
-        usage("check needs IN [IN2]");
+        args.usage("check needs IN [IN2]");
       }
-      if (!options.empty()) usage("unknown option --" + options.begin()->first);
+      args.finish();
       status = cmd_check(positional[0],
                          positional.size() == 2 ? positional[1] : "");
     } else if (command == "tail") {
-      if (positional.size() != 1) usage("tail needs a file argument");
-      if (positional[0] == "-") usage("tail needs a re-pollable file, not '-'");
-      const bool follow = take("follow", "0") != "0";
+      if (positional.size() != 1) args.usage("tail needs a file argument");
+      if (positional[0] == "-") {
+        args.usage("tail needs a re-pollable file, not '-'");
+      }
+      const bool follow = args.take_bool("follow", false);
       const auto interval_ms = static_cast<unsigned>(
-          parse_u64("--interval-ms", take("interval-ms", "250"), UINT32_MAX));
-      const std::size_t width = parse_u64("--width", take("width", "64"));
-      const std::size_t window = parse_u64("--window", take("window", "64"));
-      if (!options.empty()) usage("unknown option --" + options.begin()->first);
+          args.take_u64("interval-ms", "250", UINT32_MAX));
+      const std::size_t width = args.take_u64("width", "64");
+      const std::size_t window = args.take_u64("window", "64");
+      args.finish();
       status = cmd_tail(positional[0], follow, interval_ms, width, window);
     } else {
-      usage("unknown command " + command);
+      args.usage("unknown command " + command);
     }
     return status;
   } catch (const TraceFormatError& e) {

@@ -18,6 +18,7 @@
 //   verify_cli --algo X --n 16 --p 8
 //   verify_cli --algo all --report-out static.jsonl
 //   verify_cli --sim all --sim-n 4 --sim-p 3
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -27,11 +28,10 @@
 #include <vector>
 
 #include "analysis/static/verify.hpp"
+#include "cli.hpp"
 #include "programs/chain.hpp"
 #include "programs/programs.hpp"
 #include "sim/simulator.hpp"
-#include "util/error.hpp"
-#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "writeall/runner.hpp"
 
@@ -39,42 +39,42 @@ namespace {
 
 using namespace rfsp;
 
-[[noreturn]] void usage(const std::string& error = "") {
-  if (!error.empty()) std::cerr << "error: " << error << "\n\n";
-  std::cerr <<
-      "usage: verify_cli [options]\n"
-      "  --algo LIST     comma list of Write-All algorithms to verify:\n"
-      "                  trivial|sequential|W|V|X|VX|snapshot|ACC|all\n"
-      "                  (default W,V,X,VX; 'all' is every algorithm)\n"
-      "  --n N           Write-All array size (default 8)\n"
-      "  --p P           processors (default 4)\n"
-      "  --seed S        seed for randomized pieces (default 1)\n"
-      "  --sim LIST      also verify the Theorem 4.1 executor embedding\n"
-      "                  these src/programs/ workloads: prefix-sum|\n"
-      "                  max-reduce|list-ranking|odd-even-sort|bitonic-sort|\n"
-      "                  stencil|matmul|leader-elect|components|sort-scan|\n"
-      "                  all (default none; the executor runs 5-read cycles\n"
-      "                  so the verified read budget is 5 there)\n"
-      "  --sim-n N       simulated size for --sim (default 4)\n"
-      "  --sim-p P       physical processors for --sim (default 3)\n"
-      "  --inner NAME    VX|X|V executor's embedded Write-All (default VX)\n"
-      "  --slots K       explored slot horizon (default 48)\n"
-      "  --rounds K      feedback-widening round cap (default 10)\n"
-      "  --max-states K  interned-state cap (default 32768)\n"
-      "  --max-paths K   total path cap (default 4194304)\n"
-      "  --arbitrary 0|1 include the arbitrary-garbage read value\n"
-      "                  (default 1)\n"
-      "  --kernels 0|1   interpreter/kernel bit-equivalence (default 1)\n"
-      "  --agreement 0|1 write-agreement shape check (default 1 for --algo\n"
-      "                  targets, 0 for --sim: the executor's commit pass\n"
-      "                  is COMMON only through a cross-task invariant the\n"
-      "                  per-cell domain cannot carry; see docs/analysis.md)\n"
-      "  --halt-check 0|1  require a reachable halting cycle (default 1)\n"
-      "  --report-out F  append every report as JSONL to F\n"
-      "  --quiet 1       one summary line per target instead of the full\n"
-      "                  report (findings always print in full)\n";
-  std::exit(2);
-}
+const std::vector<cli::Flag> kFlags = {
+    {"algo", "LIST",
+     "comma list of Write-All algorithms to verify:\n"
+     "trivial|sequential|W|V|X|VX|snapshot|ACC|all\n"
+     "(default W,V,X,VX; 'all' is every algorithm)"},
+    {"n", "N", "Write-All array size (default 8)"},
+    {"p", "P", "processors (default 4)"},
+    {"seed", "S", "seed for randomized pieces (default 1)"},
+    {"sim", "LIST",
+     "also verify the Theorem 4.1 executor embedding\n"
+     "these src/programs/ workloads: prefix-sum|\n"
+     "max-reduce|list-ranking|odd-even-sort|bitonic-sort|\n"
+     "stencil|matmul|leader-elect|components|sort-scan|\n"
+     "all (default none; the executor runs 5-read cycles\n"
+     "so the verified read budget is 5 there)"},
+    {"sim-n", "N", "simulated size for --sim (default 4)"},
+    {"sim-p", "P", "physical processors for --sim (default 3)"},
+    {"inner", "NAME", "VX|X|V executor's embedded Write-All (default VX)"},
+    {"slots", "K", "explored slot horizon (default 48)"},
+    {"rounds", "K", "feedback-widening round cap (default 10)"},
+    {"max-states", "K", "interned-state cap (default 32768)"},
+    {"max-paths", "K", "total path cap (default 4194304)"},
+    {"arbitrary", "0|1",
+     "include the arbitrary-garbage read value\n(default 1)"},
+    {"kernels", "0|1", "interpreter/kernel bit-equivalence (default 1)"},
+    {"agreement", "0|1",
+     "write-agreement shape check (default 1 for --algo\n"
+     "targets, 0 for --sim: the executor's commit pass\n"
+     "is COMMON only through a cross-task invariant the\n"
+     "per-cell domain cannot carry; see docs/analysis.md)"},
+    {"halt-check", "0|1", "require a reachable halting cycle (default 1)"},
+    {"report-out", "F", "append every report as JSONL to F"},
+    {"quiet", "1",
+     "one summary line per target instead of the full\n"
+     "report (findings always print in full)"},
+};
 
 std::vector<std::string> split_list(const std::string& list) {
   std::vector<std::string> out;
@@ -154,7 +154,7 @@ SimWorkload make_sim_workload(const std::string& name, Addr n,
     out.owned.push_back(std::make_unique<PrefixSumProgram>(keys));
     adopt(std::make_unique<ChainedProgram>(*out.owned[0], *out.owned[1]));
   } else {
-    usage("unknown sim program " + name);
+    throw ConfigError("unknown sim program " + name);
   }
   return out;
 }
@@ -170,54 +170,32 @@ const std::vector<std::string>& all_sim_workloads() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0 || i + 1 >= argc) usage("bad argument " + key);
-    args[key.substr(2)] = argv[++i];
-  }
-  auto take = [&](const std::string& key, const std::string& fallback) {
-    const auto it = args.find(key);
-    if (it == args.end()) return fallback;
-    std::string value = it->second;
-    args.erase(it);
-    return value;
-  };
-  // Numeric flags: a malformed or out-of-range value is a usage error.
-  auto take_u64 = [&](const std::string& key, const std::string& fallback,
-                      std::uint64_t max = UINT64_MAX) {
-    try {
-      return parse_u64("--" + key, take(key, fallback), max);
-    } catch (const ConfigError& e) {
-      usage(e.what());
-    }
-  };
-
-  const std::string sim_list = take("sim", "");
+  cli::Args args("usage: verify_cli [options]\n", kFlags, argc, argv);
+  const std::string sim_list = args.take("sim", "");
   const std::string algo_list =
-      take("algo", sim_list.empty() ? "W,V,X,VX" : "");
-  const Addr n = take_u64("n", "8");
-  const Pid p = static_cast<Pid>(take_u64("p", "4", UINT32_MAX));
-  const std::uint64_t seed = take_u64("seed", "1");
-  const Addr sim_n = take_u64("sim-n", "4");
-  const Pid sim_p = static_cast<Pid>(take_u64("sim-p", "3", UINT32_MAX));
-  const std::string inner_name = take("inner", "VX");
-  const Slot slots = take_u64("slots", "48");
-  const std::size_t rounds = take_u64("rounds", "10");
-  const std::size_t max_states = take_u64("max-states", "32768");
-  const std::size_t max_paths = take_u64("max-paths", "4194304");
-  const bool arbitrary = take("arbitrary", "1") != "0";
-  const bool kernels = take("kernels", "1") != "0";
-  const std::string agreement_s = take("agreement", "");
-  const bool halt_check = take("halt-check", "1") != "0";
-  const std::string report_out = take("report-out", "");
-  const bool quiet = take("quiet", "0") != "0";
-  if (!args.empty()) usage("unknown option --" + args.begin()->first);
+      args.take("algo", sim_list.empty() ? "W,V,X,VX" : "");
+  const Addr n = args.take_u64("n", "8");
+  const Pid p = static_cast<Pid>(args.take_u64("p", "4", UINT32_MAX));
+  const std::uint64_t seed = args.take_u64("seed", "1");
+  const Addr sim_n = args.take_u64("sim-n", "4");
+  const Pid sim_p = static_cast<Pid>(args.take_u64("sim-p", "3", UINT32_MAX));
+  const std::string inner_name = args.take("inner", "VX");
+  const Slot slots = args.take_u64("slots", "48");
+  const std::size_t rounds = args.take_u64("rounds", "10");
+  const std::size_t max_states = args.take_u64("max-states", "32768");
+  const std::size_t max_paths = args.take_u64("max-paths", "4194304");
+  const bool arbitrary = args.take_bool("arbitrary", true);
+  const bool kernels = args.take_bool("kernels", true);
+  const std::string agreement_s = args.take("agreement", "");
+  const bool halt_check = args.take_bool("halt-check", true);
+  const std::string report_out = args.take("report-out", "");
+  const bool quiet = args.take_bool("quiet", false);
+  args.finish();
 
   SimInner inner = SimInner::kCombinedVX;
   if (inner_name == "X") inner = SimInner::kX;
   else if (inner_name == "V") inner = SimInner::kV;
-  else if (inner_name != "VX") usage("unknown inner " + inner_name);
+  else if (inner_name != "VX") args.usage("unknown inner " + inner_name);
 
   std::map<std::string, WriteAllAlgo> algo_by_name;
   for (const WriteAllAlgo algo : all_writeall_algos()) {
@@ -230,7 +208,7 @@ int main(int argc, char** argv) {
       break;
     }
     const auto it = algo_by_name.find(name);
-    if (it == algo_by_name.end()) usage("unknown algorithm " + name);
+    if (it == algo_by_name.end()) args.usage("unknown algorithm " + name);
     algos.push_back(it->second);
   }
   std::vector<std::string> sims;
@@ -239,14 +217,18 @@ int main(int argc, char** argv) {
       sims = all_sim_workloads();
       break;
     }
+    if (std::find(all_sim_workloads().begin(), all_sim_workloads().end(),
+                  name) == all_sim_workloads().end()) {
+      args.usage("unknown sim program " + name);
+    }
     sims.push_back(name);
   }
-  if (algos.empty() && sims.empty()) usage("nothing to verify");
+  if (algos.empty() && sims.empty()) args.usage("nothing to verify");
 
   std::ofstream report_stream;
   if (!report_out.empty()) {
     report_stream.open(report_out);
-    if (!report_stream) usage("cannot open " + report_out);
+    if (!report_stream) args.usage("cannot open " + report_out);
   }
 
   auto base_options = [&] {

@@ -11,7 +11,11 @@
 #   3. resumed       — restore the checkpoint and run to completion.
 #
 # The resumed run's S / S' / |F| / parallel-time lines must equal the
-# baseline's exactly; any divergence exits nonzero.
+# baseline's exactly; any divergence exits nonzero. The triple runs twice:
+# on reliable memory, and under --memory-model persistent-cache
+# --persist-every 3, where the resume passes no model flags and must get
+# the model from the checkpoint's meta (its cache-flush count is part of
+# the fingerprint).
 #
 # A second part kills for real: eight times, a run that checkpoints every
 # slot gets SIGKILL after 1-4 s, most likely mid-write. The checkpoint is
@@ -41,33 +45,40 @@ trap 'rm -rf "$workdir"' EXIT
 
 common=(--algo "$algo" --n "$n" --p "$p" --adversary thrashing)
 fingerprint() {
-  grep -E "solved|completed S|attempted S'|\|F\||parallel time" "$1"
+  grep -E "solved|completed S|attempted S'|\|F\||parallel time|persists" "$1"
 }
 
-echo "== baseline run"
-"$cli" "${common[@]}" >"$workdir/baseline.txt"
-fingerprint "$workdir/baseline.txt"
+# baseline -> crashed -> resumed under the extra flags "$@"; the resume
+# gets only the common flags.
+triple() {
+  echo "== baseline run $*"
+  "$cli" "${common[@]}" "$@" >"$workdir/baseline.txt"
+  fingerprint "$workdir/baseline.txt"
 
-echo "== crashed run (checkpoint every 64 slots, killed at slot >= 512)"
-"$cli" "${common[@]}" \
-  --checkpoint "$workdir/ck.rfck" --checkpoint-every 64 --crash-at-slot 512
-if [ ! -s "$workdir/ck.rfck" ]; then
-  echo "FAIL: the crashed run left no checkpoint behind" >&2
-  exit 1
-fi
+  echo "== crashed run (checkpoint every 64 slots, killed at slot >= 512)"
+  rm -f "$workdir/ck.rfck"
+  "$cli" "${common[@]}" "$@" \
+    --checkpoint "$workdir/ck.rfck" --checkpoint-every 64 --crash-at-slot 512
+  if [ ! -s "$workdir/ck.rfck" ]; then
+    echo "FAIL: the crashed run left no checkpoint behind" >&2
+    exit 1
+  fi
 
-echo "== resumed run"
-"$cli" "${common[@]}" --resume "$workdir/ck.rfck" >"$workdir/resumed.txt"
-fingerprint "$workdir/resumed.txt"
+  echo "== resumed run"
+  "$cli" "${common[@]}" --resume "$workdir/ck.rfck" >"$workdir/resumed.txt"
+  fingerprint "$workdir/resumed.txt"
 
-if diff <(fingerprint "$workdir/baseline.txt") \
-        <(fingerprint "$workdir/resumed.txt") >"$workdir/diff.txt"; then
-  echo "PASS: resumed run is bit-identical to the baseline"
-else
-  echo "FAIL: resumed run diverged from the baseline:" >&2
-  cat "$workdir/diff.txt" >&2
-  exit 1
-fi
+  if diff <(fingerprint "$workdir/baseline.txt") \
+          <(fingerprint "$workdir/resumed.txt") >"$workdir/diff.txt"; then
+    echo "PASS: resumed run is bit-identical to the baseline"
+  else
+    echo "FAIL: resumed run diverged from the baseline:" >&2
+    cat "$workdir/diff.txt" >&2
+    exit 1
+  fi
+}
+triple
+triple --memory-model persistent-cache --persist-every 3
 
 echo "== kill -9 during checkpoint writes (X, N=2^18, a checkpoint every slot)"
 kill_flags=(--algo X --n 262144 --p 1024 --batch 1 --adversary random

@@ -717,6 +717,8 @@ EngineCheckpoint Engine::checkpoint(const Adversary* adversary) const {
     cp.states[pid] = std::move(blob);
   }
   if (adversary != nullptr) adversary->save_state(cp.adversary);
+  write_memory_model_meta(options_.memory_model, options_.faulty_cells,
+                          options_.persistent_cache, cp.meta);
   return cp;
 }
 

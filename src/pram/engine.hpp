@@ -102,9 +102,11 @@ struct EngineCheckpoint {
   std::vector<ProcCache> caches;
   std::vector<Addr> injected_faults;
 
-  // Free-form context the *saver* attaches (the engine never writes it).
-  // The CLIs record config the run silently depends on — the memory model
-  // and its options — and refuse to resume under contradicting flags.
+  // Config the run silently depends on. Engine::checkpoint writes the
+  // memory-model keys (write_memory_model_meta, pram/faults.hpp; none under
+  // the reliable model); a saver may add others. The CLIs restore the model
+  // from it and refuse to resume under contradicting flags. Engine::restore
+  // ignores it.
   std::map<std::string, std::string> meta;
 
   friend bool operator==(const EngineCheckpoint&,

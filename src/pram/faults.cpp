@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace rfsp {
@@ -22,6 +23,54 @@ MemoryModel memory_model_from_string(std::string_view name) {
   if (name == "persistent-cache") return MemoryModel::kPersistentCache;
   throw ConfigError("unknown memory model '" + std::string(name) +
                     "' (expected reliable | faulty-cells | persistent-cache)");
+}
+
+namespace {
+
+constexpr std::string_view kModelKeys[] = {
+    "memory_model", "fault_seed", "fault_cells", "fault_spares",
+    "persist_every"};
+
+}  // namespace
+
+void write_memory_model_meta(MemoryModel model,
+                             const FaultyCellsOptions& faulty_cells,
+                             const PersistentCacheOptions& persistent_cache,
+                             std::map<std::string, std::string>& meta) {
+  if (model == MemoryModel::kReliable) return;
+  meta["memory_model"] = std::string(to_string(model));
+  if (model == MemoryModel::kFaultyCells) {
+    meta["fault_seed"] = std::to_string(faulty_cells.seed);
+    meta["fault_cells"] = std::to_string(faulty_cells.cells);
+    if (faulty_cells.spares != kSparesAuto) {
+      meta["fault_spares"] = std::to_string(faulty_cells.spares);
+    }
+  }
+  if (model == MemoryModel::kPersistentCache) {
+    meta["persist_every"] = std::to_string(persistent_cache.persist_every);
+  }
+}
+
+void read_memory_model_meta(const std::map<std::string, std::string>& meta,
+                            MemoryModel& model,
+                            FaultyCellsOptions& faulty_cells,
+                            PersistentCacheOptions& persistent_cache) {
+  const auto read = [&](const char* key, std::uint64_t& field) {
+    if (const auto it = meta.find(key); it != meta.end()) {
+      field = parse_u64(std::string("meta '") + key + "'", it->second);
+    }
+  };
+  if (const auto it = meta.find("memory_model"); it != meta.end()) {
+    model = memory_model_from_string(it->second);
+  }
+  read("fault_seed", faulty_cells.seed);
+  read("fault_cells", faulty_cells.cells);
+  read("fault_spares", faulty_cells.spares);
+  read("persist_every", persistent_cache.persist_every);
+}
+
+std::span<const std::string_view> memory_model_meta_keys() {
+  return kModelKeys;
 }
 
 CellFaultMap CellFaultMap::build(const FaultyCellsOptions& options,

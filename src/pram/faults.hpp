@@ -30,6 +30,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -67,6 +69,26 @@ struct PersistentCacheOptions {
   // cadence entirely (only persist() and halting flush).
   std::uint64_t persist_every = 1;
 };
+
+// The memory model as string keys of a schedule's or checkpoint's meta map
+// (docs/resilience.md §3). A run resumes or replays only on the memory it
+// started on, so every artifact carries its model through this one codec.
+//
+// The writer adds the keys only away from the defaults: none under
+// kReliable, and the spare budget only when it is not kSparesAuto, so
+// reliable-model artifacts keep their old bytes. The reader sets the
+// fields whose keys `meta` holds and leaves the others as they are; it
+// throws ConfigError on a malformed value.
+void write_memory_model_meta(MemoryModel model,
+                             const FaultyCellsOptions& faulty_cells,
+                             const PersistentCacheOptions& persistent_cache,
+                             std::map<std::string, std::string>& meta);
+void read_memory_model_meta(const std::map<std::string, std::string>& meta,
+                            MemoryModel& model,
+                            FaultyCellsOptions& faulty_cells,
+                            PersistentCacheOptions& persistent_cache);
+// Every key the codec reads or writes.
+std::span<const std::string_view> memory_model_meta_keys();
 
 // The per-cell fault metadata of the faulty-cells model. Built
 // deterministically from (options, memory size), so every party that needs

@@ -11,7 +11,8 @@
 //   <body>
 //
 // The header is one line with no whitespace, so `head -1 ck` shows the
-// progress and the saver-attached config. Every field is always present.
+// progress and the run's config (the engine's memory-model keys plus any
+// the saver added). Every field is always present.
 // `crc32` is the CRC-32 of the header bytes before its own value (up to
 // and including `"crc32":`) followed by the body: a flipped byte anywhere
 // but in the checksum digits changes the CRC, and a flipped digit changes

@@ -24,13 +24,6 @@ WriteAllAlgo algo_from_string(const std::string& text) {
   throw ConfigError("schedule meta names unknown algorithm '" + text + "'");
 }
 
-bool has_torn_moves(const FaultSchedule& schedule) {
-  for (const ScheduleEntry& e : schedule.entries) {
-    if (!e.decision.torn.empty()) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 std::string_view to_string(ProbeStatus status) {
@@ -72,27 +65,8 @@ ReproSpec spec_from_meta(const FaultSchedule& schedule) {
       it != schedule.meta.end()) {
     tree_order_from_string(it->second);  // "heap" or ConfigError
   }
-  if (const auto it = schedule.meta.find("memory_model");
-      it != schedule.meta.end()) {
-    spec.memory_model = memory_model_from_string(it->second);
-  }
-  if (const auto it = schedule.meta.find("fault_seed");
-      it != schedule.meta.end()) {
-    spec.faulty_cells.seed = parse_u64_meta("fault_seed", it->second);
-  }
-  if (const auto it = schedule.meta.find("fault_cells");
-      it != schedule.meta.end()) {
-    spec.faulty_cells.cells = parse_u64_meta("fault_cells", it->second);
-  }
-  if (const auto it = schedule.meta.find("fault_spares");
-      it != schedule.meta.end()) {
-    spec.faulty_cells.spares = parse_u64_meta("fault_spares", it->second);
-  }
-  if (const auto it = schedule.meta.find("persist_every");
-      it != schedule.meta.end()) {
-    spec.persistent_cache.persist_every =
-        parse_u64_meta("persist_every", it->second);
-  }
+  read_memory_model_meta(schedule.meta, spec.memory_model, spec.faulty_cells,
+                         spec.persistent_cache);
   return spec;
 }
 
@@ -104,22 +78,8 @@ void write_meta(ReproSpec spec, FaultSchedule& schedule, ProbeStatus expected,
   schedule.meta["seed"] = std::to_string(spec.seed);
   schedule.meta["max_slots"] = std::to_string(spec.max_slots);
   if (spec.bit_atomic_writes) schedule.meta["bit_atomic"] = "1";
-  // Memory-model keys are emitted only away from the defaults, so
-  // reliable-model schedules keep their old meta shape.
-  if (spec.memory_model != MemoryModel::kReliable) {
-    schedule.meta["memory_model"] = std::string(to_string(spec.memory_model));
-  }
-  if (spec.memory_model == MemoryModel::kFaultyCells) {
-    schedule.meta["fault_seed"] = std::to_string(spec.faulty_cells.seed);
-    schedule.meta["fault_cells"] = std::to_string(spec.faulty_cells.cells);
-    if (spec.faulty_cells.spares != kSparesAuto) {
-      schedule.meta["fault_spares"] = std::to_string(spec.faulty_cells.spares);
-    }
-  }
-  if (spec.memory_model == MemoryModel::kPersistentCache) {
-    schedule.meta["persist_every"] =
-        std::to_string(spec.persistent_cache.persist_every);
-  }
+  write_memory_model_meta(spec.memory_model, spec.faulty_cells,
+                          spec.persistent_cache, schedule.meta);
   schedule.meta["status"] = std::string(to_string(expected));
   if (!note.empty()) schedule.meta["note"] = note;
 }
@@ -136,7 +96,7 @@ ProbeResult probe(const ReproSpec& spec, const FaultSchedule& schedule) {
   // Torn-write moves are only legal in the bit-atomic model; honoring them
   // here keeps "replays its own recording" true for bit-level schedules.
   options.bit_atomic_writes =
-      spec.bit_atomic_writes || has_torn_moves(schedule);
+      spec.bit_atomic_writes || schedule.has_torn_moves();
   options.memory_model = spec.memory_model;
   options.faulty_cells = spec.faulty_cells;
   options.persistent_cache = spec.persistent_cache;

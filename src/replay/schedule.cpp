@@ -73,6 +73,12 @@ std::uint64_t FaultSchedule::move_count() const {
   return count;
 }
 
+bool FaultSchedule::has_torn_moves() const {
+  return std::any_of(entries.begin(), entries.end(), [](const auto& e) {
+    return !e.decision.torn.empty();
+  });
+}
+
 std::string schedule_to_jsonl(const FaultSchedule& schedule) {
   std::string out;
   out += R"({"format":"rfsp-fault-schedule","version":)";

@@ -48,6 +48,8 @@ struct FaultSchedule {
 
   // Total number of individual moves — the shrinker's progress metric.
   std::uint64_t move_count() const;
+  // Whether any move is a torn write (legal only with bit-atomic writes).
+  bool has_torn_moves() const;
 
   friend bool operator==(const FaultSchedule&, const FaultSchedule&) = default;
 };

@@ -357,15 +357,99 @@ TEST(ArtifactCompat, PatternInRunsRecordedScheduleOffLine) {
   std::filesystem::remove_all(dir);
 }
 
-// Malformed or out-of-range numeric flags, and flags the CLI does not
-// have, are usage errors (exit 2): no abort, and no silent narrowing of P
-// to 32 bits.
+// Schedules and checkpoints carry their memory model. On both run CLIs and
+// under both non-reliable models, a --replay and a --resume that pass no
+// model flags land on the straight run's tally, and a replay re-recorded
+// to a new file stamps the same meta. A model flag that contradicts the
+// recorded one is a usage error (exit 2).
+TEST(ArtifactCompat, MemoryModelMetaOnReplayAndResume) {
+  using ::rfsp::testing::read_text;
+  using ::rfsp::testing::run_cli;
+  const auto dir = ::rfsp::testing::scratch_dir("model_meta");
+  const auto quoted = [&](const char* name) {
+    return " '" + (dir / name).string() + "'";
+  };
+  // The tally block of either CLI's report, up to the slot count.
+  const auto tally = [&](const char* name) {
+    const std::string text = read_text(dir / name);
+    const std::size_t begin = text.find("completed");
+    const std::size_t end = text.find("overhead sigma");
+    return begin == std::string::npos || end == std::string::npos
+               ? std::string()
+               : text.substr(begin, end - begin);
+  };
+  struct Cli {
+    const char* binary;
+    std::string config;
+    std::string checkpoint;  // cadence; writeall_cli also crashes midway
+  };
+  const Cli clis[] = {
+      {RFSP_WRITEALL_CLI,
+       "--algo VX --n 512 --p 32 --adversary random --fail 0.05 --seed 3",
+       " --checkpoint-every 16 --crash-at-slot 64"},
+      {RFSP_SIM_CLI, "--program prefix-sum --n 64 --p 9 --fail 0.1 --seed 2",
+       " --checkpoint-every 512"},
+  };
+  const std::pair<std::string, std::string> models[] = {
+      {" --memory-model faulty-cells --fault-cells 6 --fault-seed 4",
+       " --fault-cells 5"},
+      {" --memory-model persistent-cache --persist-every 3",
+       " --persist-every 2"},
+  };
+  for (const Cli& cli : clis) {
+    for (const auto& [model, contradiction] : models) {
+      SCOPED_TRACE(std::string(cli.binary) + model);
+      ASSERT_EQ(run_cli(cli.binary,
+                        cli.config + model + " --record" + quoted("s.jsonl"),
+                        dir / "straight.txt"),
+                0);
+      const std::string straight = tally("straight.txt");
+      ASSERT_FALSE(straight.empty());
+
+      EXPECT_EQ(run_cli(cli.binary,
+                        "--replay" + quoted("s.jsonl") + " --record" +
+                            quoted("again.jsonl"),
+                        dir / "replay.txt"),
+                0);
+      EXPECT_EQ(tally("replay.txt"), straight);
+      EXPECT_EQ(load_schedule((dir / "again.jsonl").string()).meta,
+                load_schedule((dir / "s.jsonl").string()).meta);
+
+      ASSERT_EQ(run_cli(cli.binary,
+                        cli.config + model + " --checkpoint" +
+                            quoted("ck.rfck") + cli.checkpoint,
+                        dir / "checkpoint.txt"),
+                0);
+      EXPECT_EQ(run_cli(cli.binary,
+                        cli.config + " --resume" + quoted("ck.rfck"),
+                        dir / "resumed.txt"),
+                0);
+      EXPECT_EQ(tally("resumed.txt"), straight);
+
+      EXPECT_EQ(run_cli(cli.binary,
+                        "--replay" + quoted("s.jsonl") + contradiction,
+                        dir / "out.txt"),
+                2);
+      EXPECT_EQ(run_cli(cli.binary,
+                        cli.config + " --resume" + quoted("ck.rfck") +
+                            contradiction,
+                        dir / "out.txt"),
+                2);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Malformed or out-of-range numeric flags, flags the CLI does not have,
+// and a repeated flag are usage errors (exit 2): no abort, no silent
+// narrowing of P to 32 bits, and no silently kept last value.
 TEST(CliErrors, BadNumericFlagsAreUsageErrors) {
   using ::rfsp::testing::run_cli;
   const auto dir = ::rfsp::testing::scratch_dir("cli_numeric_flags");
   for (const char* args :
        {"--n abc", "--algo X --n 1024 --p 4294967297",
-        "--adversary random --fail x", "--cycle-threads 4"}) {
+        "--adversary random --fail x", "--cycle-threads 4",
+        "--algo X --n 16 --n 32"}) {
     EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI, args, dir / "out.txt"), 2) << args;
   }
   std::filesystem::remove_all(dir);
@@ -373,23 +457,39 @@ TEST(CliErrors, BadNumericFlagsAreUsageErrors) {
 
 // The legacy recording flags are gone (--trace-out x.csv and --record
 // replace them), and --pattern-in is the run's adversary, so it excludes
-// --replay and --adversary: all usage errors (exit 2).
+// --replay and --adversary: all usage errors (exit 2). So is a --replay of
+// the other run CLI's recording: writeall_cli refuses a sim_cli schedule
+// and sim_cli a writeall_cli one.
 TEST(CliErrors, RemovedRecordingFlagsAndPatternInConflicts) {
   using ::rfsp::testing::run_cli;
   const auto dir = ::rfsp::testing::scratch_dir("cli_pattern_flags");
   const std::string schedule = "'" + (dir / "s.jsonl").string() + "'";
+  const std::string sim_schedule = "'" + (dir / "sim.jsonl").string() + "'";
   ASSERT_EQ(run_cli(RFSP_WRITEALL_CLI,
                     "--algo X --n 64 --p 16 --adversary random --fail 0.1 "
                     "--record " + schedule,
                     dir / "record.txt"),
             0);
-  for (const std::string& args :
-       {"--algo X --n 64 --p 16 --trace '" + (dir / "x.csv").string() + "'",
-        "--algo X --n 64 --p 16 --pattern-out '" + (dir / "p").string() + "'",
-        "--pattern-in " + schedule + " --replay " + schedule,
-        "--algo X --n 64 --p 16 --pattern-in " + schedule +
-            " --adversary random"}) {
-    EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI, args, dir / "out.txt"), 2) << args;
+  ASSERT_EQ(run_cli(RFSP_SIM_CLI,
+                    "--program prefix-sum --n 16 --p 4 --record " +
+                        sim_schedule,
+                    dir / "record.txt"),
+            0);
+  for (const auto& [cli, args] :
+       std::vector<std::pair<const char*, std::string>>{
+           {RFSP_WRITEALL_CLI,
+            "--algo X --n 64 --p 16 --trace '" + (dir / "x.csv").string() +
+                "'"},
+           {RFSP_WRITEALL_CLI,
+            "--algo X --n 64 --p 16 --pattern-out '" +
+                (dir / "p").string() + "'"},
+           {RFSP_WRITEALL_CLI,
+            "--pattern-in " + schedule + " --replay " + schedule},
+           {RFSP_WRITEALL_CLI, "--algo X --n 64 --p 16 --pattern-in " +
+                                   schedule + " --adversary random"},
+           {RFSP_WRITEALL_CLI, "--replay " + sim_schedule},
+           {RFSP_SIM_CLI, "--replay " + schedule}}) {
+    EXPECT_EQ(run_cli(cli, args, dir / "out.txt"), 2) << cli << " " << args;
   }
   std::filesystem::remove_all(dir);
 }
@@ -413,14 +513,16 @@ TEST(CliErrors, UnwritableMetricsOut) {
 
 // A simulated size the chosen workload cannot take is a usage error
 // (exit 2), caught before the workload is built: no crash on an empty
-// list, no internal invariant failure, no silently smaller matrix.
+// list, no internal invariant failure, no silently smaller matrix. So is
+// a repeated --n.
 TEST(CliErrors, BadSimSizesAreUsageErrors) {
   using ::rfsp::testing::run_cli;
   const auto dir = ::rfsp::testing::scratch_dir("cli_sim_sizes");
   for (const char* args :
        {"--program list-ranking --n 0", "--program prefix-sum --n 0",
         "--program components --n 0", "--program bitonic-sort --n 100",
-        "--program stencil --n 2", "--program matmul --n 10"}) {
+        "--program stencil --n 2", "--program matmul --n 10",
+        "--program prefix-sum --n 16 --p 4 --n 32"}) {
     EXPECT_EQ(run_cli(RFSP_SIM_CLI, args, dir / "out.txt"), 2) << args;
   }
   for (const char* args :

@@ -491,6 +491,50 @@ TEST(ModelFormats, CheckpointCarriesCachesAndInjectedFaults) {
   EXPECT_EQ(encode_checkpoint(back), bytes);  // canonical
 }
 
+// Engine::checkpoint stamps the run's memory model into the meta (the
+// spare budget only when it is set) and nothing under the reliable model;
+// the codec reads back what it wrote and refuses a malformed value.
+TEST(ModelFormats, EngineCheckpointCarriesModelMeta) {
+  using Meta = std::map<std::string, std::string>;
+  const auto program = make_writeall(WriteAllAlgo::kX, {.n = 16, .p = 4});
+  const auto meta_under = [&](const EngineOptions& options) {
+    return Engine(*program, options).checkpoint().meta;
+  };
+  EXPECT_TRUE(meta_under({}).empty());
+
+  EngineOptions cells;
+  cells.memory_model = MemoryModel::kFaultyCells;
+  cells.faulty_cells = {.seed = 7, .cells = 3, .spares = 2};
+  EXPECT_EQ(meta_under(cells), (Meta{{"memory_model", "faulty-cells"},
+                                     {"fault_seed", "7"},
+                                     {"fault_cells", "3"},
+                                     {"fault_spares", "2"}}));
+  MemoryModel model = MemoryModel::kReliable;
+  FaultyCellsOptions faulty_cells;
+  PersistentCacheOptions persistent_cache;
+  read_memory_model_meta(meta_under(cells), model, faulty_cells,
+                         persistent_cache);
+  EXPECT_EQ(model, MemoryModel::kFaultyCells);
+  EXPECT_EQ(faulty_cells.seed, 7u);
+  EXPECT_EQ(faulty_cells.cells, 3u);
+  EXPECT_EQ(faulty_cells.spares, 2u);
+  cells.faulty_cells.spares = kSparesAuto;
+  EXPECT_FALSE(meta_under(cells).contains("fault_spares"));
+
+  EngineOptions cache;
+  cache.memory_model = MemoryModel::kPersistentCache;
+  cache.persistent_cache.persist_every = 5;
+  EXPECT_EQ(meta_under(cache), (Meta{{"memory_model", "persistent-cache"},
+                                     {"persist_every", "5"}}));
+
+  EXPECT_THROW(read_memory_model_meta({{"fault_cells", "x"}}, model,
+                                      faulty_cells, persistent_cache),
+               ConfigError);
+  EXPECT_THROW(read_memory_model_meta({{"memory_model", "flaky"}}, model,
+                                      faulty_cells, persistent_cache),
+               ConfigError);
+}
+
 // --- Backend-aware audit -----------------------------------------------------
 
 TEST(ModelAudit, DeadCellWritesAreFlagged) {
