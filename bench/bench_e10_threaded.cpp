@@ -6,9 +6,6 @@
 
 #include "bench_common.hpp"
 #include "parallel/threaded.hpp"
-#include "parallel/threaded_sim.hpp"
-#include "programs/programs.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace rfsp {
@@ -34,33 +31,6 @@ void print_report() {
       table);
 }
 
-void print_threaded_sim() {
-  Rng rng(9);
-  std::vector<Word> keys(256);
-  for (auto& k : keys) k = static_cast<Word>(rng.below(100000));
-  BitonicSortProgram program(keys);
-  const auto expected = reference_run(program);
-
-  Table table({"workers", "inject", "correct", "loop iterations",
-               "wall ms"});
-  for (const bool inject : {false, true}) {
-    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-      const ThreadedSimResult r = simulate_threaded(
-          program, {.workers = workers,
-                    .seed = 31 + workers,
-                    .failures_per_worker = inject ? 3.0 : 0.0});
-      table.add_row({fmt_int(workers), inject ? "yes" : "no",
-                     r.completed && r.memory == expected ? "yes" : "NO",
-                     fmt_int(r.loop_iterations),
-                     fmt_fixed(r.wall_seconds * 1e3, 2)});
-    }
-  }
-  bench::print_table(
-      "E10b: threaded Theorem 4.1 executor — bitonic sort of 256 keys on "
-      "OS threads, results vs the fault-free reference",
-      table);
-}
-
 void BM_Threaded(benchmark::State& state) {
   const unsigned workers = static_cast<unsigned>(state.range(0));
   const bool inject = state.range(1) != 0;
@@ -83,7 +53,6 @@ void BM_Threaded(benchmark::State& state) {
 
 int main(int argc, char** argv) {
   rfsp::print_report();
-  rfsp::print_threaded_sim();
   for (long workers : {1L, 2L, 4L, 8L}) {
     for (long inject : {0L, 1L}) {
       benchmark::RegisterBenchmark(

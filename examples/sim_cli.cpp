@@ -16,7 +16,6 @@
 //   sim_cli --program bitonic-sort --n 256 --p 32 --inner X
 //   sim_cli --program leader-elect --n 64 --p 16      (ARBITRARY CRCW)
 //   sim_cli --program sort-scan --n 128 --p 32        (chained pipeline)
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -25,12 +24,10 @@
 #include "analysis/static/verify.hpp"
 #include "cli.hpp"
 #include "fault/adversaries.hpp"
-#include "programs/chain.hpp"
-#include "programs/programs.hpp"
 #include "sim/discipline.hpp"
 #include "sim/simulator.hpp"
+#include "sim_workloads.hpp"
 #include "util/bits.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -54,17 +51,9 @@ std::vector<cli::Flag> flags() {
   });
 }
 
-std::vector<Word> random_values(std::size_t n, std::uint64_t seed,
-                                Word bound) {
-  Rng rng(seed);
-  std::vector<Word> v(n);
-  for (auto& w : v) w = static_cast<Word>(rng.below(bound));
-  return v;
-}
-
 // The simulated size each workload accepts; anything else is a usage error
-// caught before the workload is built. Unknown names are left to the
-// workload switch below.
+// caught before the workload is built (make_sim_workload would round it).
+// Unknown names are refused after the flags are parsed.
 void check_size(const cli::Args& args, const std::string& program, Addr n) {
   if (n < 1) args.usage("--n must be at least 1");
   if (program == "bitonic-sort" && !is_pow2(n)) {
@@ -74,8 +63,7 @@ void check_size(const cli::Args& args, const std::string& program, Addr n) {
     args.usage("stencil needs --n at least 3 (interior cells)");
   }
   if (program == "matmul") {
-    Addr m = 1;
-    while ((m + 1) * (m + 1) <= n) ++m;
+    const Addr m = cli::matmul_side(n);
     if (m * m != n) {
       args.usage("matmul needs --n a square (m*m), not " + std::to_string(n));
     }
@@ -106,67 +94,11 @@ int main(int argc, char** argv) {
   if (inner_name == "X") inner = SimInner::kX;
   else if (inner_name == "V") inner = SimInner::kV;
   else if (inner_name != "VX") args.usage("unknown inner " + inner_name);
+  if (!cli::is_sim_workload(name)) args.usage("unknown program " + name);
 
   try {
-    // Assemble the requested workload. `verifier` defaults to comparison
-    // against the fault-free reference; ARBITRARY programs override it
-    // (their legal outcomes form a set, not a single image).
-    std::unique_ptr<SimProgram> owned_a, owned_b;
-    std::unique_ptr<SimProgram> program;
-    std::function<bool(const std::vector<Word>&)> verifier;
-    if (name == "prefix-sum") {
-      program = std::make_unique<PrefixSumProgram>(random_values(n, seed, 1000));
-    } else if (name == "max-reduce") {
-      program = std::make_unique<MaxReduceProgram>(random_values(n, seed, 1u << 20));
-    } else if (name == "list-ranking") {
-      std::vector<Pid> next(n);
-      for (Pid j = 0; j + 1 < next.size(); ++j) next[j] = j + 1;
-      next.back() = static_cast<Pid>(next.size() - 1);
-      program = std::make_unique<ListRankingProgram>(next);
-    } else if (name == "odd-even-sort") {
-      program = std::make_unique<OddEvenSortProgram>(random_values(n, seed, 10000));
-    } else if (name == "bitonic-sort") {
-      program = std::make_unique<BitonicSortProgram>(random_values(n, seed, 10000));
-    } else if (name == "stencil") {
-      std::vector<Word> rod(n, 0);
-      rod.front() = 1000;
-      program = std::make_unique<StencilProgram>(rod, n / 2 + 4);
-    } else if (name == "matmul") {
-      Addr m = 1;
-      while ((m + 1) * (m + 1) <= n) ++m;
-      program = std::make_unique<MatMulProgram>(
-          random_values(m * m, seed, 10), random_values(m * m, seed + 1, 10),
-          static_cast<Pid>(m));
-    } else if (name == "components") {
-      // A random graph with ~n vertices and ~1.2n edges.
-      Rng rng(seed + 17);
-      std::vector<std::pair<Pid, Pid>> edges;
-      for (Addr e = 0; e < n + n / 5; ++e) {
-        edges.emplace_back(static_cast<Pid>(rng.below(n)),
-                           static_cast<Pid>(rng.below(n)));
-      }
-      auto cc = std::make_unique<ConnectedComponentsProgram>(
-          static_cast<Pid>(n), std::move(edges));
-      const ConnectedComponentsProgram* raw = cc.get();
-      verifier = [raw](const std::vector<Word>& memory) {
-        return raw->verify(memory);
-      };
-      program = std::move(cc);
-    } else if (name == "leader-elect") {
-      auto leader = std::make_unique<LeaderElectProgram>(static_cast<Pid>(n));
-      const LeaderElectProgram* raw = leader.get();
-      verifier = [raw](const std::vector<Word>& memory) {
-        return raw->verify(memory);
-      };
-      program = std::move(leader);
-    } else if (name == "sort-scan") {
-      const auto keys = random_values(n, seed, 1000);
-      owned_a = std::make_unique<OddEvenSortProgram>(keys);
-      owned_b = std::make_unique<PrefixSumProgram>(keys);
-      program = std::make_unique<ChainedProgram>(*owned_a, *owned_b);
-    } else {
-      args.usage("unknown program " + name);
-    }
+    const cli::SimWorkload workload = cli::make_sim_workload(name, n, seed);
+    const SimProgram& program = *workload.program;
 
     // --static-check: statically verify the Theorem 4.1 executor that
     // embeds this workload, instead of running it. The executor's machine
@@ -175,9 +107,9 @@ int main(int argc, char** argv) {
     // step) outside the per-cell abstract domain, so the agreement shape
     // check is left to the dynamic auditor here (docs/analysis.md).
     if (run.static_check) {
-      const SimLayout layout(*program, p);
+      const SimLayout layout(program, p);
       const std::unique_ptr<Program> outer =
-          make_simulation_program(*program, layout, inner);
+          make_simulation_program(program, layout, inner);
       analysis::VerifyOptions vopts;
       vopts.read_budget = 5;
       vopts.check_write_agreement = false;
@@ -188,9 +120,9 @@ int main(int argc, char** argv) {
     }
 
     const DisciplineReport discipline =
-        check_discipline(*program, program->discipline());
-    std::cout << "program          " << program->name() << " (N="
-              << program->processors() << ", " << program->steps()
+        check_discipline(program, program.discipline());
+    std::cout << "program          " << program.name() << " (N="
+              << program.processors() << ", " << program.steps()
               << " steps)\n"
               << "discipline check " << (discipline.ok ? "ok" : "VIOLATION")
               << '\n';
@@ -222,15 +154,13 @@ int main(int argc, char** argv) {
     AuditReport audit_report;
     if (run.audit) {
       AuditedSimRun audited =
-          audit_simulation(*program, *active, sim_options);
+          audit_simulation(program, *active, sim_options);
       r = std::move(audited.result);
       audit_report = std::move(audited.report);
     } else {
-      r = simulate(*program, *active, sim_options);
+      r = simulate(program, *active, sim_options);
     }
-    const bool correct =
-        r.completed && (verifier ? verifier(r.memory)
-                                 : r.memory == reference_run(*program));
+    const bool correct = r.completed && workload.correct(r.memory);
     const auto& t = r.tally;
     std::cout << "physical P       " << p << " (inner " << inner_name
               << ")\n"
@@ -241,7 +171,7 @@ int main(int argc, char** argv) {
               << "|F|              " << t.pattern_size() << '\n'
               << "parallel time    " << t.slots << " update cycles\n"
               << "overhead sigma   "
-              << t.overhead_ratio(program->processors()) << '\n';
+              << t.overhead_ratio(program.processors()) << '\n';
     if (!run.record.empty()) {
       recorded.meta["kind"] = "simulation";
       recorded.meta["program"] = name;

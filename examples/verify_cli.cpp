@@ -18,7 +18,6 @@
 //   verify_cli --algo X --n 16 --p 8
 //   verify_cli --algo all --report-out static.jsonl
 //   verify_cli --sim all --sim-n 4 --sim-p 3
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -29,10 +28,8 @@
 
 #include "analysis/static/verify.hpp"
 #include "cli.hpp"
-#include "programs/chain.hpp"
-#include "programs/programs.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
+#include "sim_workloads.hpp"
 #include "writeall/runner.hpp"
 
 namespace {
@@ -86,87 +83,6 @@ std::vector<std::string> split_list(const std::string& list) {
   return out;
 }
 
-std::vector<Word> random_values(std::size_t n, std::uint64_t seed,
-                                Word bound) {
-  Rng rng(seed);
-  std::vector<Word> v(n);
-  for (auto& w : v) w = static_cast<Word>(rng.below(bound));
-  return v;
-}
-
-// Build the --sim workload by name (the sim_cli factory, sized down; the
-// verifier only needs the SimProgram, not its result checker). The chain
-// workload is non-owning over its stages, so the bundle keeps them alive.
-struct SimWorkload {
-  std::vector<std::unique_ptr<SimProgram>> owned;
-  const SimProgram* program = nullptr;
-};
-
-SimWorkload make_sim_workload(const std::string& name, Addr n,
-                              std::uint64_t seed) {
-  SimWorkload out;
-  auto adopt = [&](std::unique_ptr<SimProgram> p) {
-    out.program = p.get();
-    out.owned.push_back(std::move(p));
-  };
-  if (name == "prefix-sum") {
-    adopt(std::make_unique<PrefixSumProgram>(random_values(n, seed, 1000)));
-  } else if (name == "max-reduce") {
-    adopt(std::make_unique<MaxReduceProgram>(
-        random_values(n, seed, 1u << 20)));
-  } else if (name == "list-ranking") {
-    std::vector<Pid> next(n);
-    for (Pid j = 0; j + 1 < next.size(); ++j) next[j] = j + 1;
-    next.back() = static_cast<Pid>(next.size() - 1);
-    adopt(std::make_unique<ListRankingProgram>(next));
-  } else if (name == "odd-even-sort") {
-    adopt(std::make_unique<OddEvenSortProgram>(
-        random_values(n, seed, 10000)));
-  } else if (name == "bitonic-sort") {
-    Addr m = 1;
-    while (m * 2 <= n) m *= 2;
-    adopt(std::make_unique<BitonicSortProgram>(
-        random_values(m, seed, 10000)));
-  } else if (name == "stencil") {
-    std::vector<Word> rod(n, 0);
-    rod.front() = 1000;
-    adopt(std::make_unique<StencilProgram>(rod, n / 2 + 4));
-  } else if (name == "matmul") {
-    Addr m = 1;
-    while ((m + 1) * (m + 1) <= n) ++m;
-    adopt(std::make_unique<MatMulProgram>(
-        random_values(m * m, seed, 10), random_values(m * m, seed + 1, 10),
-        static_cast<Pid>(m)));
-  } else if (name == "leader-elect") {
-    adopt(std::make_unique<LeaderElectProgram>(static_cast<Pid>(n)));
-  } else if (name == "components") {
-    Rng rng(seed + 17);
-    std::vector<std::pair<Pid, Pid>> edges;
-    for (Addr e = 0; e < n + n / 5; ++e) {
-      edges.emplace_back(static_cast<Pid>(rng.below(n)),
-                         static_cast<Pid>(rng.below(n)));
-    }
-    adopt(std::make_unique<ConnectedComponentsProgram>(
-        static_cast<Pid>(n), std::move(edges)));
-  } else if (name == "sort-scan") {
-    const auto keys = random_values(n, seed, 1000);
-    out.owned.push_back(std::make_unique<OddEvenSortProgram>(keys));
-    out.owned.push_back(std::make_unique<PrefixSumProgram>(keys));
-    adopt(std::make_unique<ChainedProgram>(*out.owned[0], *out.owned[1]));
-  } else {
-    throw ConfigError("unknown sim program " + name);
-  }
-  return out;
-}
-
-const std::vector<std::string>& all_sim_workloads() {
-  static const std::vector<std::string> names = {
-      "prefix-sum",    "max-reduce", "list-ranking", "odd-even-sort",
-      "bitonic-sort",  "stencil",    "matmul",       "leader-elect",
-      "components",    "sort-scan"};
-  return names;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -191,6 +107,7 @@ int main(int argc, char** argv) {
   const std::string report_out = args.take("report-out", "");
   const bool quiet = args.take_bool("quiet", false);
   args.finish();
+  if (sim_n < 1) args.usage("--sim-n must be at least 1");
 
   SimInner inner = SimInner::kCombinedVX;
   if (inner_name == "X") inner = SimInner::kX;
@@ -214,13 +131,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> sims;
   for (const std::string& name : split_list(sim_list)) {
     if (name == "all") {
-      sims = all_sim_workloads();
+      sims = cli::sim_workload_names();
       break;
     }
-    if (std::find(all_sim_workloads().begin(), all_sim_workloads().end(),
-                  name) == all_sim_workloads().end()) {
-      args.usage("unknown sim program " + name);
-    }
+    if (!cli::is_sim_workload(name)) args.usage("unknown sim program " + name);
     sims.push_back(name);
   }
   if (algos.empty() && sims.empty()) args.usage("nothing to verify");
@@ -291,15 +205,10 @@ int main(int argc, char** argv) {
     report_one(title.str(), *program, options);
   }
 
+  // The workload, its layout and the executor are built inside the
+  // target's try, so a size the executor refuses (e.g. P > N) is this
+  // target's error, not an abort.
   for (const std::string& name : sims) {
-    SimWorkload workload;
-    try {
-      workload = make_sim_workload(name, sim_n, seed);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << name << ": " << e.what() << '\n';
-      any_error = true;
-      continue;
-    }
     analysis::VerifyOptions options = base_options();
     // The executor's machine runs 5-read update cycles (simulator.hpp).
     options.read_budget = 5;
@@ -309,13 +218,20 @@ int main(int argc, char** argv) {
     // would report spurious disagreements. Off unless forced.
     options.check_write_agreement =
         !agreement_s.empty() && agreement_s != "0";
-    const SimLayout layout(*workload.program, sim_p);
-    const std::unique_ptr<Program> program =
-        make_simulation_program(*workload.program, layout, inner);
-    std::ostringstream title;
-    title << "sim:" << name << " n=" << sim_n << " p=" << sim_p
-          << " inner=" << inner_name;
-    report_one(title.str(), *program, options);
+    try {
+      const cli::SimWorkload workload =
+          cli::make_sim_workload(name, sim_n, seed);
+      const SimLayout layout(*workload.program, sim_p);
+      const std::unique_ptr<Program> program =
+          make_simulation_program(*workload.program, layout, inner);
+      std::ostringstream title;
+      title << "sim:" << name << " n=" << sim_n << " p=" << sim_p
+            << " inner=" << inner_name;
+      report_one(title.str(), *program, options);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << name << ": " << e.what() << '\n';
+      any_error = true;
+    }
   }
 
   if (any_error) return 5;

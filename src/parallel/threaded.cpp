@@ -26,55 +26,23 @@ void AtomicMemory::store(Addr a, Word v) {
   cells_[a].store(v, std::memory_order_seq_cst);
 }
 
-bool AtomicMemory::compare_exchange(Addr a, Word expected, Word desired) {
-  RFSP_CHECK(a < cells_.size());
-  return cells_[a].compare_exchange_strong(expected, desired,
-                                           std::memory_order_seq_cst);
-}
-
-bool AtomicMemory::store_if_newer(Addr a, Word stamped_value) {
-  RFSP_CHECK(a < cells_.size());
-  const Word new_stamp = stamped_value >> 32;
-  Word expected = cells_[a].load(std::memory_order_seq_cst);
-  while ((expected >> 32) < new_stamp) {
-    if (cells_[a].compare_exchange_strong(expected, stamped_value,
-                                          std::memory_order_seq_cst)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 // The cycle context of one worker (writeall/lanes.hpp): the single-source
 // x_cycle body runs against atomic memory, with the worker's own loop
-// count as its clock. A visit's map payload is stored before the visited
-// marker, so the seq_cst marker store publishes it to every later reader.
+// count as its clock.
 class AtomicContext {
  public:
-  AtomicContext(AtomicMemory& mem, const XLayout& layout,
-                const ThreadedOptions& opt, Addr out_base, Pid pid)
-      : mem_(mem), layout_(layout), opt_(opt), out_base_(out_base),
-        pid_(pid) {}
+  AtomicContext(AtomicMemory& mem, Pid pid) : mem_(mem), pid_(pid) {}
 
   Word read(Addr a) const { return mem_.load(a); }
-  void write(Addr a, Word v) {
-    if (opt_.map && a >= layout_.x_base && a < layout_.x_base + layout_.n) {
-      mem_.store(out_base_ + (a - layout_.x_base),
-                 opt_.map(a - layout_.x_base));
-    }
-    mem_.store(a, v);
-  }
+  void write(Addr a, Word v) { mem_.store(a, v); }
   Slot slot() const { return slot_; }
   Pid pid() const { return pid_; }
   void tick() { ++slot_; }
 
  private:
   AtomicMemory& mem_;
-  const XLayout& layout_;
-  const ThreadedOptions& opt_;
-  Addr out_base_;
   Pid pid_;
   Slot slot_ = 0;
 };
@@ -116,8 +84,7 @@ ThreadedResult run_threaded_writeall(const ThreadedOptions& options) {
   const XParams params{config, layout, std::nullopt,
                        options.random_descent ? XDescent::kRandom
                                               : XDescent::kPidBits};
-  const Addr out_base = layout.aux_end();  // map output, when requested
-  AtomicMemory mem(out_base + (options.map ? options.n : 0) + 1);
+  AtomicMemory mem(layout.aux_end() + 1);
 
   // Per-worker counters: written only by the owning thread; join() below
   // provides the happens-before edge for the readers.
@@ -132,7 +99,7 @@ ThreadedResult run_threaded_writeall(const ThreadedOptions& options) {
   for (unsigned w = 0; w < options.workers; ++w) {
     threads.emplace_back(
         run_worker, std::cref(params),
-        AtomicContext(mem, layout, options, out_base, static_cast<Pid>(w)),
+        AtomicContext(mem, static_cast<Pid>(w)),
         std::ref(kill[w]), std::ref(iters[w]), std::ref(failures[w]));
   }
 
@@ -169,12 +136,6 @@ ThreadedResult run_threaded_writeall(const ThreadedOptions& options) {
   }
   result.wall_seconds =
       std::chrono::duration<double>(stop - start).count();
-  if (options.map) {
-    result.map_output.reserve(options.n);
-    for (Addr i = 0; i < options.n; ++i) {
-      result.map_output.push_back(mem.load(out_base + i));
-    }
-  }
   if (options.metrics != nullptr) {
     MetricsRegistry& reg = *options.metrics;
     reg.counter("threaded.loop_iterations").add(result.loop_iterations);

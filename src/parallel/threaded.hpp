@@ -24,7 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "pram/types.hpp"
@@ -44,19 +43,6 @@ class AtomicMemory {
   void store(Addr a, Word v);
   Addr size() const { return static_cast<Addr>(cells_.size()); }
 
-  // Epoch-monotone conditional store for stamped cells (layout.hpp packs
-  // (stamp << 32) | payload): commits `stamped_value` only while the
-  // cell's current stamp is strictly below the new one — first write of an
-  // epoch wins, staler threads' writes bounce. This is what lets lagging
-  // workers (descheduled mid-pass for arbitrarily long) coexist with
-  // epoch-reusing structures without slot-level atomicity: see
-  // parallel/threaded_sim.hpp. Returns whether the store landed.
-  bool store_if_newer(Addr a, Word stamped_value);
-
-  // Plain single-shot CAS (monotone counters such as the threaded
-  // executor's phase word). Returns whether the exchange happened.
-  bool compare_exchange(Addr a, Word expected, Word desired);
-
  private:
   std::vector<std::atomic<Word>> cells_;
 };
@@ -71,13 +57,6 @@ struct ThreadedOptions {
   // (Poisson-ish via per-iteration coin flips); 0 disables.
   double failures_per_worker = 0.0;
 
-  // Optional per-element payload: visiting element i stores map(i) into an
-  // output region *before* publishing the visited marker (the seq_cst
-  // marker store orders the payload for every later reader). `map` must be
-  // pure — a killed worker's successor recomputes it. Results come back in
-  // ThreadedResult::map_output.
-  std::function<Word(Addr)> map;
-
   // Optional run-level metrics export (obs/metrics.hpp): counters
   // threaded.loop_iterations / threaded.injected_failures, gauge
   // threaded.wall_seconds, histogram threaded.iterations_per_worker.
@@ -90,7 +69,6 @@ struct ThreadedResult {
   std::uint64_t loop_iterations = 0;  // total Figure 5 iterations executed
   std::uint64_t injected_failures = 0;
   double wall_seconds = 0.0;
-  std::vector<Word> map_output;   // n values when options.map was set
   // Per-worker breakdowns (index = worker PID): how evenly the descent
   // spread the work, and which workers absorbed the injected failures.
   std::vector<std::uint64_t> worker_iterations;

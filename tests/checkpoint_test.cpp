@@ -533,6 +533,24 @@ TEST(CliErrors, BadSimSizesAreUsageErrors) {
   std::filesystem::remove_all(dir);
 }
 
+// verify_cli --sim: a zero size is a usage error (2), and a size the
+// executor refuses (P > N) is that target's error (5), never a crash.
+TEST(CliErrors, DegenerateVerifySimSizesAreErrors) {
+  using ::rfsp::testing::run_cli;
+  const auto dir = ::rfsp::testing::scratch_dir("cli_verify_sizes");
+  const std::pair<const char*, int> cases[] = {
+      {"--sim list-ranking --sim-n 0", 2},
+      {"--sim stencil --sim-n 0", 2},
+      {"--sim matmul --sim-n 0", 2},
+      {"--sim bitonic-sort --sim-n 0", 2},
+      {"--sim prefix-sum --sim-n 4 --sim-p 9", 5},
+  };
+  for (const auto& [args, code] : cases) {
+    EXPECT_EQ(run_cli(RFSP_VERIFY_CLI, args, dir / "out.txt"), code) << args;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CheckpointErrors, ShapeMismatchIsRejected) {
   NoFailures quiet;
   EngineOptions capture;

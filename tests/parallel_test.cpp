@@ -55,34 +55,6 @@ TEST(Threaded, NonPowerOfTwoSizes) {
   }
 }
 
-TEST(Threaded, MapPayloadComputesResults) {
-  ThreadedOptions options;
-  options.n = 2048;
-  options.workers = 4;
-  options.seed = 5;
-  options.map = [](Addr i) { return static_cast<Word>(i * 2 + 1); };
-  const ThreadedResult r = run_threaded_writeall(options);
-  ASSERT_TRUE(r.solved);
-  ASSERT_EQ(r.map_output.size(), options.n);
-  for (Addr i = 0; i < options.n; ++i) {
-    EXPECT_EQ(r.map_output[i], static_cast<Word>(i * 2 + 1)) << i;
-  }
-}
-
-TEST(Threaded, MapPayloadSurvivesInjectedRestarts) {
-  ThreadedOptions options;
-  options.n = 4096;
-  options.workers = 6;
-  options.seed = 11;
-  options.failures_per_worker = 3.0;
-  options.map = [](Addr i) { return static_cast<Word>((i * i) & 0xffff); };
-  const ThreadedResult r = run_threaded_writeall(options);
-  ASSERT_TRUE(r.solved);
-  for (Addr i = 0; i < options.n; ++i) {
-    ASSERT_EQ(r.map_output[i], static_cast<Word>((i * i) & 0xffff)) << i;
-  }
-}
-
 TEST(Threaded, ConfigValidation) {
   EXPECT_THROW(run_threaded_writeall({.n = 2, .workers = 4}), ConfigError);
   EXPECT_THROW(run_threaded_writeall({.n = 8, .workers = 0}), ConfigError);
