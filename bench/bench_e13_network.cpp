@@ -47,33 +47,38 @@ void print_hotspot() {
       table);
 }
 
-// Observing adversary: captures each slot's shared-memory traffic.
-class TrafficRecorder final : public Adversary {
+// Audit hook that captures each slot's shared-memory traffic. One network
+// request per access; an update cycle's few accesses would issue over
+// consecutive network rounds — the first read is representative of the
+// per-round pattern, and writes go as writes. The interpreter runs the
+// cycles in PID order, so each processor's operations arrive contiguously.
+class TrafficRecorder final : public EngineAuditHook {
  public:
-  std::string_view name() const override { return "traffic-recorder"; }
-  FaultDecision decide(const MachineView& view) override {
-    std::vector<MemRequest> batch;
-    for (Pid pid = 0; pid < view.processors(); ++pid) {
-      const CycleTrace& trace = view.trace(pid);
-      if (!trace.started) continue;
-      // One network request per access; an update cycle's few accesses
-      // would issue over consecutive network rounds — the first read is
-      // representative of the per-round pattern, and writes go as writes.
-      for (const Addr a : trace.reads) {
-        batch.push_back({.pid = pid, .addr = a, .write = false});
-        break;
-      }
-      for (const WriteOp& op : trace.writes) {
-        batch.push_back(
-            {.pid = pid, .addr = op.addr, .write = true, .value = op.value});
-        break;
-      }
-    }
-    if (!batch.empty()) batches.push_back(std::move(batch));
-    return {};
+  void on_read(Pid pid, Addr addr) override {
+    if (pid == last_reader_) return;
+    last_reader_ = pid;
+    batch_.push_back({.pid = pid, .addr = addr, .write = false});
+  }
+  void on_write(Pid pid, Addr addr, Word value) override {
+    if (pid == last_writer_) return;
+    last_writer_ = pid;
+    batch_.push_back({.pid = pid, .addr = addr, .write = true, .value = value});
+  }
+  void on_snapshot(Pid /*pid*/) override {}
+  void on_cycles_done(const SharedMemory& /*mem*/, Slot /*slot*/,
+                      std::span<const CycleTrace> /*traces*/,
+                      std::span<const Pid> /*live*/) override {
+    if (!batch_.empty()) batches.push_back(std::move(batch_));
+    batch_.clear();
+    last_reader_ = last_writer_ = kNoPid;
   }
 
   std::vector<std::vector<MemRequest>> batches;
+
+ private:
+  std::vector<MemRequest> batch_;
+  Pid last_reader_ = kNoPid;
+  Pid last_writer_ = kNoPid;
 };
 
 void print_real_traffic() {
@@ -81,9 +86,10 @@ void print_real_traffic() {
   const AlgX program({.n = n, .p = static_cast<Pid>(n)});
   TrafficRecorder recorder;
   EngineOptions options;
-  options.log_reads = true;  // the recorder replays read traffic
+  options.audit = &recorder;
   Engine engine(program, options);
-  engine.run(recorder);
+  NoFailures none;
+  engine.run(none);
 
   Table table({"traffic", "slots routed", "mean ticks", "max ticks",
                "total merges"});

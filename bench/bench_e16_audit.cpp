@@ -4,7 +4,8 @@
 //   off    — plain run_writeall; EngineOptions::audit is a null pointer and
 //            the engine's hot paths take the untaken-branch cost only.
 //   audit  — Auditor attached, obliviousness probe off: per-cycle budget,
-//            phase and write-agreement checks plus read logging, one run.
+//            phase and write-agreement checks over the per-access hook,
+//            one run.
 //   probe  — audit_writeall: the full protocol, i.e. the audited run is
 //            recorded and then replayed bit-exactly for the fingerprint
 //            diff, so expect ~2x the audited run plus hashing.

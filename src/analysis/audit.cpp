@@ -16,10 +16,12 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 
-std::uint64_t fingerprint_trace(Slot slot, Pid pid, const CycleTrace& t) {
+std::uint64_t fingerprint_cycle(Slot slot, Pid pid,
+                                std::span<const Addr> reads,
+                                const CycleTrace& t) {
   std::uint64_t h = mix(mix(0x243f6a8885a308d3ULL, slot), pid);
-  h = mix(h, t.reads.size());
-  for (const Addr a : t.reads) h = mix(h, a);
+  h = mix(h, reads.size());
+  for (const Addr a : reads) h = mix(h, a);
   h = mix(h, t.writes.size());
   for (const WriteOp& op : t.writes) {
     h = mix(h, op.addr);
@@ -29,26 +31,37 @@ std::uint64_t fingerprint_trace(Slot slot, Pid pid, const CycleTrace& t) {
   return h;
 }
 
+// The twin's own read log: a hook that keeps the addresses and nothing else.
+struct ReadCollector final : CycleAuditHook {
+  FixedVec<Addr, kReadCap> reads;
+  void on_read(Pid /*pid*/, Addr addr) override { reads.push_back(addr); }
+  void on_write(Pid /*pid*/, Addr /*addr*/, Word /*value*/) override {}
+  void on_snapshot(Pid /*pid*/) override {}
+};
+
 // First behavioural difference between the real restarted processor's cycle
 // and its fresh-boot twin's, or "" when identical.
-std::string diff_cycles(const CycleTrace& real, const CycleTrace& twin) {
+std::string diff_cycles(std::span<const Addr> real_reads,
+                        const CycleTrace& real,
+                        std::span<const Addr> twin_reads,
+                        const CycleTrace& twin) {
   if (real.used_snapshot != twin.used_snapshot) {
     return twin.used_snapshot ? "twin used the snapshot read, processor "
                                 "did not"
                               : "processor used the snapshot read, twin did "
                                 "not";
   }
-  const std::size_t reads = std::min(real.reads.size(), twin.reads.size());
+  const std::size_t reads = std::min(real_reads.size(), twin_reads.size());
   for (std::size_t i = 0; i < reads; ++i) {
-    if (real.reads[i] != twin.reads[i]) {
+    if (real_reads[i] != twin_reads[i]) {
       return "read #" + std::to_string(i) + ": processor read cell " +
-             std::to_string(real.reads[i]) + ", twin read cell " +
-             std::to_string(twin.reads[i]);
+             std::to_string(real_reads[i]) + ", twin read cell " +
+             std::to_string(twin_reads[i]);
     }
   }
-  if (real.reads.size() != twin.reads.size()) {
-    return "processor issued " + std::to_string(real.reads.size()) +
-           " reads, twin issued " + std::to_string(twin.reads.size());
+  if (real_reads.size() != twin_reads.size()) {
+    return "processor issued " + std::to_string(real_reads.size()) +
+           " reads, twin issued " + std::to_string(twin_reads.size());
   }
   const std::size_t writes = std::min(real.writes.size(), twin.writes.size());
   for (std::size_t i = 0; i < writes; ++i) {
@@ -88,10 +101,19 @@ void Auditor::add(AuditCheck check, std::string detail, AuditContext context) {
 Auditor::PidCycle& Auditor::cycle_state(Pid pid) {
   PidCycle& c = cycles_[pid];
   if (c.stamp != slot_ + 1) {
-    c = PidCycle{};
+    // Field by field: the stale read payload stays (its size gates it).
     c.stamp = slot_ + 1;
+    c.reads.clear();
+    c.writes = 0;
+    c.wrote = c.flagged_reads = c.flagged_writes = c.flagged_phase = false;
   }
   return c;
+}
+
+std::span<const Addr> Auditor::reads_of(Pid pid) const {
+  const PidCycle& c = cycles_[pid];
+  if (c.stamp != slot_ + 1) return {};
+  return {c.reads.begin(), c.reads.end()};
 }
 
 void Auditor::on_run_begin(const Program& program,
@@ -119,10 +141,8 @@ void Auditor::on_slot_begin(Slot slot) {
 }
 
 void Auditor::on_read(Pid pid, Addr addr) {
-  (void)addr;
   PidCycle& c = cycle_state(pid);
-  ++c.reads;
-  if (!options_.budgets) return;
+  c.reads.push_back(addr);
   if (c.wrote && !c.flagged_phase) {
     c.flagged_phase = true;
     AuditContext ctx;
@@ -133,7 +153,7 @@ void Auditor::on_read(Pid pid, Addr addr) {
         "(an update cycle is read*, compute, write*)",
         std::move(ctx));
   }
-  if (c.reads > read_budget_ && !c.flagged_reads) {
+  if (c.reads.size() > read_budget_ && !c.flagged_reads) {
     c.flagged_reads = true;
     AuditContext ctx;
     ctx.slot = static_cast<std::int64_t>(slot_);
@@ -149,8 +169,7 @@ void Auditor::on_write(Pid pid, Addr addr, Word value) {
   PidCycle& c = cycle_state(pid);
   ++c.writes;
   c.wrote = true;
-  if (options_.dead_writes && fault_map_ != nullptr &&
-      fault_map_->is_dead(addr)) {
+  if (fault_map_ != nullptr && fault_map_->is_dead(addr)) {
     AuditContext ctx;
     ctx.slot = static_cast<std::int64_t>(slot_);
     ctx.cell = static_cast<std::int64_t>(addr);
@@ -162,7 +181,6 @@ void Auditor::on_write(Pid pid, Addr addr, Word value) {
         "fault metadata",
         std::move(ctx));
   }
-  if (!options_.budgets) return;
   if (c.writes > write_budget_ && !c.flagged_writes) {
     c.flagged_writes = true;
     AuditContext ctx;
@@ -177,7 +195,6 @@ void Auditor::on_write(Pid pid, Addr addr, Word value) {
 
 void Auditor::on_snapshot(Pid pid) {
   PidCycle& c = cycle_state(pid);
-  if (!options_.budgets) return;
   if (c.wrote && !c.flagged_phase) {
     c.flagged_phase = true;
     AuditContext ctx;
@@ -196,24 +213,26 @@ void Auditor::on_cycles_done(const SharedMemory& mem, Slot slot,
   for (const Pid pid : live) {
     const CycleTrace& t = traces[pid];
     if (!t.started) continue;
+    const std::span<const Addr> reads = reads_of(pid);
     ++report_.cycles_audited;
     report_.max_reads_in_cycle =
-        std::max(report_.max_reads_in_cycle, t.reads.size());
+        std::max(report_.max_reads_in_cycle, reads.size());
     report_.max_writes_in_cycle =
         std::max(report_.max_writes_in_cycle, t.writes.size());
     if (options_.fingerprint) {
-      if (fingerprints_.size() < options_.max_fingerprints) {
-        fingerprints_.push_back({slot, pid, fingerprint_trace(slot, pid, t)});
+      if (fingerprints_.size() < kMaxFingerprints) {
+        fingerprints_.push_back(
+            {slot, pid, fingerprint_cycle(slot, pid, reads, t)});
       } else {
         report_.fingerprints_truncated = true;
       }
     }
   }
-  if (options_.write_agreement &&
-      (model_ == CrcwModel::kCommon || model_ == CrcwModel::kWeak)) {
+  if (model_ == CrcwModel::kCommon || model_ == CrcwModel::kWeak) {
     check_write_agreement(slot, traces, live);
   }
-  if (options_.amnesia && !twins_.empty()) run_twins(mem, slot, traces);
+  if (model_ == CrcwModel::kErew) check_exclusive_reads(slot, traces, live);
+  if (!twins_.empty()) run_twins(mem, slot, traces);
 }
 
 void Auditor::check_write_agreement(Slot slot,
@@ -270,6 +289,30 @@ void Auditor::check_write_agreement(Slot slot,
   }
 }
 
+void Auditor::check_exclusive_reads(Slot slot,
+                                    std::span<const CycleTrace> traces,
+                                    std::span<const Pid> live) {
+  cell_reads_.clear();
+  for (const Pid pid : live) {
+    if (!traces[pid].started) continue;
+    for (const Addr addr : reads_of(pid)) {
+      auto [it, inserted] = cell_reads_.try_emplace(addr, FirstRead{pid});
+      FirstRead& first = it->second;
+      // A processor re-reading its own cell is not a concurrent read.
+      if (inserted || first.pid == pid || first.flagged) continue;
+      first.flagged = true;
+      AuditContext ctx;
+      ctx.slot = static_cast<std::int64_t>(slot);
+      ctx.cell = static_cast<std::int64_t>(addr);
+      ctx.pids = {first.pid, pid};
+      add(AuditCheck::kReadConflict,
+          "EREW concurrent read: two processors read one cell in the same "
+          "slot (checked across all started cycles, aborted ones included)",
+          std::move(ctx));
+    }
+  }
+}
+
 void Auditor::run_twins(const SharedMemory& mem, Slot slot,
                         std::span<const CycleTrace> traces) {
   for (auto it = twins_.begin(); it != twins_.end();) {
@@ -284,10 +327,11 @@ void Auditor::run_twins(const SharedMemory& mem, Slot slot,
     ++report_.twin_cycles;
     // Step the fresh-boot twin against the same slot-start memory the real
     // processor saw. The scratch trace keeps the twin's operations out of
-    // the engine's commit and out of this auditor's own counters/hashes
-    // (null hook).
+    // the engine's commit, and the local hook keeps its reads out of this
+    // auditor's own counters/hashes.
     CycleTrace scratch;
-    scratch.reset_for_cycle(/*log_reads=*/true);
+    scratch.reset_for_cycle();
+    ReadCollector twin_reads;
     // Under the persistent-cache model the twin reads through the *real*
     // processor's write-back cache: both must see the same memory view, or
     // every cached algorithm would false-positive as amnesiac. The engine
@@ -296,12 +340,14 @@ void Auditor::run_twins(const SharedMemory& mem, Slot slot,
     const ProcCache* cache =
         caches_ != nullptr ? &(*caches_)[pid] : nullptr;
     CycleContext ctx(mem, scratch, pid, slot, kReadCap, kWriteCap,
-                     snapshot_allowed_, /*log_reads=*/true, nullptr, cache,
-                     /*persist_allowed=*/caches_ != nullptr);
+                     snapshot_allowed_, &twin_reads, cache);
     std::string divergence;
     try {
       scratch.halting = !it->second->cycle(ctx);
-      divergence = diff_cycles(real, scratch);
+      divergence = diff_cycles(reads_of(pid), real,
+                               {twin_reads.reads.begin(),
+                                twin_reads.reads.end()},
+                               scratch);
     } catch (const std::exception& e) {
       divergence = std::string("fresh-boot twin threw: ") + e.what();
     }
@@ -329,7 +375,6 @@ void Auditor::run_twins(const SharedMemory& mem, Slot slot,
 
 void Auditor::on_transitions(Slot slot, const FaultDecision& decision) {
   (void)slot;
-  if (!options_.amnesia) return;
   // Failures wipe the real processor's state, so the shadow dies with it.
   for (const Pid pid : decision.fail_mid_cycle) twins_.erase(pid);
   for (const Pid pid : decision.fail_after_cycle) twins_.erase(pid);

@@ -18,6 +18,10 @@
 //     every cell (COMMON) or write the designated value (WEAK), across
 //     *all started* cycles — including ones the adversary then aborts,
 //     which the engine's commit-time check never sees.
+//   * EREW exclusive reads — under the EREW model no two processors may
+//     read one cell in the same slot, again across all started cycles.
+//   * dead writes — under the faulty-cells model, a write to a dead cell
+//     (silently dropped by the memory) is flagged.
 //   * obliviousness fingerprints — a compact hash per attempted cycle of
 //     (slot, pid, addresses read, writes, snapshot, halting). Comparing the
 //     fingerprints of a recorded run and its bit-exact replay (see
@@ -26,6 +30,8 @@
 //
 // The auditor never mutates the run it watches: twins read the same
 // slot-start memory through a scratch trace, and all bookkeeping is local.
+// The read addresses come from the per-operation hook (on_read) — the
+// engine keeps no read log of its own.
 #pragma once
 
 #include <map>
@@ -40,17 +46,9 @@
 namespace rfsp {
 
 struct AuditOptions {
-  bool budgets = true;          // read/write budget + phase-order lint
-  bool write_agreement = true;  // COMMON/WEAK agreement across started cycles
-  bool amnesia = true;          // restart twins
-  bool fingerprint = true;      // per-cycle fingerprints for obliviousness
-  bool dead_writes = true;      // faulty-cells model: flag writes to dead
-                                // cells (silently dropped by the memory)
+  bool fingerprint = true;  // per-cycle fingerprints for obliviousness
   // Stored-violation cap; AuditReport::counts keeps the true totals past it.
   std::size_t max_violations = 64;
-  // Fingerprint storage cap; past it AuditReport::fingerprints_truncated is
-  // set and the obliviousness comparison covers only the recorded prefix.
-  std::size_t max_fingerprints = std::size_t{1} << 20;
 };
 
 // One attempted update cycle, digested: the hash mixes the addresses read
@@ -95,11 +93,15 @@ class Auditor final : public EngineAuditHook {
   }
 
  private:
+  // Fingerprint storage cap; past it AuditReport::fingerprints_truncated is
+  // set and the obliviousness comparison covers only the recorded prefix.
+  static constexpr std::size_t kMaxFingerprints = std::size_t{1} << 20;
+
   // Per-processor within-cycle state, lazily reset by slot stamp (no O(P)
   // work per slot): an entry is current iff stamp_ == slot_ + 1.
   struct PidCycle {
     Slot stamp = 0;  // current slot + 1; 0 = never used
-    std::uint32_t reads = 0;
+    FixedVec<Addr, kReadCap> reads;  // addresses read, program order
     std::uint32_t writes = 0;
     bool wrote = false;
     bool flagged_reads = false;
@@ -108,8 +110,12 @@ class Auditor final : public EngineAuditHook {
   };
 
   PidCycle& cycle_state(Pid pid);
+  // The addresses `pid` read this slot (empty if its cycle read nothing).
+  std::span<const Addr> reads_of(Pid pid) const;
   void add(AuditCheck check, std::string detail, AuditContext context);
   void check_write_agreement(Slot slot, std::span<const CycleTrace> traces,
+                             std::span<const Pid> live);
+  void check_exclusive_reads(Slot slot, std::span<const CycleTrace> traces,
                              std::span<const Pid> live);
   void run_twins(const SharedMemory& mem, Slot slot,
                  std::span<const CycleTrace> traces);
@@ -143,6 +149,13 @@ class Auditor final : public EngineAuditHook {
     bool value_flagged = false;  // WEAK: first value already reported
   };
   std::unordered_map<Addr, FirstWrite> cell_writes_;
+
+  // EREW scratch: first reader per cell this slot.
+  struct FirstRead {
+    Pid pid = 0;
+    bool flagged = false;  // the cell's conflict already reported
+  };
+  std::unordered_map<Addr, FirstRead> cell_reads_;
 
   // Amnesia twins, keyed by PID (ordered: deterministic report order).
   std::map<Pid, std::unique_ptr<ProcessorState>> twins_;

@@ -16,6 +16,7 @@ std::string_view to_string(AuditCheck check) {
     case AuditCheck::kWriteAgreement: return "write-agreement";
     case AuditCheck::kOblivious: return "oblivious";
     case AuditCheck::kDeadWrite: return "dead-write";
+    case AuditCheck::kReadConflict: return "read-conflict";
   }
   return "?";
 }

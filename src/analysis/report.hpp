@@ -38,8 +38,10 @@ enum class AuditCheck : std::uint8_t {
   kDeadWrite,       // a cycle wrote to a dead shared cell (faulty-cells
                     // memory model) — the write is silently dropped, so a
                     // fault-aware algorithm should have routed around it
+  kReadConflict,    // two processors read one cell in the same slot under
+                    // EREW — checked across all started cycles
 };
-inline constexpr std::size_t kAuditCheckCount = 7;
+inline constexpr std::size_t kAuditCheckCount = 8;
 
 std::string_view to_string(AuditCheck check);
 

@@ -27,19 +27,17 @@ PathOutcome SymbolicContext::run(ProcessorState& state, Pid pid, Slot slot,
   out_ = PathOutcome{};
   script_ = script;
   next_decision_ = 0;
-  assumed_.clear();
+  overwritten_.clear();
   wrote_ = false;
 
   CycleTrace trace;
-  trace.reset_for_cycle(/*log_reads=*/true);
+  trace.reset_for_cycle();
   // Budgets widen to the storage caps (the audit-mode trick): an
   // over-budget cycle is observed and reported instead of aborting the
   // exploration at the context throw. Only blowing a *cap* still throws,
   // which run() classifies as a budget finding via `budget_throw`.
   CycleContext ctx(mem_, trace, pid, slot, kReadCap, kWriteCap,
-                   snapshot_allowed_, /*log_reads=*/true, /*audit=*/this,
-                   /*cache=*/nullptr, /*persist_allowed=*/false,
-                   /*oracle=*/this);
+                   snapshot_allowed_, /*audit=*/this);
   try {
     const bool more = state.cycle(ctx);
     out_.completed = true;
@@ -55,14 +53,23 @@ PathOutcome SymbolicContext::run(ProcessorState& state, Pid pid, Slot slot,
     out_.threw = true;
     out_.error = e.what();
   }
+  // Back to the snapshot image.
+  for (const auto& [addr, image] : overwritten_) mem_.write(addr, image);
   out_.used_snapshot = trace.used_snapshot;
   return std::move(out_);
 }
 
-Word SymbolicContext::read_value(Pid /*pid*/, Addr addr) {
-  if (addr >= memory_size_) return 0;  // flagged by on_read already
-  for (const auto& [a, v] : assumed_) {
-    if (a == addr) return v;  // frozen memory: one value per cell per slot
+void SymbolicContext::on_read(Pid /*pid*/, Addr addr) {
+  if (wrote_) out_.read_after_write = true;
+  out_.reads.push_back(addr);
+  if (addr >= memory_size_) {
+    // Terminal: the scratch memory's bounds check ends the cycle next.
+    out_.oob_read = true;
+    out_.oob_addr = addr;
+    return;
+  }
+  for (const auto& [a, v] : overwritten_) {
+    if (a == addr) return;  // frozen memory: one value per cell per slot
   }
   const std::size_t size = domain_.size(addr);
   std::size_t index = 0;
@@ -71,20 +78,11 @@ Word SymbolicContext::read_value(Pid /*pid*/, Addr addr) {
   }
   ++next_decision_;
   const SymbolicValue value = domain_.at(addr, index < size ? index : 0);
-  assumed_.emplace_back(addr, value.value);
+  overwritten_.emplace_back(addr, mem_.read(addr));
+  mem_.write(addr, value.value);
   out_.valuation.push_back({addr, value.value, value.tag});
   out_.decisions.push_back({addr, index, size});
   if (value.tag == AbstractTag::kArbitrary) out_.used_arbitrary = true;
-  return value.value;
-}
-
-void SymbolicContext::on_read(Pid /*pid*/, Addr addr) {
-  if (wrote_) out_.read_after_write = true;
-  if (addr >= memory_size_) {
-    out_.oob_read = true;
-    out_.oob_addr = addr;
-  }
-  out_.reads.push_back(addr);
 }
 
 void SymbolicContext::on_write(Pid /*pid*/, Addr addr, Word value) {

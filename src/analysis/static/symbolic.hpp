@@ -1,10 +1,13 @@
 // The instrumented cycle driver of the static verifier (verify.hpp).
 //
 // A SymbolicContext runs exactly one ProcessorState::cycle against a chosen
-// read valuation instead of a live memory image: it plugs into the
-// CycleContext through the ReadOracle seam (every read's value comes from
-// the per-cell abstract domain) and the CycleAuditHook (per-operation order
-// for the phase-discipline check). Branching over the domain is driven by a
+// read valuation instead of a live memory image. It is the CycleContext's
+// CycleAuditHook: on_read runs before the value is fetched, so it writes
+// the chosen value of the per-cell abstract domain into the scratch memory
+// the context reads from, and it records per-operation order for the
+// phase-discipline check. run() undoes those writes before it returns, so
+// between runs the scratch memory is the snapshot image (init, widened by
+// widen_snapshot). Branching over the domain is driven by a
 // decision script: the first read of each cell consumes one PathDecision
 // (replayed from the script, or defaulted to index 0 and appended), repeat
 // reads of a cell within the cycle return the assumed value again — shared
@@ -69,11 +72,11 @@ struct PathOutcome {
   std::vector<PathDecision> decisions;    // the (extended) script
 };
 
-class SymbolicContext final : public ReadOracle, public CycleAuditHook {
+class SymbolicContext final : public CycleAuditHook {
  public:
-  // `init_image` seeds the scratch memory consulted only by snapshot()
-  // (whole-memory reads cannot be answered per-cell by the oracle; they
-  // observe the init image — documented in docs/analysis.md).
+  // The program's init image seeds the scratch memory. A snapshot() always
+  // sees it unchanged (a snapshot is the cycle's only read, so no per-cell
+  // answer is in place yet) — documented in docs/analysis.md.
   SymbolicContext(const DomainSource& domain, const Program& program,
                   bool snapshot_allowed);
 
@@ -82,10 +85,9 @@ class SymbolicContext final : public ReadOracle, public CycleAuditHook {
   PathOutcome run(ProcessorState& state, Pid pid, Slot slot,
                   std::span<const PathDecision> script);
 
-  // ReadOracle: answer a shared read from the domain / the path's script.
-  Word read_value(Pid pid, Addr addr) override;
-
-  // CycleAuditHook: per-operation order bookkeeping.
+  // CycleAuditHook: per-operation order bookkeeping. on_read also answers
+  // the read: the first read of a cell writes its domain value (from the
+  // path's script) into the scratch memory.
   void on_read(Pid pid, Addr addr) override;
   void on_write(Pid pid, Addr addr, Word value) override;
   void on_snapshot(Pid pid) override;
@@ -98,14 +100,17 @@ class SymbolicContext final : public ReadOracle, public CycleAuditHook {
 
  private:
   const DomainSource& domain_;
-  SharedMemory mem_;  // snapshot() image: init, widened by widen_snapshot
+  // What the cycle reads: the snapshot image (init, widened by
+  // widen_snapshot), with this run's answered cells written over it.
+  SharedMemory mem_;
   Addr memory_size_;
   bool snapshot_allowed_;
 
   // Per-run scratch.
   std::span<const PathDecision> script_;
   std::size_t next_decision_ = 0;
-  std::vector<std::pair<Addr, Word>> assumed_;  // <= kReadCap entries
+  // Cells answered this run with their image values, restored by run().
+  std::vector<std::pair<Addr, Word>> overwritten_;  // <= kReadCap entries
   bool wrote_ = false;
   PathOutcome out_;
 };

@@ -86,8 +86,8 @@ class Adversary {
   virtual FaultDecision decide(const MachineView& view) = 0;
 
   // Capability declaration for the engine's batched backend: return false
-  // when decide() never reads a cycle's buffered writes, read log, or
-  // halting flag through MachineView::trace — at most CycleTrace::started
+  // when decide() never reads a cycle's buffered writes, snapshot/persist
+  // flags, or halting flag through MachineView::trace — at most CycleTrace::started
   // (plus memory, statuses, slot, and tally, which stay fully valid). The
   // engine then skips materializing per-cycle traces in batched mode
   // entirely (it keeps the started flags maintained), removing the largest

@@ -43,7 +43,7 @@ BatchResult CombiningNetwork::route(std::span<const MemRequest> batch) {
   }
 
   BatchResult result;
-  result.read_values.assign(batch.size(), std::nullopt);
+  result.read_results.assign(batch.size(), std::nullopt);
 
   // queues[s][w]: packets waiting to traverse stage s from wire w.
   std::vector<std::vector<std::deque<Packet>>> queues(
@@ -105,7 +105,7 @@ BatchResult CombiningNetwork::route(std::span<const MemRequest> batch) {
         if (s + 1 == stages_) {
           // Arrived at a module: serve every combined source.
           for (const std::size_t src : packet.sources) {
-            if (!packet.write) result.read_values[src] = snapshot[packet.addr];
+            if (!packet.write) result.read_results[src] = snapshot[packet.addr];
           }
           if (packet.write) cells_[packet.addr] = packet.value;
           ++result.delivered;

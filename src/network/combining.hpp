@@ -53,7 +53,7 @@ struct BatchResult {
   std::uint64_t max_queue = 0;   // deepest switch queue seen (saturation)
   // Read results per input request (nullopt for writes), observing the
   // memory as of the batch's start (synchronous PRAM semantics).
-  std::vector<std::optional<Word>> read_values;
+  std::vector<std::optional<Word>> read_results;
 };
 
 class CombiningNetwork {

@@ -15,14 +15,10 @@ namespace rfsp {
 CycleContext::CycleContext(const SharedMemory& mem, CycleTrace& trace,
                            Pid pid, Slot slot, std::size_t read_budget,
                            std::size_t write_budget, bool snapshot_allowed,
-                           bool log_reads, CycleAuditHook* audit,
-                           const ProcCache* cache, bool persist_allowed,
-                           ReadOracle* oracle)
+                           CycleAuditHook* audit, const ProcCache* cache)
     : mem_(mem), trace_(trace), pid_(pid), slot_(slot),
       read_budget_(read_budget), write_budget_(write_budget),
-      snapshot_allowed_(snapshot_allowed), log_reads_(log_reads),
-      audit_(audit), cache_(cache), persist_allowed_(persist_allowed),
-      oracle_(oracle) {}
+      snapshot_allowed_(snapshot_allowed), audit_(audit), cache_(cache) {}
 
 namespace {
 ViolationContext cycle_ctx(Slot slot, Pid pid, const char* move) {
@@ -60,7 +56,7 @@ std::span<const Word> CycleContext::snapshot() {
 }
 
 void CycleContext::persist() {
-  if (!persist_allowed_) {
+  if (cache_ == nullptr) {
     throw ModelViolation(
         "persist() requires the persistent-cache memory model "
         "(EngineOptions::memory_model)",
@@ -113,24 +109,18 @@ Engine::Engine(const Program& program, EngineOptions options)
   for (Pid pid = 0; pid < p; ++pid) live_pids_[pid] = pid;
   program_.init_memory(mem_);
 
-  if (options_.incremental_goal) {
-    if (const std::optional<GoalCells> cells = program_.goal_cells()) {
-      RFSP_CHECK_MSG(cells->base + cells->count <= mem_.size(),
-                     "goal_cells range beyond shared memory");
-      incremental_goal_ = true;
-      goal_base_ = cells->base;
-      goal_end_ = cells->base + cells->count;
-      for (Addr a = goal_base_; a < goal_end_; ++a) {
-        if (!program_.goal_cell_done(a, mem_.read(a))) ++goal_unsat_;
-      }
+  if (const std::optional<GoalCells> cells = program_.goal_cells()) {
+    RFSP_CHECK_MSG(cells->base + cells->count <= mem_.size(),
+                   "goal_cells range beyond shared memory");
+    track_goal_ = true;
+    goal_base_ = cells->base;
+    goal_end_ = cells->base + cells->count;
+    for (Addr a = goal_base_; a < goal_end_; ++a) {
+      if (!program_.goal_cell_done(a, mem_.read(a))) ++goal_unsat_;
     }
   }
-  log_reads_ = options_.log_reads ||
-               (options_.model == CrcwModel::kErew &&
-                options_.detect_read_conflicts);
   audit_ = options_.audit;
   if (audit_ != nullptr) {
-    log_reads_ = true;  // the auditor needs the address traces
     audit_->on_run_begin(program_, options_);
     if (options_.memory_model != MemoryModel::kReliable) {
       audit_->on_memory_backend(caches_.empty() ? nullptr : &caches_,
@@ -150,7 +140,7 @@ Engine::Engine(const Program& program, EngineOptions options)
   // Non-reliable memory models force the interpreter as well: kernels read
   // the flat memory span directly, which cannot show remapped cells or the
   // per-processor write-back caches.
-  if (options_.batch && audit_ == nullptr && !log_reads_ &&
+  if (options_.batch && audit_ == nullptr &&
       options_.memory_model == MemoryModel::kReliable &&
       options_.model != CrcwModel::kArbitrary &&
       options_.model != CrcwModel::kPriority &&
@@ -191,16 +181,16 @@ Engine::Engine(const Program& program, EngineOptions options)
 Engine::~Engine() = default;
 
 std::optional<std::uint64_t> Engine::goal_unsatisfied() const {
-  if (!incremental_goal_) return std::nullopt;
+  if (!track_goal_) return std::nullopt;
   return goal_unsat_;
 }
 
 bool Engine::goal_met() const {
-  return incremental_goal_ ? goal_unsat_ == 0 : program_.goal(mem_);
+  return track_goal_ ? goal_unsat_ == 0 : program_.goal(mem_);
 }
 
 void Engine::commit_cell(Addr a, Word v, Pid pid) {
-  if (incremental_goal_ && a >= goal_base_ && a < goal_end_) {
+  if (track_goal_ && a >= goal_base_ && a < goal_end_) {
     const bool was = program_.goal_cell_done(a, mem_.read(a));
     // A dead cell (faulty-cells model) drops the write — the goal counter
     // must then not move, or it would drift from what goal() re-scans.
@@ -214,16 +204,15 @@ void Engine::commit_cell(Addr a, Word v, Pid pid) {
 
 void Engine::cycle_one(Pid pid) {
   CycleTrace& trace = traces_[pid];
-  trace.reset_for_cycle(log_reads_);
+  trace.reset_for_cycle();
   // In audit mode the *enforced* budgets widen to the storage caps: the
   // auditor reports every over-budget cycle with context instead of the
   // engine aborting the run at the first offence (the caps still throw).
   CycleContext ctx(mem_, trace, pid, slot_,
                    audit_ != nullptr ? kReadCap : options_.read_budget,
                    audit_ != nullptr ? kWriteCap : options_.write_budget,
-                   options_.unit_cost_snapshot, log_reads_, audit_,
-                   caches_.empty() ? nullptr : &caches_[pid],
-                   !caches_.empty());
+                   options_.unit_cost_snapshot, audit_,
+                   caches_.empty() ? nullptr : &caches_[pid]);
   const bool halting = !states_[pid]->cycle(ctx);
   trace.halting = halting;
   // Mirror the (still cache-hot) outcome into the compact lane log.
@@ -459,7 +448,7 @@ void Engine::commit_writes(const FaultDecision& d) {
   // resolution and goal-counter upkeep stay out of line.
   const std::uint32_t epoch = commit_epoch_;
   std::uint32_t* const stamps = cell_stamp_.data();
-  const bool track_goal = incremental_goal_;
+  const bool track_goal = track_goal_;
   const Addr goal_base = goal_base_;
   const Addr goal_end = goal_end_;
   for (const PendingWrite& op : lane_.writes) {
@@ -577,19 +566,6 @@ void Engine::resolve_write_conflict(Addr addr, Word value, Pid pid) {
   }
 }
 
-void Engine::check_read_conflicts() const {
-  read_buf_.clear();
-  for (const Pid pid : live_pids_) {
-    for (const Addr a : traces_[pid].reads) read_buf_.push_back(a);
-  }
-  std::sort(read_buf_.begin(), read_buf_.end());
-  if (std::adjacent_find(read_buf_.begin(), read_buf_.end()) !=
-      read_buf_.end()) {
-    throw ModelViolation("concurrent read under EREW",
-                         {static_cast<std::int64_t>(slot_), -1, "read"});
-  }
-}
-
 void Engine::apply_transitions(const FaultDecision& d) {
   // State transitions: failures destroy private memory (§2.1 point 3) ...
   ++mark_epoch_;  // marks collect this slot's departures from the live set
@@ -674,7 +650,7 @@ void Engine::apply_transitions(const FaultDecision& d) {
       // A goal-range cell that dies flips to garbage: keep the incremental
       // unsatisfied counter honest on both edges.
       const bool track =
-          incremental_goal_ && addr >= goal_base_ && addr < goal_end_;
+          track_goal_ && addr >= goal_base_ && addr < goal_end_;
       const bool was = track && program_.goal_cell_done(addr, mem_.read(addr));
       if (!fault_map_->inject(addr)) continue;  // already dead: no-op
       if (track) {
@@ -795,7 +771,7 @@ void Engine::restore(const EngineCheckpoint& cp, Adversary* adversary) {
   }
   slot_ = cp.slot;
   tally_ = cp.tally;
-  if (incremental_goal_) {
+  if (track_goal_) {
     goal_unsat_ = 0;
     for (Addr a = goal_base_; a < goal_end_; ++a) {
       if (!program_.goal_cell_done(a, mem_.read(a))) ++goal_unsat_;
@@ -886,9 +862,6 @@ RunResult Engine::run(Adversary& adversary) {
           {static_cast<std::int64_t>(slot_), -1, "fail_mid_cycle"});
     }
 
-    if (options_.model == CrcwModel::kErew && options_.detect_read_conflicts) {
-      check_read_conflicts();
-    }
     commit_writes(decision);
 
     // Accounting (Definitions 2.2/2.3).

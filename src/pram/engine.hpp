@@ -52,11 +52,12 @@ struct EngineOptions;
 //                    cycles included);
 //   on_transitions — per slot, after failures/halts/restarts took effect;
 //   on_run_end     — once, when the slot loop exits normally.
-// Audit mode implies read logging.
+// The slot-level methods default to no-ops, so a hook that only watches
+// operations implements just the CycleAuditHook half.
 class EngineAuditHook : public CycleAuditHook {
  public:
-  virtual void on_run_begin(const Program& program,
-                            const EngineOptions& options) = 0;
+  virtual void on_run_begin(const Program& /*program*/,
+                            const EngineOptions& /*options*/) {}
   // Memory-model backend state (pram/faults.hpp): called once from the
   // Engine constructor, after on_run_begin, when a non-reliable model is
   // active. `caches` points at the live per-processor write-back caches
@@ -69,12 +70,13 @@ class EngineAuditHook : public CycleAuditHook {
     (void)caches;
     (void)faults;
   }
-  virtual void on_slot_begin(Slot slot) = 0;
-  virtual void on_cycles_done(const SharedMemory& mem, Slot slot,
-                              std::span<const CycleTrace> traces,
-                              std::span<const Pid> live) = 0;
-  virtual void on_transitions(Slot slot, const FaultDecision& decision) = 0;
-  virtual void on_run_end() = 0;
+  virtual void on_slot_begin(Slot /*slot*/) {}
+  virtual void on_cycles_done(const SharedMemory& /*mem*/, Slot /*slot*/,
+                              std::span<const CycleTrace> /*traces*/,
+                              std::span<const Pid> /*live*/) {}
+  virtual void on_transitions(Slot /*slot*/,
+                              const FaultDecision& /*decision*/) {}
+  virtual void on_run_end() {}
 };
 
 // A complete engine state at a slot boundary (docs/resilience.md §3):
@@ -139,10 +141,6 @@ struct EngineOptions {
   // word-atomic semantics on top of this.
   bool bit_atomic_writes = false;
 
-  // Detect concurrent reads of one cell within a slot (EREW discipline).
-  // Slot-granularity approximation; off by default.
-  bool detect_read_conflicts = false;
-
   // --- Memory-model backend (pram/faults.hpp, docs/fault-models.md) ---------
 
   // Which shared-memory fault semantics the run uses. kReliable (the
@@ -161,20 +159,6 @@ struct EngineOptions {
   // kPersistentCache): the auto-persist cadence.
   PersistentCacheOptions persistent_cache;
 
-  // Record each cycle's read addresses into CycleTrace::reads, where the
-  // adversary can inspect them through MachineView. Off by default: the
-  // write log (which decides what commits) is always kept, but per-read
-  // logging is pure overhead on the hot path unless an adversary or tool
-  // wants the addresses. Forced on internally when the EREW read-conflict
-  // check needs the log (model == kErew && detect_read_conflicts).
-  bool log_reads = false;
-
-  // Use Program::goal_cells (when the program provides it) to track goal
-  // satisfaction incrementally at commit time instead of calling
-  // Program::goal once per slot. Results are identical by the goal_cells
-  // contract; this switch exists for ablation and regression testing.
-  bool incremental_goal = true;
-
   // Batched SoA execution: run the program's BatchKernel (when it offers
   // one via Program::batch_kernels) over contiguous lane groups instead of
   // stepping per-processor ProcessorState::cycle calls. Results are
@@ -186,7 +170,7 @@ struct EngineOptions {
   // per-PID CycleTraces entirely — the oblivious fast path that makes the
   // backend pay at scale. The engine silently falls back to the
   // interpreter whenever per-op hooks demand it: an installed audit hook,
-  // read logging (explicit or forced by the EREW conflict check), budgets
+  // budgets
   // below the paper defaults (4 reads / 2 writes — kernels assume full
   // budgets), an ARBITRARY/PRIORITY conflict model (its first-writer-wins
   // rule observes cross-lane-group write order, which batching reorders;
@@ -241,12 +225,13 @@ struct EngineOptions {
 
   // Model-conformance audit hook. Null (the default) keeps the fast path:
   // the per-read/per-write and per-slot instrumentation costs one predicted
-  // null test each. When installed, the engine (1) forces read logging,
-  // (2) widens the *enforced* per-cycle budgets to the storage caps
-  // (kReadCap/kWriteCap) so over-budget cycles are reported by the auditor
-  // with context instead of aborting the run at the first offence — the
-  // engine still throws ModelViolation at the caps. The hook must outlive
-  // the engine.
+  // null test each. When installed, the engine widens the *enforced*
+  // per-cycle budgets to the storage caps (kReadCap/kWriteCap) so
+  // over-budget cycles are reported by the auditor with context instead of
+  // aborting the run at the first offence — the engine still throws
+  // ModelViolation at the caps. The hook is the only channel for a
+  // cycle's read addresses (the auditor's EREW concurrent-read check, E13's
+  // traffic recorder). The hook must outlive the engine.
   EngineAuditHook* audit = nullptr;
 };
 
@@ -299,11 +284,11 @@ class Engine {
 
   // Whether the batched SoA backend is driving the cycle phase (true iff
   // EngineOptions::batch was set, the program offered kernels, and no
-  // audit/read-logging/budget constraint forced the interpreter).
+  // audit hook or budget constraint forced the interpreter).
   bool batch_active() const { return kernel_ != nullptr; }
 
   // Diagnostics: the incremental unsatisfied-cell count, present iff the
-  // program opted in via Program::goal_cells and the engine is using it.
+  // program opted in via Program::goal_cells.
   // After a run it must equal the number of goal cells failing
   // Program::goal_cell_done — the regression tests assert exactly that.
   std::optional<std::uint64_t> goal_unsatisfied() const;
@@ -330,7 +315,6 @@ class Engine {
   // Replay one processor's cache into shared memory (insertion order, last
   // write wins), clear it, and charge WorkTally::persists.
   void flush_cache(Pid pid);
-  void check_read_conflicts() const;
   bool goal_met() const;
   void commit_cell(Addr a, Word v, Pid pid);  // mem_ write + goal upkeep
   // Cold path of commit_writes: a cell already written this slot — resolve
@@ -364,8 +348,6 @@ class Engine {
   WorkTally tally_;
   Slot slot_ = 0;
   bool ran_ = false;
-
-  bool log_reads_ = false;  // options_.log_reads, or forced by EREW check
 
   // Live PIDs in ascending order — the processors that run a cycle each
   // slot. Maintained incrementally across fail/halt/restart transitions so
@@ -426,12 +408,10 @@ class Engine {
   std::vector<std::uint32_t> restart_counts_;  // per PID, iff metrics_
 
   // Incremental goal state (Program::goal_cells opt-in).
-  bool incremental_goal_ = false;
+  bool track_goal_ = false;
   Addr goal_base_ = 0;
   Addr goal_end_ = 0;
   std::uint64_t goal_unsat_ = 0;
-
-  mutable std::vector<Addr> read_buf_;  // EREW read-conflict scratch
 };
 
 // Convenience: build an engine, run `program` under `adversary`, verify

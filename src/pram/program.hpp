@@ -32,48 +32,41 @@ namespace rfsp {
 // Record of one attempted update cycle; the engine exposes these to the
 // on-line adversary (which "knows everything about the algorithm") through
 // MachineView before deciding failures, i.e. before any write commits.
+// Read addresses are not kept here: a tool that needs them installs a
+// CycleAuditHook, which sees every read in program order.
 struct CycleTrace {
   bool started = false;        // processor was live and ran `cycle` this slot
   bool halting = false;        // `cycle` returned false (wants to halt)
   bool used_snapshot = false;  // consumed the unit-cost whole-memory read
   bool persist = false;        // requested a cache flush (persistent-cache)
-  // The write log drives the commit, so it is always kept and lives first:
-  // the flags plus the write log are the only bytes the engine touches per
-  // processor per slot unless read logging is on (EngineOptions::log_reads),
-  // which keeps the per-slot footprint to the struct's hot prefix.
+  // The write log drives the commit, so it is always kept.
   FixedVec<WriteOp, kWriteCap> writes;
-  FixedVec<Addr, kReadCap> reads;  // empty unless read logging is enabled
 
   // Ready the record for a fresh cycle. The engine calls this once per
-  // processor per slot, so it only touches flags and inline-array sizes —
-  // never the (stale) array payloads, which `started`/sizes already gate.
-  // With read logging off the read log is never pushed to, so its (empty)
-  // size is not even reset.
-  void reset_for_cycle(bool log_reads) {
+  // processor per slot, so it only touches flags and the inline-array
+  // size — never the (stale) payload, which `started`/size already gate.
+  void reset_for_cycle() {
     started = true;
     halting = false;
     used_snapshot = false;
     persist = false;
     writes.clear();
-    if (log_reads) reads.clear();
   }
 
   // Forget the record entirely (processor left the live set).
   void clear() {
+    reset_for_cycle();
     started = false;
-    halting = false;
-    used_snapshot = false;
-    persist = false;
-    writes.clear();
-    reads.clear();
   }
 };
 
 // Observer of the individual shared-memory operations of update cycles, in
-// program order within each cycle — the per-operation half of the model-
-// conformance auditor (src/analysis, docs/analysis.md). CycleContext calls
-// these only when a hook is installed (EngineOptions::audit); with no hook
-// the per-read/per-write cost is one predicted null test.
+// program order within each cycle — the one way to see a cycle's reads.
+// The model-conformance auditor (src/analysis, docs/analysis.md) and the
+// static verifier's SymbolicContext are hooks. CycleContext calls these
+// only when a hook is installed (EngineOptions::audit); with no hook the
+// per-read/per-write cost is one predicted null test. on_read runs before
+// the value is fetched, so a hook may still change the cell it names.
 class CycleAuditHook {
  public:
   virtual ~CycleAuditHook() = default;
@@ -82,44 +75,26 @@ class CycleAuditHook {
   virtual void on_snapshot(Pid pid) = 0;
 };
 
-// Value source that replaces shared-memory reads entirely — the seam the
-// static verifier's SymbolicContext uses to drive ProcessorState::cycle
-// against chosen valuations instead of a live memory image
-// (analysis/static/, docs/analysis.md). The context still enforces budgets,
-// logs and audits the read as usual; only the returned value is substituted.
-// With no oracle installed the per-read cost is one predicted null test,
-// exactly like the audit hook above.
-class ReadOracle {
- public:
-  virtual ~ReadOracle() = default;
-  virtual Word read_value(Pid pid, Addr addr) = 0;
-};
-
 // Per-cycle facilities handed to ProcessorState::cycle by the engine.
 class CycleContext {
  public:
   CycleContext(const SharedMemory& mem, CycleTrace& trace, Pid pid, Slot slot,
                std::size_t read_budget, std::size_t write_budget,
-               bool snapshot_allowed, bool log_reads,
-               CycleAuditHook* audit = nullptr,
-               const ProcCache* cache = nullptr, bool persist_allowed = false,
-               ReadOracle* oracle = nullptr);
+               bool snapshot_allowed, CycleAuditHook* audit = nullptr,
+               const ProcCache* cache = nullptr);
 
   // Read one shared cell. Throws ModelViolation past the read budget.
   // Inline: one of the two per-operation hot paths of the whole engine.
-  // The budget is enforced by a context-local counter so that the shared
-  // trace's read log is only written when logging is on.
-  // Under the persistent-cache model the processor's own un-persisted
-  // writes shadow shared memory (write-back semantics); elsewhere the
-  // cache pointer is null and the lookup is one predicted test.
+  // Under the persistent-cache model (`cache` non-null) the processor's own
+  // un-persisted writes shadow shared memory (write-back semantics);
+  // elsewhere the cache pointer is null and the lookup is one predicted
+  // test.
   Word read(Addr a) {
     if (trace_.used_snapshot || reads_used_ >= read_budget_) {
       throw_read_budget();
     }
     ++reads_used_;
-    if (log_reads_) trace_.reads.push_back(a);
     if (audit_ != nullptr) audit_->on_read(pid_, a);
-    if (oracle_ != nullptr) [[unlikely]] return oracle_->read_value(pid_, a);
     if (cache_ != nullptr) [[unlikely]] {
       if (const Word* hit = cache_->find(a)) return *hit;
     }
@@ -168,11 +143,8 @@ class CycleContext {
   std::size_t write_budget_;
   std::size_t reads_used_ = 0;
   bool snapshot_allowed_;
-  bool log_reads_;
   CycleAuditHook* audit_;
   const ProcCache* cache_;
-  bool persist_allowed_;
-  ReadOracle* oracle_;
 };
 
 // The private side of one processor: its registers and control state.
@@ -269,8 +241,8 @@ class Program {
   // the per-processor interpreter. The kernel must be bit-identical to the
   // ProcessorState path: same buffered writes, halting decisions, and
   // checkpoint word streams. Consulted once, at engine construction, and
-  // only when EngineOptions::batch is set and no per-op hook (audit, read
-  // logging) forces the interpreter. Defined in pram/soa.cpp.
+  // only when EngineOptions::batch is set and no per-op audit hook forces
+  // the interpreter. Defined in pram/soa.cpp.
   virtual std::unique_ptr<BatchKernel> batch_kernels() const;
 
   // Obliviousness claim (§3's oblivious algorithms and the optimality

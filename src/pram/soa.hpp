@@ -119,7 +119,7 @@ class LaneEmit {
       : log_(*ctx.log),
         tr_(ctx.traces != nullptr ? &ctx.traces[pid] : nullptr),
         pid_(pid) {
-    if (tr_ != nullptr) tr_->reset_for_cycle(/*log_reads=*/false);
+    if (tr_ != nullptr) tr_->reset_for_cycle();
   }
 
   void write(Addr addr, Word value) {

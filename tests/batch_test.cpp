@@ -1,7 +1,7 @@
 // Batched SoA backend (EngineOptions::batch, pram/soa.hpp): bit-identity
 // with the interpreter across algorithms and adversaries — same tallies,
-// memory, trace stream, and checkpoints — plus the fallback gate (audit /
-// read logging / tight budgets / unported programs keep the interpreter)
+// memory, trace stream, and checkpoints — plus the fallback gate (audit
+// hook / tight budgets / unported programs keep the interpreter)
 // and cross-mode checkpoint resume.
 #include <gtest/gtest.h>
 
@@ -266,12 +266,6 @@ TEST(BatchCheckpoint, ResumesAcrossModes) {
 
 class NullAuditHook final : public EngineAuditHook {
  public:
-  void on_run_begin(const Program&, const EngineOptions&) override {}
-  void on_slot_begin(Slot) override {}
-  void on_cycles_done(const SharedMemory&, Slot, std::span<const CycleTrace>,
-                      std::span<const Pid>) override {}
-  void on_transitions(Slot, const FaultDecision&) override {}
-  void on_run_end() override {}
   void on_read(Pid, Addr) override {}
   void on_write(Pid, Addr, Word) override {}
   void on_snapshot(Pid) override {}
@@ -286,13 +280,6 @@ TEST(BatchFallback, PerOpHooksAndBudgetsForceInterpreter) {
     options.batch = true;
     Engine engine(*program, options);
     EXPECT_TRUE(engine.batch_active());
-  }
-  {
-    EngineOptions options;
-    options.batch = true;
-    options.log_reads = true;  // per-op read visibility
-    Engine engine(*program, options);
-    EXPECT_FALSE(engine.batch_active());
   }
   {
     NullAuditHook hook;

@@ -96,7 +96,16 @@ TEST(EngineEdge, AdversaryViewSeesPendingWritesBeforeCommit) {
 }
 
 TEST(EngineEdge, AdversaryViewSeesReadAddresses) {
-  std::vector<Addr> seen;
+  // Read addresses reach observers through the audit hook, in program
+  // order, before the adversary decides.
+  struct ReadHook final : EngineAuditHook {
+    std::vector<Addr> seen;
+    void on_read(Pid, Addr addr) override { seen.push_back(addr); }
+    void on_write(Pid, Addr, Word) override {}
+    void on_snapshot(Pid) override {}
+  };
+  ReadHook hook;
+  std::size_t seen_at_decide = 0;
   LambdaProgram program(
       1, 8,
       [](Pid, std::uint64_t, CycleContext& ctx) {
@@ -105,14 +114,16 @@ TEST(EngineEdge, AdversaryViewSeesReadAddresses) {
         return false;
       },
       [](const SharedMemory&) { return false; });
-  LambdaAdversary adversary([&](const MachineView& view) {
-    for (const Addr a : view.trace(0).reads) seen.push_back(a);
+  LambdaAdversary adversary([&](const MachineView&) {
+    seen_at_decide = hook.seen.size();
     return FaultDecision{};
   });
   EngineOptions options;
-  options.log_reads = true;  // read addresses are logged only on request
+  options.audit = &hook;
   Engine engine(program, options);
   const RunResult result = engine.run(adversary);
+  const std::vector<Addr>& seen = hook.seen;
+  EXPECT_EQ(seen_at_decide, 2u);
   EXPECT_TRUE(result.deadlock);  // the lone processor halted, goal unmet
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], 6u);

@@ -29,12 +29,11 @@ struct FullOutcome {
   FaultSchedule schedule;
 };
 
-FullOutcome run_full(WriteAllAlgo algo, const WriteAllConfig& config,
-                     Adversary& adversary, EngineOptions options) {
+FullOutcome run_full(const Program& program, Adversary& adversary,
+                     EngineOptions options) {
   CollectingTraceSink sink;
   options.sink = &sink;
-  const auto program = make_writeall(algo, config);
-  Engine engine(*program, options);
+  Engine engine(program, options);
   FullOutcome out;
   RecordingAdversary recorder(adversary, out.schedule);
   out.run = engine.run(recorder);
@@ -71,6 +70,35 @@ void expect_identical(const FullOutcome& a, const FullOutcome& b,
 
 // --- Incremental goal tracking ---------------------------------------------
 
+// Forwards everything to `inner` except goal_cells, which it withholds: the
+// engine then checks Program::goal by a full scan every slot.
+class FullScanGoal final : public Program {
+ public:
+  explicit FullScanGoal(const Program& inner) : inner_(inner) {}
+  std::string_view name() const override { return inner_.name(); }
+  Pid processors() const override { return inner_.processors(); }
+  Addr memory_size() const override { return inner_.memory_size(); }
+  void init_memory(SharedMemory& mem) const override {
+    inner_.init_memory(mem);
+  }
+  std::unique_ptr<ProcessorState> boot(Pid pid) const override {
+    return inner_.boot(pid);
+  }
+  bool goal(const SharedMemory& mem) const override {
+    return inner_.goal(mem);
+  }
+  std::unique_ptr<ProcessorState> load_state(
+      Pid pid, std::span<const Word> data) const override {
+    return inner_.load_state(pid, data);
+  }
+  std::optional<PhaseSchedule> phase_schedule() const override {
+    return inner_.phase_schedule();
+  }
+
+ private:
+  const Program& inner_;
+};
+
 // The counter-based goal must agree with per-slot full goal() scans for the
 // whole observable result, and the final counter must match a recount.
 TEST(IncrementalGoal, MatchesFullScanUnderRandomFaults) {
@@ -81,16 +109,13 @@ TEST(IncrementalGoal, MatchesFullScanUnderRandomFaults) {
     rand_opt.fail_prob = algo == WriteAllAlgo::kTrivial ? 0.0 : 0.05;
     rand_opt.max_pattern = 200;
 
+    const auto program = make_writeall(algo, config);
     RandomAdversary incremental_adv(7, rand_opt);
-    EngineOptions incremental_opt;  // incremental_goal defaults to true
-    const FullOutcome incremental =
-        run_full(algo, config, incremental_adv, incremental_opt);
+    const FullOutcome incremental = run_full(*program, incremental_adv, {});
 
     RandomAdversary fullscan_adv(7, rand_opt);
-    EngineOptions fullscan_opt;
-    fullscan_opt.incremental_goal = false;
     const FullOutcome fullscan =
-        run_full(algo, config, fullscan_adv, fullscan_opt);
+        run_full(FullScanGoal(*program), fullscan_adv, {});
 
     expect_identical(incremental, fullscan,
                      std::string(to_string(algo)).c_str());
@@ -98,14 +123,14 @@ TEST(IncrementalGoal, MatchesFullScanUnderRandomFaults) {
     // finished: no goal cell may be left unsatisfied.
     ASSERT_TRUE(incremental.goal_unsat.has_value());
     EXPECT_EQ(*incremental.goal_unsat, 0u);
-    // The ablation run keeps scanning and reports no counter.
+    // The full-scan reference keeps scanning and reports no counter.
     EXPECT_FALSE(fullscan.goal_unsat.has_value());
   }
 }
 
 TEST(IncrementalGoal, AbsentWithoutProgramOptIn) {
   // LambdaProgram does not override goal_cells, so the engine falls back to
-  // full goal() scans even with the option enabled.
+  // full goal() scans.
   LambdaProgram program(
       2, 8,
       [](Pid pid, std::uint64_t, CycleContext& ctx) {
@@ -176,32 +201,6 @@ TEST(IncrementalGoal, CounterAgreesWithRecountAfterTornWrites) {
   EXPECT_EQ(*final_unsat, 0u);
   EXPECT_EQ(recount(engine.memory()), 0u);
   EXPECT_GT(result.tally.failures, 0u);
-}
-
-// --- Read-log gating -------------------------------------------------------
-
-TEST(ReadLog, OffByDefaultOnByRequest) {
-  std::size_t default_reads = ~std::size_t{0};
-  std::size_t logged_reads = ~std::size_t{0};
-  for (const bool log : {false, true}) {
-    LambdaProgram program(1, 8, [](Pid, std::uint64_t, CycleContext& ctx) {
-      (void)ctx.read(2);
-      (void)ctx.read(5);
-      return false;
-    });
-    std::size_t seen = 0;
-    LambdaAdversary adversary([&](const MachineView& view) {
-      seen = view.trace(0).reads.size();
-      return FaultDecision{};
-    });
-    EngineOptions options;
-    options.log_reads = log;
-    Engine engine(program, options);
-    (void)engine.run(adversary);
-    (log ? logged_reads : default_reads) = seen;
-  }
-  EXPECT_EQ(default_reads, 0u);  // budget still enforced, addresses not kept
-  EXPECT_EQ(logged_reads, 2u);
 }
 
 }  // namespace

@@ -18,8 +18,8 @@ TEST(Network, SinglePacketLatencyIsStageCount) {
   const BatchResult r = net.route({&req, 1});
   EXPECT_EQ(r.ticks, net.stages());
   EXPECT_EQ(r.delivered, 1u);
-  ASSERT_TRUE(r.read_values[0].has_value());
-  EXPECT_EQ(*r.read_values[0], 0);
+  ASSERT_TRUE(r.read_results[0].has_value());
+  EXPECT_EQ(*r.read_results[0], 0);
 }
 
 TEST(Network, WritesLandAndReadsSeeThem) {
@@ -30,7 +30,7 @@ TEST(Network, WritesLandAndReadsSeeThem) {
 
   const MemRequest read{.pid = 1, .addr = 5, .write = false};
   const BatchResult r = net.route({&read, 1});
-  EXPECT_EQ(*r.read_values[0], 42);
+  EXPECT_EQ(*r.read_results[0], 42);
 }
 
 TEST(Network, BatchReadsObserveBatchStartMemory) {
@@ -45,7 +45,7 @@ TEST(Network, BatchReadsObserveBatchStartMemory) {
       {.pid = 1, .addr = 7, .write = false},
   };
   const BatchResult r = net.route(batch);
-  EXPECT_EQ(*r.read_values[1], 1);  // pre-batch value
+  EXPECT_EQ(*r.read_results[1], 1);  // pre-batch value
   EXPECT_EQ(net.memory(7), 9);      // the write landed afterwards
 }
 
@@ -77,7 +77,7 @@ TEST(Network, HotSpotCombinesIntoLogarithmicLatency) {
   }
   const BatchResult r = net.route(batch);
   EXPECT_EQ(r.merges + r.delivered, kPorts);  // everyone was answered
-  for (const auto& v : r.read_values) ASSERT_TRUE(v.has_value());
+  for (const auto& v : r.read_results) ASSERT_TRUE(v.has_value());
   // Combining collapses the hot spot: latency stays near the pipe depth.
   EXPECT_LE(r.ticks, 3u * net.stages());
   EXPECT_GE(r.merges, kPorts / 2);  // massive combining happened
@@ -152,10 +152,10 @@ TEST(Network, RandomBatchesMatchDirectMemorySemantics) {
       const BatchResult r = net.route(batch);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (batch[i].write) {
-          EXPECT_FALSE(r.read_values[i].has_value());
+          EXPECT_FALSE(r.read_results[i].has_value());
         } else {
-          ASSERT_TRUE(r.read_values[i].has_value());
-          EXPECT_EQ(*r.read_values[i], shadow[batch[i].addr])
+          ASSERT_TRUE(r.read_results[i].has_value());
+          EXPECT_EQ(*r.read_results[i], shadow[batch[i].addr])
               << "combining=" << combining << " round=" << round;
         }
       }

@@ -3,6 +3,7 @@
 // accounting, and adversary validation.
 #include <gtest/gtest.h>
 
+#include "analysis/audit.hpp"
 #include "fault/adversaries.hpp"
 #include "obs/trace.hpp"
 #include "pram/engine.hpp"
@@ -185,16 +186,34 @@ TEST(Engine, CrewConcurrentWriteThrows) {
 }
 
 TEST(Engine, ErewConcurrentReadDetected) {
-  LambdaProgram program(2, 4, [](Pid, std::uint64_t, CycleContext& ctx) {
+  // Both processors read cell 3 in slot 0 (and processor 1 twice — a
+  // re-read of one's own cell is not a concurrent read). The auditor flags
+  // the cell once under EREW and says nothing under CREW.
+  LambdaProgram program(2, 4, [](Pid pid, std::uint64_t, CycleContext& ctx) {
     (void)ctx.read(3);
+    if (pid == 1) (void)ctx.read(3);
     return false;
   });
-  NoFailures none;
-  EngineOptions options;
-  options.model = CrcwModel::kErew;
-  options.detect_read_conflicts = true;
-  Engine engine(program, options);
-  EXPECT_THROW(engine.run(none), ModelViolation);
+  for (const CrcwModel model : {CrcwModel::kErew, CrcwModel::kCrew}) {
+    Auditor auditor;
+    NoFailures none;
+    EngineOptions options;
+    options.model = model;
+    options.audit = &auditor;
+    Engine engine(program, options);
+    (void)engine.run(none);
+    const AuditReport& report = auditor.report();
+    if (model == CrcwModel::kCrew) {
+      EXPECT_TRUE(report.ok());
+      continue;
+    }
+    ASSERT_EQ(report.count(AuditCheck::kReadConflict), 1u);
+    EXPECT_EQ(report.total(), 1u);
+    const AuditViolation& v = report.violations.front();
+    EXPECT_EQ(v.context.slot, 0);
+    EXPECT_EQ(v.context.cell, 3);
+    EXPECT_EQ(v.context.pids, (std::vector<Pid>{0, 1}));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/static/symbolic.hpp"
 #include "analysis/static/verify.hpp"
 #include "pram/soa.hpp"
 #include "util/error.hpp"
@@ -372,6 +373,69 @@ TEST(StaticVerify, JsonlReportRoundTrips) {
   EXPECT_NE(text.find("\"check\":\"read-budget\""), std::string::npos);
   EXPECT_NE(text.find("\"valuation\":"), std::string::npos);
   EXPECT_NE(text.find("\"e\":\"static-summary\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// SymbolicContext: answers reads by writing into its scratch image.
+
+TEST(SymbolicContext, RunsSeeTheirOwnValuesAndRestoreTheImage) {
+  // Two candidate values per cell; cell 2 also has a non-zero init value.
+  struct TwoValues final : analysis::DomainSource {
+    std::size_t size(Addr) const override { return 2; }
+    analysis::SymbolicValue at(Addr addr, std::size_t index) const override {
+      return {static_cast<Word>(10 * addr + index + 1),
+              analysis::AbstractTag::kWritten};
+    }
+  };
+  struct InitProgram final : MutantProgram {
+    using MutantProgram::MutantProgram;
+    void init_memory(SharedMemory& mem) const override { mem.write(2, 7); }
+  };
+  const TwoValues domain;
+  const InitProgram program(1, 8, [](CycleContext&, Pid, Word&) {
+    return false;
+  });
+  analysis::SymbolicContext sym(domain, program, /*snapshot_allowed=*/true);
+
+  // Reads cell 2 twice and writes both values out.
+  MutantState reader(
+      [](CycleContext& ctx, Pid, Word&) {
+        const Word first = ctx.read(2);
+        const Word again = ctx.read(2);
+        ctx.write(0, first);
+        ctx.write(1, again);
+        return false;
+      },
+      0, 0);
+  const auto written = [](const analysis::PathOutcome& out) {
+    std::vector<Word> values;
+    for (const WriteOp& op : out.writes) values.push_back(op.value);
+    return values;
+  };
+  const analysis::PathOutcome first = sym.run(reader, 0, 0, {});
+  ASSERT_TRUE(first.completed);
+  EXPECT_EQ(written(first), (std::vector<Word>{21, 21}));
+  ASSERT_EQ(first.decisions.size(), 1u);  // the re-read is no branch point
+  EXPECT_EQ(first.decisions[0].addr, 2u);
+
+  const std::vector<analysis::PathDecision> script{{2, 1, 2}};
+  const analysis::PathOutcome second = sym.run(reader, 0, 0, script);
+  ASSERT_TRUE(second.completed);
+  EXPECT_EQ(written(second), (std::vector<Word>{22, 22}));
+
+  // A snapshot sees the scratch image: still exactly the init image.
+  std::vector<Word> image;
+  MutantState snapshotter(
+      [&image](CycleContext& ctx, Pid, Word&) {
+        const std::span<const Word> words = ctx.snapshot();
+        image.assign(words.begin(), words.end());
+        return false;
+      },
+      0, 0);
+  ASSERT_TRUE(sym.run(snapshotter, 0, 0, {}).completed);
+  SharedMemory init(program.memory_size());
+  program.init_memory(init);
+  EXPECT_EQ(image, std::vector<Word>(init.words().begin(), init.words().end()));
 }
 
 }  // namespace
