@@ -57,7 +57,7 @@ inline void report(benchmark::State& state, const WorkTally& tally,
   state.counters["halted"] = static_cast<double>(tally.halted);
 }
 
-// Attach per-phase completed-work counters (from RunResult::phases) as
+// Attach per-phase completed-work counters (StreamAggregator::phases) as
 // S_<phase-name>. Call from an extra un-timed run so the attribution
 // machinery never sits inside the timed loop.
 inline void report_phases(benchmark::State& state,

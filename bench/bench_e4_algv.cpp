@@ -10,6 +10,7 @@
 #include "bench_common.hpp"
 #include "fault/adversaries.hpp"
 #include "fault/iteration_killer.hpp"
+#include "obs/stream.hpp"
 #include "util/bits.hpp"
 #include "util/table.hpp"
 #include "writeall/algv.hpp"
@@ -112,17 +113,18 @@ void BM_VBurst(benchmark::State& state) {
       out.run.tally.completed_work /
       v_bound(n, p, out.run.tally.pattern_size());
 
-  // One extra un-timed run with the observability layer on: per-phase
-  // completed work and the engine metrics ride along as counters without
-  // touching the timed loop above.
+  // One extra un-timed run with an aggregating sink: per-phase completed
+  // work and the engine metrics ride along as counters without touching
+  // the timed loop above.
   BurstAdversary adversary({.period = period, .count = p / 4});
-  MetricsRegistry metrics;
+  StreamAggregator stream;
   EngineOptions options;
-  options.metrics = &metrics;
-  options.attribute_phases = true;
+  options.sink = &stream;
   const auto observed = run_writeall(
       WriteAllAlgo::kV, {.n = n, .p = p, .seed = 1}, adversary, options);
-  bench::report_phases(state, observed.run.phases);
+  MetricsRegistry metrics;
+  stream.write_engine_metrics(observed.run.tally, p, metrics);
+  bench::report_phases(state, stream.phases());
   bench::attach_metrics(state, metrics);
 }
 

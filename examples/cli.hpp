@@ -21,7 +21,10 @@
 // replay, checkpoint/resume, the trace/metrics/audit outputs and the memory
 // model. It loads the replay schedule and the resume checkpoint, restores
 // the memory model from their meta (a contradicting flag exits 2), and
-// wires the outputs and the checkpoint saver into EngineOptions.
+// wires the outputs and the checkpoint saver into EngineOptions. The
+// engine's event stream is the run's only observation channel: the trace
+// writer and a StreamAggregator (metrics, per-phase work) both hang off
+// EngineOptions::sink.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +43,7 @@
 #include "analysis/report.hpp"
 #include "obs/binary_trace.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stream.hpp"
 #include "pram/engine.hpp"
 #include "pram/faults.hpp"
 #include "replay/checkpoint.hpp"
@@ -306,9 +310,12 @@ class RunFlags {
   }
 
   // Sets the memory model and opens the outputs before the run: an
-  // unwritable --trace-out or --metrics-out exits 2. With --checkpoint-
-  // every, each checkpoint is saved to --checkpoint after `before_save`
-  // (the engine has already stamped its model into the meta).
+  // unwritable --trace-out or --metrics-out exits 2. A StreamAggregator
+  // joins the sink (next to the trace writer, through a TeeTraceSink) when
+  // --metrics-out is given or `report_phases` is set. With
+  // --checkpoint-every, each checkpoint is saved to --checkpoint after
+  // `before_save` (the engine has already stamped its model into the
+  // meta).
   void configure(EngineOptions& options,
                  std::function<void(const EngineCheckpoint&)> before_save = {}) {
     options.memory_model = memory_model;
@@ -325,7 +332,15 @@ class RunFlags {
     if (!metrics_out.empty()) {
       metrics_os_.open(metrics_out);
       if (!metrics_os_) args_.usage("cannot write " + metrics_out);
-      options.metrics = &metrics_;
+    }
+    if (!metrics_out.empty() || report_phases) {
+      stream_ = std::make_unique<StreamAggregator>();
+      if (sink_ != nullptr) {
+        tee_ = std::make_unique<TeeTraceSink>(*sink_, *stream_);
+        options.sink = tee_.get();
+      } else {
+        options.sink = stream_.get();
+      }
     }
     if (checkpoint_every > 0) {
       options.checkpoint_every = checkpoint_every;
@@ -337,13 +352,19 @@ class RunFlags {
     }
   }
 
-  // After the run: names the trace file and writes the metrics.
-  void write_outputs() {
+  // The run's aggregated event stream; null unless configure installed it.
+  const StreamAggregator* stream() const { return stream_.get(); }
+
+  // After the run: names the trace file and writes the engine metrics of
+  // the run whose cumulative tally is `tally`, on `processors` PIDs.
+  void write_outputs(const WorkTally& tally, Pid processors) {
     if (!trace_out.empty()) {
       std::cout << "events saved to  " << trace_out << '\n';
     }
     if (!metrics_out.empty()) {
-      metrics_.write_json(metrics_os_);
+      MetricsRegistry metrics;
+      stream_->write_engine_metrics(tally, processors, metrics);
+      metrics.write_json(metrics_os_);
       metrics_os_ << '\n';
       std::cout << "metrics saved to " << metrics_out << '\n';
     }
@@ -368,6 +389,8 @@ class RunFlags {
   std::string trace_out;
   std::string trace_format;
   std::string metrics_out;
+  // Set before configure when the CLI reports per-phase work (stream()).
+  bool report_phases = false;
   bool audit = false;
   std::string audit_out;
   bool static_check = false;
@@ -388,7 +411,8 @@ class RunFlags {
   const Args& args_;
   std::ofstream event_os_;
   std::unique_ptr<TraceSink> sink_;
-  MetricsRegistry metrics_;
+  std::unique_ptr<StreamAggregator> stream_;
+  std::unique_ptr<TeeTraceSink> tee_;
   std::ofstream metrics_os_;
 };
 

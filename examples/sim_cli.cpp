@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
       std::cout << "schedule saved to " << run.record << " ("
                 << recorded.entries.size() << " slots)\n";
     }
-    run.write_outputs();
+    run.write_outputs(t, SimLayout(program, p).p);
     if (run.audit && !run.write_audit(audit_report)) return 6;
     return correct ? 0 : 1;
   } catch (const ModelViolation& mv) {

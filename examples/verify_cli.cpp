@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   const Addr n = args.take_u64("n", "8");
   const Pid p = static_cast<Pid>(args.take_u64("p", "4", UINT32_MAX));
   const std::uint64_t seed = args.take_u64("seed", "1");
-  const Addr sim_n = args.take_u64("sim-n", "4");
+  const Addr sim_n = args.take_u64("sim-n", "4", UINT32_MAX);
   const Pid sim_p = static_cast<Pid>(args.take_u64("sim-p", "3", UINT32_MAX));
   const std::string inner_name = args.take("inner", "VX");
   const Slot slots = args.take_u64("slots", "48");

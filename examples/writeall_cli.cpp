@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   // reproducer.
   cli::RunFlags run(args, cli::RunKind::kWriteAll);
   const std::string algo_name = args.take("algo", run.meta_or("algo", "VX"));
-  const Addr n = args.take_u64("n", run.meta_or("n", "1024"));
+  const Addr n = args.take_u64("n", run.meta_or("n", "1024"), UINT32_MAX);
   const Pid p = static_cast<Pid>(
       args.take_u64("p", run.meta_or("p", std::to_string(n)), UINT32_MAX));
   const std::uint64_t seed = run.seed;
@@ -249,6 +249,8 @@ int main(int argc, char** argv) {
     // checkpoint and a resumed run re-executes the gap — exactly the
     // torn-down state scripts/kill_resume.sh exercises.
     std::optional<Slot> saved_slot;
+    // --trace-out implies the per-phase table.
+    run.report_phases = show_phases || !run.trace_out.empty();
     run.configure(options, [&](const EngineCheckpoint& cp) {
       if (crash_at > 0 && cp.slot >= crash_at) {
         std::cout << "simulated crash at slot " << cp.slot
@@ -259,7 +261,6 @@ int main(int argc, char** argv) {
       }
       saved_slot = cp.slot;
     });
-    options.attribute_phases = show_phases;
 
     // Violation path: diagnose, dump the recorded reproducer, optionally
     // shrink it, exit with the class-specific code.
@@ -338,10 +339,14 @@ int main(int argc, char** argv) {
 
     dump_recording(out.solved ? ProbeStatus::kSolved : ProbeStatus::kUnsolved,
                    "");
-    run.write_outputs();
-    if (!out.run.phases.empty()) {
+    run.write_outputs(t, p);
+    const std::optional<PhaseSchedule> schedule =
+        run.report_phases ? make_writeall(algo, config)->phase_schedule()
+                          : std::nullopt;
+    if (schedule) {
       Table table({"phase", "S", "S'", "failures", "restarts", "slots"});
-      for (const PhaseWork& phase : out.run.phases) {
+      for (const PhaseWork& phase :
+           run.stream()->phase_table(schedule->names)) {
         table.add_row({phase.name, fmt_int(phase.completed_work),
                        fmt_int(phase.attempted_work), fmt_int(phase.failures),
                        fmt_int(phase.restarts), fmt_int(phase.slots)});

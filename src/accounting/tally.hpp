@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <span>
 #include <string>
 
 namespace rfsp {
@@ -32,15 +30,14 @@ struct WorkTally {
   // σ = S / (input_size + |F|). Well-defined for input_size >= 1.
   double overhead_ratio(std::uint64_t input_size) const;
 
-  void merge(const WorkTally& other);
-
   // Bit-exact equality — the determinism oracle of the record/replay and
   // checkpoint/restore tests (src/replay, docs/resilience.md).
   friend bool operator==(const WorkTally&, const WorkTally&) = default;
 };
 
 // One phase's slice of a run's accounting, attributed slot-by-slot through
-// the program's PhaseSchedule (obs/phase.hpp). Over a run,
+// the program's PhaseSchedule (obs/phase.hpp) by StreamAggregator
+// (obs/stream.hpp). Over a run,
 // Σ completed_work == WorkTally::completed_work (and likewise for S', |F|,
 // and slots) — every slot belongs to exactly one phase.
 struct PhaseWork {
@@ -53,8 +50,5 @@ struct PhaseWork {
 
   std::uint64_t pattern_size() const { return failures + restarts; }
 };
-
-// CSV export (header + one row per phase) of a per-phase breakdown.
-void write_phase_csv(std::ostream& out, std::span<const PhaseWork> phases);
 
 }  // namespace rfsp

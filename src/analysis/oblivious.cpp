@@ -14,7 +14,6 @@ namespace {
 EngineOptions replay_options(EngineOptions options, Auditor& auditor) {
   options.audit = &auditor;
   options.sink = nullptr;
-  options.metrics = nullptr;
   options.checkpoint_every = 0;
   options.on_checkpoint = nullptr;
   return options;

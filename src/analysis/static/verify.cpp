@@ -892,7 +892,7 @@ class Explorer {
     const Pid pids[1] = {pid};
     try {
       kernel_->load_lane(soa_, pid, states_[state_id]);
-      kernel_->run(soa_.ctrl(pid), std::span<const Pid>(pids, 1), bctx, soa_);
+      kernel_->run(0, std::span<const Pid>(pids, 1), bctx, soa_);
     } catch (const std::exception& e) {
       return "lane kernel threw where the interpreter completed: " +
              std::string(e.what());

@@ -2,18 +2,18 @@
 // histograms, snapshot-exportable as JSON.
 //
 // Design constraints, in order:
-//  * recording must be cheap enough for per-slot use inside the engine's
-//    slot loop (Counter::add and Histogram::observe are a handful of
+//  * recording must be cheap enough for per-event use inside a trace sink
+//    (Counter::add and Histogram::observe are a handful of
 //    arithmetic ops, no allocation, no locking);
 //  * handles returned by the registry are stable for the registry's
 //    lifetime (node-based map), so callers look a metric up once and keep
-//    the pointer — the engine does exactly that at construction;
+//    the pointer;
 //  * the registry is single-threaded by design, like the engine's slot
-//    loop; concurrent writers need one registry each plus a merge, the same
-//    discipline WorkTally::merge establishes.
+//    loop; concurrent writers need one registry each.
 //
-// Metric names are dotted paths ("engine.live_per_slot"); the engine's
-// names are documented in docs/observability.md.
+// Metric names are dotted paths ("engine.live_per_slot"). The engine.*
+// names (docs/observability.md) are derived from the run's event stream
+// by StreamAggregator::write_engine_metrics (obs/stream.hpp).
 #pragma once
 
 #include <array>

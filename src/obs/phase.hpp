@@ -1,6 +1,7 @@
 // Phase schedules: a program's declaration of which logical phase the
-// machine occupies at each slot, used by the engine for per-phase work
-// attribution (RunResult::phases) and phase-transition trace events.
+// machine occupies at each slot. The engine turns it into phase-transition
+// trace events; StreamAggregator (obs/stream.hpp) attributes work per
+// phase from those.
 //
 // The paper's algorithms have fixed-length phases known at layout time
 // (algorithm V's T_iter = phase_alloc + phase_work + phase_update slots,
@@ -24,8 +25,8 @@ struct PhaseSchedule {
   std::vector<std::string> names;  // phase id -> label, ids are dense from 0
 
   // Pure function of the slot index; must return an id < names.size() for
-  // every slot the run can reach. Called once per slot, only while phase
-  // attribution is enabled (EngineOptions::sink / attribute_phases).
+  // every slot the run can reach. Called once per slot, only while a sink
+  // is installed (EngineOptions::sink).
   std::function<std::uint32_t(Slot)> phase_of;
 };
 

@@ -51,6 +51,7 @@ void StreamAggregator::on_event(const TraceEvent& e) {
       tally_.restarts += e.restarts;
       tally_.slots += 1;
       tally_.peak_live = std::max<std::uint64_t>(tally_.peak_live, e.started);
+      live_per_slot_.observe(e.started);
       if (current_phase_ != kNoPhase) {
         PhaseWork& work = phases_[current_phase_];
         work.completed_work += e.completed;
@@ -85,11 +86,22 @@ void StreamAggregator::on_event(const TraceEvent& e) {
       break;
     case TraceEventKind::kRestart:
       ++event_restarts_;
+      ++restarts_per_pid_[e.pid];
       break;
     case TraceEventKind::kHalt:
       tally_.halted += 1;
       break;
     case TraceEventKind::kPhase:
+      if (e.phase >= kMaxPhases) {
+        if (phase_error_.empty()) {
+          phase_error_ = "phase id " + std::to_string(e.phase) +
+                         " at slot " + std::to_string(e.slot) +
+                         " is beyond the " + std::to_string(kMaxPhases) +
+                         "-phase limit";
+        }
+        current_phase_ = kNoPhase;
+        break;
+      }
       if (e.phase >= phases_.size()) phases_.resize(e.phase + 1);
       if (phases_[e.phase].name.empty()) {
         phases_[e.phase].name = std::string(e.phase_name);
@@ -105,6 +117,16 @@ void StreamAggregator::on_event(const TraceEvent& e) {
       ++run_end_events_;
       break;
   }
+}
+
+std::vector<PhaseWork> StreamAggregator::phase_table(
+    const std::vector<std::string>& names) const {
+  std::vector<PhaseWork> table(names.size());
+  for (std::size_t id = 0; id < names.size(); ++id) {
+    if (id < phases_.size()) table[id] = phases_[id];
+    table[id].name = names[id];
+  }
+  return table;
 }
 
 double StreamAggregator::window_throughput() const {
@@ -134,6 +156,7 @@ double StreamAggregator::window_live_mean() const {
 std::vector<std::string> StreamAggregator::check() const {
   std::vector<std::string> violations;
   if (!order_error_.empty()) violations.push_back(order_error_);
+  if (!phase_error_.empty()) violations.push_back(phase_error_);
   if (event_failures_ != tally_.failures) {
     violations.push_back(
         "failure events (" + std::to_string(event_failures_) +
@@ -185,6 +208,29 @@ std::vector<std::string> StreamAggregator::check() const {
     }
   }
   return violations;
+}
+
+void StreamAggregator::write_engine_metrics(const WorkTally& run_tally,
+                                            Pid processors,
+                                            MetricsRegistry& metrics) const {
+  metrics.counter("engine.completed_work").add(run_tally.completed_work);
+  metrics.counter("engine.attempted_work").add(run_tally.attempted_work);
+  metrics.counter("engine.failures").add(run_tally.failures);
+  metrics.counter("engine.restarts").add(run_tally.restarts);
+  metrics.counter("engine.halted").add(run_tally.halted);
+  metrics.counter("engine.slots_to_goal").add(run_tally.slots);
+  metrics.gauge("engine.peak_live")
+      .set(static_cast<double>(run_tally.peak_live));
+  metrics.gauge("engine.goal_met").set(goal_met_ ? 1.0 : 0.0);
+  metrics.histogram("engine.live_per_slot") = live_per_slot_;
+  Histogram& per_pid = metrics.histogram("engine.restarts_per_processor");
+  std::uint64_t restarted = 0;
+  for (const auto& [pid, count] : restarts_per_pid_) {
+    if (pid >= processors) continue;
+    per_pid.observe(count);
+    ++restarted;
+  }
+  for (; restarted < processors; ++restarted) per_pid.observe(0);
 }
 
 }  // namespace rfsp

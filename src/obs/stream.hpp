@@ -6,22 +6,26 @@
 // invariants documented in obs/trace.hpp: Σ kSlot.completed == S,
 // Σ kSlot.started == S', Σ kSlot.failures + Σ kSlot.restarts == |F|,
 // #kHalt == halted, #kSlot == slots, max kSlot.started == peak_live.
-// CollectingTraceSink::reconstruct_tally is a one-liner over it, and the
-// per-phase attribution mirrors the engine's slot-granular charging (a
-// kPhase event announces the phase every following kSlot belongs to), so
-// an aggregated stream reproduces RunResult::phases exactly.
+// CollectingTraceSink::reconstruct_tally is a one-liner over it. It is
+// also the only code that attributes work to phases (a kPhase event
+// announces the phase every following kSlot belongs to; the engine keeps
+// no per-phase counts) and the only source of the engine.* metrics
+// (write_engine_metrics below).
 //
-// State is O(phases + window): a trailing window of per-slot counts backs
-// the windowed failure/restart/throughput rates a live viewer or service
-// wants, and everything else is a handful of counters — feeding one event
-// is a few additions, no allocation outside phase discovery.
+// State is O(phases + window + restarted PIDs): a trailing window of
+// per-slot counts backs the windowed failure/restart/throughput rates a
+// live viewer or service wants, and everything else is a handful of
+// counters — feeding one event is a few additions, no allocation outside
+// phase and restarted-PID discovery.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "accounting/tally.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace rfsp {
@@ -29,6 +33,9 @@ namespace rfsp {
 class StreamAggregator final : public TraceSink {
  public:
   static constexpr std::size_t kDefaultWindowSlots = 64;
+  // Phase ids at or above this are a stream violation (check()), not a
+  // table row: a hostile stream's phase id cannot size anything.
+  static constexpr std::uint32_t kMaxPhases = 1u << 16;
 
   explicit StreamAggregator(std::size_t window_slots = kDefaultWindowSlots);
 
@@ -42,9 +49,16 @@ class StreamAggregator final : public TraceSink {
   const WorkTally& tally() const { return tally_; }
 
   // Per-phase S/S'/|F| attribution, indexed by phase id, built from the
-  // kPhase transitions. Programs without a PhaseSchedule produce no kPhase
-  // events and leave this empty.
+  // kPhase transitions: only phases the stream entered carry their name,
+  // and a phase id above every entered one is absent (phase_table fills
+  // in the program's full name list). Programs without a PhaseSchedule
+  // produce no kPhase events and leave this empty.
   const std::vector<PhaseWork>& phases() const { return phases_; }
+
+  // phases() over a program's whole PhaseSchedule::names: one row per
+  // name, in id order, zero for a phase the stream never entered.
+  std::vector<PhaseWork> phase_table(
+      const std::vector<std::string>& names) const;
 
   std::uint64_t events() const { return events_; }
   std::uint64_t commit_writes() const { return commit_writes_; }
@@ -77,9 +91,23 @@ class StreamAggregator final : public TraceSink {
   //   * one kCommit per kSlot;
   //   * a kRunEnd present, exactly once, as the final event, with its slot
   //     equal to the slot count;
-  //   * per-phase sums equal to the run totals when phases are present.
+  //   * per-phase sums equal to the run totals when phases are present;
+  //   * no phase id at or above kMaxPhases (such a phase is not tracked).
   // `trace_cli check` exits non-zero on any of these.
   std::vector<std::string> check() const;
+
+  // --- Engine metrics -------------------------------------------------------
+
+  // Records the engine.* metrics of docs/observability.md into `metrics`,
+  // which holds one run's engine metrics (counters add, the histograms
+  // are replaced). The counters and engine.peak_live come from
+  // `run_tally`, the run's cumulative WorkTally (RunResult::tally), so a
+  // resumed run reports the whole run although its stream starts at the
+  // resume slot. engine.goal_met comes from the stream's kRunEnd; the two
+  // histograms from the stream, engine.restarts_per_processor with one
+  // observation per PID below `processors`.
+  void write_engine_metrics(const WorkTally& run_tally, Pid processors,
+                            MetricsRegistry& metrics) const;
 
  private:
   struct WindowSlot {
@@ -110,6 +138,12 @@ class StreamAggregator final : public TraceSink {
   std::uint64_t run_end_events_ = 0;
   bool events_after_run_end_ = false;
   std::string order_error_;  // first ordering violation, recorded online
+  std::string phase_error_;  // first phase id >= kMaxPhases
+
+  Histogram live_per_slot_;  // one observation per kSlot: its `started`
+  // #kRestart per PID, only for PIDs that restarted: a hostile stream's
+  // PID cannot size anything.
+  std::unordered_map<Pid, std::uint64_t> restarts_per_pid_;
 
   std::vector<WindowSlot> window_;  // ring buffer, one entry per kSlot
   std::size_t window_pos_ = 0;

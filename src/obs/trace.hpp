@@ -105,6 +105,27 @@ class CsvTraceSink final : public TraceSink {
   bool header_written_ = false;
 };
 
+// Two-way fan-out: every event, and the run-end flush, goes to `first`
+// and then to `second` — one run feeds a trace writer and an in-process
+// StreamAggregator at once. Both sinks must outlive this one.
+class TeeTraceSink final : public TraceSink {
+ public:
+  TeeTraceSink(TraceSink& first, TraceSink& second)
+      : first_(first), second_(second) {}
+  void on_event(const TraceEvent& event) override {
+    first_.on_event(event);
+    second_.on_event(event);
+  }
+  void flush() override {
+    first_.flush();
+    second_.flush();
+  }
+
+ private:
+  TraceSink& first_;
+  TraceSink& second_;
+};
+
 // In-memory sink for tests and programmatic consumers. Copies phase names
 // into stable storage so the collected events outlive the run.
 class CollectingTraceSink final : public TraceSink {

@@ -4,7 +4,6 @@
 #include <functional>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "writeall/algx.hpp"
@@ -136,16 +135,6 @@ ThreadedResult run_threaded_writeall(const ThreadedOptions& options) {
   }
   result.wall_seconds =
       std::chrono::duration<double>(stop - start).count();
-  if (options.metrics != nullptr) {
-    MetricsRegistry& reg = *options.metrics;
-    reg.counter("threaded.loop_iterations").add(result.loop_iterations);
-    reg.counter("threaded.injected_failures").add(result.injected_failures);
-    reg.gauge("threaded.wall_seconds").set(result.wall_seconds);
-    Histogram& per_worker = reg.histogram("threaded.iterations_per_worker");
-    for (const std::uint64_t it : result.worker_iterations) {
-      per_worker.observe(it);
-    }
-  }
   return result;
 }
 

@@ -30,8 +30,6 @@
 
 namespace rfsp {
 
-class MetricsRegistry;
-
 // Shared memory of atomic words; all accesses are seq_cst (the combining
 // network of §2.3 serializes concurrent access; seq_cst is its moral
 // equivalent and keeps the reasoning simple).
@@ -56,12 +54,6 @@ struct ThreadedOptions {
   // Failure injection: mean injections per worker over the whole run
   // (Poisson-ish via per-iteration coin flips); 0 disables.
   double failures_per_worker = 0.0;
-
-  // Optional run-level metrics export (obs/metrics.hpp): counters
-  // threaded.loop_iterations / threaded.injected_failures, gauge
-  // threaded.wall_seconds, histogram threaded.iterations_per_worker.
-  // Recorded after the workers join — nothing on the worker hot loop.
-  MetricsRegistry* metrics = nullptr;
 };
 
 struct ThreadedResult {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 
@@ -68,8 +67,22 @@ void CycleContext::persist() {
 // ---------------------------------------------------------------------------
 // Engine
 
+namespace {
+// The lane logs store 32-bit cell addresses (pram/soa.hpp PendingWrite).
+// Checked before the engine allocates anything sized by the memory.
+const Program& check_memory_size(const Program& program) {
+  if (program.memory_size() > UINT32_MAX) {
+    throw ConfigError("program '" + std::string(program.name()) +
+                      "' needs " + std::to_string(program.memory_size()) +
+                      " shared-memory cells; the engine takes at most "
+                      "2^32 - 1");
+  }
+  return program;
+}
+}  // namespace
+
 Engine::Engine(const Program& program, EngineOptions options)
-    : program_(program), options_(options),
+    : program_(check_memory_size(program)), options_(options),
       fault_map_(options_.memory_model == MemoryModel::kFaultyCells
                      ? std::make_unique<CellFaultMap>(CellFaultMap::build(
                            options_.faulty_cells, program.memory_size()))
@@ -95,10 +108,6 @@ Engine::Engine(const Program& program, EngineOptions options)
     }
     caches_.resize(p);
   }
-  // The lane logs store 32-bit cell addresses (pram/soa.hpp PendingWrite).
-  RFSP_CHECK_MSG(mem_.size() <= UINT32_MAX,
-                 "shared memory beyond 2^32 cells (lane logs use 32-bit "
-                 "addresses)");
   states_.resize(p);
   status_.assign(p, ProcStatus::kLive);
   traces_.resize(p);
@@ -132,11 +141,9 @@ Engine::Engine(const Program& program, EngineOptions options)
   // Budgets below the paper defaults could make the interpreter throw
   // where a kernel (which does not meter its reads) would not, so they
   // force the interpreter too. ARBITRARY/PRIORITY resolve concurrent
-  // writes by commit order (first writer wins), and the batched lane logs
-  // order writes by control group before PID — exact under COMMON/WEAK
-  // (conflict rules are order-symmetric) but not under an order-sensitive
-  // discipline, so those fall back as well. Unported programs return
-  // nullptr.
+  // writes by commit order (first writer wins), and batch runs are checked
+  // bit-identical only under the order-symmetric COMMON/WEAK rules, so
+  // those fall back as well. Unported programs return nullptr.
   // Non-reliable memory models force the interpreter as well: kernels read
   // the flat memory span directly, which cannot show remapped cells or the
   // per-processor write-back caches.
@@ -148,33 +155,30 @@ Engine::Engine(const Program& program, EngineOptions options)
     kernel_ = program_.batch_kernels();
   }
   if (kernel_ != nullptr) {
+    // One control state: the live set is the lane group, so the kernel
+    // emits the lane log in ascending-PID order (pram/soa.hpp).
+    if (kernel_->control_states() != 1) {
+      throw ConfigError("program '" + std::string(program_.name()) +
+                        "' declares " +
+                        std::to_string(kernel_->control_states()) +
+                        " control states; the batched backend runs one");
+    }
     soa_ = SoaStore(p, kernel_->registers());
     for (Pid pid = 0; pid < p; ++pid) kernel_->boot_lane(soa_, pid);
-    batch_buckets_.resize(kernel_->control_states());
   } else {
     for (Pid pid = 0; pid < p; ++pid) states_[pid] = program_.boot(pid);
   }
 
   // Observability: resolve everything once here so the slot loop's only
-  // instrumentation cost with no sink/registry is a null/empty test.
+  // instrumentation cost with no sink is a null test.
   sink_ = options_.sink;
-  metrics_ = options_.metrics;
-  if (sink_ != nullptr || options_.attribute_phases) {
+  if (sink_ != nullptr) {
     if (std::optional<PhaseSchedule> schedule = program_.phase_schedule()) {
       RFSP_CHECK_MSG(schedule->phase_of != nullptr && !schedule->names.empty(),
                      "PhaseSchedule needs names and a phase_of function");
       phase_of_ = std::move(schedule->phase_of);
-      phase_work_.reserve(schedule->names.size());
-      for (std::string& name : schedule->names) {
-        PhaseWork work;
-        work.name = std::move(name);
-        phase_work_.push_back(std::move(work));
-      }
+      phase_names_ = std::move(schedule->names);
     }
-  }
-  if (metrics_ != nullptr) {
-    live_hist_ = &metrics_->histogram("engine.live_per_slot");
-    restart_counts_.assign(p, 0);
   }
 }
 
@@ -223,51 +227,16 @@ void Engine::cycle_one(Pid pid) {
   }
 }
 
-void Engine::batch_chunk(std::span<const Pid> pids) {
-  const BatchContext ctx{mem_.words(), slot_,
-                         batch_traces_ ? traces_.data() : nullptr, &lane_};
-  auto& buckets = batch_buckets_;
-  if (pids.empty()) return;
-  if (buckets.size() == 1) {
-    // Single control state: the live set IS the lane group, so the kernel
-    // emits the lane log in exact ascending-PID order.
-    kernel_->run(0, pids, ctx, soa_);
-    return;
-  }
-  // Phase-synchronous programs keep every lane in one control state on
-  // almost every fault-free slot; one streaming scan of the control tags
-  // detects that and skips the bucket copy (and, since a single group
-  // walks ascending PIDs, the halt re-sort below).
-  const std::uint32_t c0 = soa_.ctrl(pids.front());
-  bool uniform = true;
-  for (const Pid pid : pids) {
-    if (soa_.ctrl(pid) != c0) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    kernel_->run(c0, pids, ctx, soa_);
-    return;
-  }
-  for (auto& bucket : buckets) bucket.clear();
-  for (const Pid pid : pids) buckets[soa_.ctrl(pid)].push_back(pid);
-  for (std::uint32_t c = 0; c < buckets.size(); ++c) {
-    if (!buckets[c].empty()) kernel_->run(c, buckets[c], ctx, soa_);
-  }
-  // Several groups emitted in ctrl-before-PID order. Write order across
-  // lanes is unobservable under the disciplines the backend accepts
-  // (COMMON/WEAK conflict rules are order-symmetric; the constructor
-  // refuses ARBITRARY/PRIORITY), but halt events reach the trace sink in
-  // log order, so restore ascending PIDs for those.
-  std::sort(lane_.halts.begin(), lane_.halts.end());
-}
-
 std::size_t Engine::run_cycles() {
   lane_.writes.clear();
   lane_.halts.clear();
   if (kernel_ != nullptr) {
-    batch_chunk(live_pids_);
+    // The kernel fills lane_ directly (LaneEmit), mirroring into traces_
+    // only when batch_traces_ — identical to what cycle_one calls over the
+    // same PIDs would have produced.
+    const BatchContext ctx{mem_.words(), slot_,
+                           batch_traces_ ? traces_.data() : nullptr, &lane_};
+    kernel_->run(0, live_pids_, ctx, soa_);
   } else {
     for (Pid pid : live_pids_) cycle_one(pid);
   }
@@ -276,58 +245,46 @@ std::size_t Engine::run_cycles() {
 
 void Engine::observe_slot(const FaultDecision& d, std::size_t started,
                           std::size_t completed, std::size_t failure_events) {
-  if (!phase_work_.empty()) {
+  if (!phase_names_.empty()) {
     const std::uint32_t ph = phase_of_(slot_);
-    RFSP_CHECK_MSG(ph < phase_work_.size(),
+    RFSP_CHECK_MSG(ph < phase_names_.size(),
                    "PhaseSchedule::phase_of returned an out-of-range id");
-    if (sink_ != nullptr && ph != last_phase_) {
+    if (ph != last_phase_) {
       TraceEvent event;
       event.kind = TraceEventKind::kPhase;
       event.slot = slot_;
       event.phase = ph;
-      event.phase_name = phase_work_[ph].name;
+      event.phase_name = phase_names_[ph];
       sink_->on_event(event);
+      last_phase_ = ph;
     }
-    last_phase_ = ph;
-    PhaseWork& work = phase_work_[ph];
-    work.completed_work += completed;
-    work.attempted_work += started;
-    work.failures += failure_events;
-    work.restarts += d.restart.size();
-    work.slots += 1;
   }
-  if (sink_ != nullptr) {
-    TraceEvent event;
-    event.kind = TraceEventKind::kSlot;
-    event.slot = slot_;
-    event.started = static_cast<std::uint32_t>(started);
-    event.completed = static_cast<std::uint32_t>(completed);
-    event.failures = static_cast<std::uint32_t>(failure_events);
-    event.restarts = static_cast<std::uint32_t>(d.restart.size());
-    sink_->on_event(event);
+  TraceEvent event;
+  event.kind = TraceEventKind::kSlot;
+  event.slot = slot_;
+  event.started = static_cast<std::uint32_t>(started);
+  event.completed = static_cast<std::uint32_t>(completed);
+  event.failures = static_cast<std::uint32_t>(failure_events);
+  event.restarts = static_cast<std::uint32_t>(d.restart.size());
+  sink_->on_event(event);
 
-    TraceEvent commit;
-    commit.kind = TraceEventKind::kCommit;
-    commit.slot = slot_;
-    commit.writes = static_cast<std::uint32_t>(lane_.writes.size());
-    sink_->on_event(commit);
+  TraceEvent commit;
+  commit.kind = TraceEventKind::kCommit;
+  commit.slot = slot_;
+  commit.writes = static_cast<std::uint32_t>(lane_.writes.size());
+  sink_->on_event(commit);
 
-    TraceEvent pe;
-    pe.slot = slot_;
-    pe.kind = TraceEventKind::kFailure;
-    for (Pid pid : d.fail_mid_cycle) { pe.pid = pid; sink_->on_event(pe); }
-    for (Pid pid : d.fail_after_cycle) { pe.pid = pid; sink_->on_event(pe); }
-    for (const TornWrite& tear : d.torn) {
-      pe.pid = tear.pid;
-      sink_->on_event(pe);
-    }
-    pe.kind = TraceEventKind::kRestart;
-    for (Pid pid : d.restart) { pe.pid = pid; sink_->on_event(pe); }
+  TraceEvent pe;
+  pe.slot = slot_;
+  pe.kind = TraceEventKind::kFailure;
+  for (Pid pid : d.fail_mid_cycle) { pe.pid = pid; sink_->on_event(pe); }
+  for (Pid pid : d.fail_after_cycle) { pe.pid = pid; sink_->on_event(pe); }
+  for (const TornWrite& tear : d.torn) {
+    pe.pid = tear.pid;
+    sink_->on_event(pe);
   }
-  if (metrics_ != nullptr) {
-    live_hist_->observe(started);
-    for (Pid pid : d.restart) ++restart_counts_[pid];
-  }
+  pe.kind = TraceEventKind::kRestart;
+  for (Pid pid : d.restart) { pe.pid = pid; sink_->on_event(pe); }
 }
 
 void Engine::validate_decision(const FaultDecision& d) {
@@ -872,7 +829,7 @@ RunResult Engine::run(Adversary& adversary) {
                                        decision.torn.size();
     tally_.failures += failure_events;
     tally_.restarts += decision.restart.size();
-    if (sink_ != nullptr || metrics_ != nullptr || !phase_work_.empty()) {
+    if (sink_ != nullptr) {
       observe_slot(decision, started, completed, failure_events);
     }
     apply_transitions(decision);
@@ -893,21 +850,6 @@ RunResult Engine::run(Adversary& adversary) {
     sink_->on_event(event);
     sink_->flush();
   }
-  if (metrics_ != nullptr) {
-    metrics_->counter("engine.completed_work").add(tally_.completed_work);
-    metrics_->counter("engine.attempted_work").add(tally_.attempted_work);
-    metrics_->counter("engine.failures").add(tally_.failures);
-    metrics_->counter("engine.restarts").add(tally_.restarts);
-    metrics_->counter("engine.halted").add(tally_.halted);
-    metrics_->counter("engine.slots_to_goal").add(tally_.slots);
-    metrics_->gauge("engine.peak_live")
-        .set(static_cast<double>(tally_.peak_live));
-    metrics_->gauge("engine.goal_met").set(result.goal_met ? 1.0 : 0.0);
-    Histogram& per_pid = metrics_->histogram("engine.restarts_per_processor");
-    for (std::uint32_t count : restart_counts_) per_pid.observe(count);
-  }
-  result.phases = std::move(phase_work_);
-
   result.tally = tally_;
   return result;
 }

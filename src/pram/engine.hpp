@@ -33,9 +33,7 @@
 
 namespace rfsp {
 
-class TraceSink;        // obs/trace.hpp
-class MetricsRegistry;  // obs/metrics.hpp
-class Histogram;        // obs/metrics.hpp
+class TraceSink;  // obs/trace.hpp
 
 struct EngineOptions;
 
@@ -173,8 +171,10 @@ struct EngineOptions {
   // budgets
   // below the paper defaults (4 reads / 2 writes — kernels assume full
   // budgets), an ARBITRARY/PRIORITY conflict model (its first-writer-wins
-  // rule observes cross-lane-group write order, which batching reorders;
-  // COMMON/WEAK cannot observe it), or a program without kernels.
+  // rule observes cross-lane write order; batch runs are checked
+  // bit-identical only under the order-symmetric COMMON/WEAK rules), or a
+  // program without kernels.
+  // A kernel declaring other than one control state is a ConfigError.
   // Engine::batch_active() reports which path was chosen.
   bool batch = false;
 
@@ -196,10 +196,14 @@ struct EngineOptions {
 
   // Structured event sink: slot/commit/failure/restart/halt (and, for
   // programs with a PhaseSchedule, phase-transition) events, emitted from
-  // the slot loop on the calling thread. Null (the default) keeps the slot
-  // loop on the PR 1 fast path: the instrumentation is compiled in but
-  // costs one predicted null test per slot, and nothing is ever added to
-  // the per-read/per-write paths. The sink must outlive the engine.
+  // the slot loop on the calling thread. This is the engine's only
+  // observation output: per-phase work and the engine.* metrics are
+  // derived from the stream by a StreamAggregator (obs/stream.hpp), fed
+  // directly or through a TeeTraceSink next to a trace writer. Null (the
+  // default) keeps the slot loop on the fast path: the instrumentation is
+  // compiled in but costs one predicted null test per slot, and nothing is
+  // ever added to the per-read/per-write paths. The sink must outlive the
+  // engine.
   //
   // The event stream is sink-independent: which transport is installed
   // (JsonlTraceSink, BinaryTraceWriter, StreamAggregator, ...) changes
@@ -208,18 +212,6 @@ struct EngineOptions {
   // bit-for-bit (obs/binary_trace.hpp) and identical across interpreter
   // and batch execution.
   TraceSink* sink = nullptr;
-
-  // Metrics registry: the engine records live-processors-per-slot and
-  // restarts-per-processor histograms plus run-total counters/gauges (the
-  // "engine.*" names in docs/observability.md). Same cost contract and
-  // lifetime requirement as `sink`.
-  MetricsRegistry* metrics = nullptr;
-
-  // Per-phase work attribution: when the program publishes a PhaseSchedule
-  // (Program::phase_schedule), charge every slot's S/S'/|F| to that slot's
-  // phase and return the breakdown in RunResult::phases. Implied by an
-  // installed sink (phase events need the attribution state anyway).
-  bool attribute_phases = false;
 
   // --- Conformance auditing (src/analysis, docs/analysis.md) ----------------
 
@@ -240,11 +232,6 @@ struct RunResult {
   bool goal_met = false;    // Program::goal held
   bool deadlock = false;    // every processor halted but the goal is unmet
   bool slot_limit = false;  // max_slots exhausted
-
-  // Per-phase S/S'/|F| breakdown; populated iff phase attribution ran
-  // (sink or attribute_phases, and the program published a PhaseSchedule).
-  // Invariant: sums over phases equal the corresponding tally fields.
-  std::vector<PhaseWork> phases;
 };
 
 class Engine {
@@ -297,13 +284,8 @@ class Engine {
   std::size_t run_cycles();  // step 1; returns # of started cycles
   // One processor's update cycle into traces_ plus the compact lane_ log.
   void cycle_one(Pid pid);
-  // Batched path: run the kernel over `pids` (ascending), grouped by
-  // control state. The kernel fills lane_ directly (LaneEmit), mirroring
-  // into traces_ only when batch_traces_ — identical to what cycle_one
-  // calls over the same PIDs would have produced.
-  void batch_chunk(std::span<const Pid> pids);
-  // Per-slot phase attribution + event/metric emission; called once per
-  // slot after the decision is validated, only when observability is on.
+  // Per-slot event emission; called once per slot after the decision is
+  // validated, only when a sink is installed.
   void observe_slot(const FaultDecision& d, std::size_t started,
                     std::size_t completed, std::size_t failure_events);
   void validate_decision(const FaultDecision& d);
@@ -377,14 +359,12 @@ class Engine {
   // every live processor's trace per slot.
   LaneLog lane_;
 
-  // Batched SoA backend (EngineOptions::batch): the program's kernels, the
-  // register/control store they run over, and bucket scratch for grouping
-  // the live PIDs by control state. kernel_ == nullptr means the
+  // Batched SoA backend (EngineOptions::batch): the program's kernel and
+  // the register store it runs over. kernel_ == nullptr means the
   // interpreter path (states_) is active; in batch mode states_ stays null
   // and all private state lives in soa_.
   std::unique_ptr<BatchKernel> kernel_;
   SoaStore soa_;
-  std::vector<std::vector<Pid>> batch_buckets_;
   // Whether batched kernels materialize per-PID CycleTraces. False — the
   // oblivious fast path — when the adversary declares it never reads cycle
   // internals (Adversary::inspects_cycles), torn writes are off, and no
@@ -393,19 +373,15 @@ class Engine {
   // all such adversaries and validate_decision consult. Decided per run.
   bool batch_traces_ = true;
 
-  // Observability state (EngineOptions::sink / metrics / attribute_phases).
-  // phase_work_ is non-empty iff phase attribution is active; the kPhase
-  // events' name views point into its PhaseWork::name strings, which live
-  // until the run moves them into RunResult::phases.
+  // Observability state (EngineOptions::sink). phase_names_ is non-empty
+  // iff a sink is installed and the program publishes a PhaseSchedule; the
+  // kPhase events' name views point into it.
   static constexpr std::uint32_t kNoPhase = ~std::uint32_t{0};
   EngineAuditHook* audit_ = nullptr;  // EngineOptions::audit
   TraceSink* sink_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
   std::function<std::uint32_t(Slot)> phase_of_;
-  std::vector<PhaseWork> phase_work_;
+  std::vector<std::string> phase_names_;
   std::uint32_t last_phase_ = kNoPhase;
-  Histogram* live_hist_ = nullptr;         // engine.live_per_slot
-  std::vector<std::uint32_t> restart_counts_;  // per PID, iff metrics_
 
   // Incremental goal state (Program::goal_cells opt-in).
   bool track_goal_ = false;

@@ -257,11 +257,11 @@ class Program {
   virtual bool oblivious() const { return false; }
 
   // Observability opt-in (see obs/phase.hpp): declare the fixed-length
-  // phase schedule the program's slots follow, so the engine can attribute
-  // S/S'/|F| per phase (RunResult::phases) and emit phase-transition trace
-  // events. Return nullopt (the default) for programs without a global
-  // phase structure. Consulted once, at engine construction, and only when
-  // a sink is installed or EngineOptions::attribute_phases is set.
+  // phase schedule the program's slots follow, so the engine emits
+  // phase-transition trace events (from which a StreamAggregator
+  // attributes S/S'/|F| per phase). Return nullopt (the default) for
+  // programs without a global phase structure. Consulted once, at engine
+  // construction, and only when a sink is installed.
   virtual std::optional<PhaseSchedule> phase_schedule() const {
     return std::nullopt;
   }

@@ -4,12 +4,10 @@
 
 namespace rfsp {
 
-SoaStore::SoaStore(Pid processors, std::size_t registers,
-                   std::uint32_t boot_ctrl)
+SoaStore::SoaStore(Pid processors, std::size_t registers)
     : p_(processors), registers_(registers) {
   RFSP_CHECK_MSG(p_ >= 1, "SoaStore needs at least one processor");
   regs_.assign(registers_ * static_cast<std::size_t>(p_), Word{0});
-  ctrl_.assign(p_, boot_ctrl);
 }
 
 // Default for Program::batch_kernels (declared in pram/program.hpp, where

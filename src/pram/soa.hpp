@@ -5,9 +5,8 @@
 // The interpreter steps every live processor through a virtual
 // ProcessorState::cycle call; for the branch-light, phase-synchronous
 // Write-All algorithms that per-PID dispatch dominates the slot loop. A
-// BatchKernel instead receives whole *lane groups* — the live PIDs sharing
-// one control state — and executes the (single) cycle body the group's
-// control state selects as a tight loop over SoA register columns, with
+// BatchKernel instead receives the whole live set as one *lane group* and
+// executes the cycle body as a tight loop over SoA register columns, with
 // everything uniform across the group (the slot phase, shared-memory polls
 // of one cell) hoisted out of the lane loop.
 //
@@ -20,15 +19,10 @@
 // in the slot's LaneLog — the authoritative input to the engine's commit
 // and transition phases — and, when the adversary inspects cycle internals
 // (Adversary::inspects_cycles), mirrored into the per-PID CycleTrace array
-// exactly as the interpreter would fill it. Lane groups are walked in
-// ascending-ctrl order over ascending PIDs, so the log's write order
-// matches interpreter PID order whenever the live set has a single control
-// state; with several groups the per-lane order still holds and cross-lane
-// commit order is unobservable under COMMON/WEAK semantics (the engine
-// refuses to batch ARBITRARY/PRIORITY, whose first-writer-wins rule would
-// observe it). Commit order, CRCW conflict resolution, adversary view,
-// goal tracking, and trace stream stay byte-for-byte identical to
-// interpreter runs.
+// exactly as the interpreter would fill it. The group walks ascending
+// PIDs, so the log's write order matches interpreter PID order. Commit
+// order, CRCW conflict resolution, adversary view, goal tracking, and
+// trace stream stay byte-for-byte identical to interpreter runs.
 #pragma once
 
 #include <cstdint>
@@ -43,14 +37,11 @@ namespace rfsp {
 
 // Column-major register file for the batched backend: register r of
 // processor pid lives at regs[r * P + pid], so a kernel's lane loop over
-// one register streams contiguous memory. A per-PID control-state tag
-// drives the engine's lane grouping; kernels update it as lanes change
-// control state (e.g. a waiting processor joining the computation).
+// one register streams contiguous memory.
 class SoaStore {
  public:
   SoaStore() = default;
-  SoaStore(Pid processors, std::size_t registers,
-           std::uint32_t boot_ctrl = 0);
+  SoaStore(Pid processors, std::size_t registers);
 
   Pid processors() const { return p_; }
   std::size_t registers() const { return registers_; }
@@ -58,14 +49,10 @@ class SoaStore {
   Word reg(std::size_t r, Pid pid) const { return regs_[r * p_ + pid]; }
   Word& reg(std::size_t r, Pid pid) { return regs_[r * p_ + pid]; }
 
-  std::uint32_t ctrl(Pid pid) const { return ctrl_[pid]; }
-  void set_ctrl(Pid pid, std::uint32_t c) { ctrl_[pid] = c; }
-
  private:
   Pid p_ = 0;
   std::size_t registers_ = 0;
   std::vector<Word> regs_;  // column-major: [r * p_ + pid]
-  std::vector<std::uint32_t> ctrl_;
 };
 
 // One buffered write in the slot's lane log, tagged with its writer so the
@@ -144,8 +131,8 @@ class LaneEmit {
 //
 //   boot_lane  — at time 0 and after every restart (private state is lost,
 //                exactly like Program::boot);
-//   run        — once per (control state, lane group) per slot, with the
-//                group's live PIDs in ascending order;
+//   run        — once per slot, with control state 0 and every live PID in
+//                ascending order;
 //   save_lane / load_lane — checkpoint interop: the word stream must be
 //                byte-identical to ProcessorState::save_state /
 //                Program::load_state for the same private state, so
@@ -159,15 +146,18 @@ class BatchKernel {
   virtual ~BatchKernel() = default;
 
   // SoA geometry this kernel needs: private registers per lane and the
-  // number of distinct control states (lane-group keys).
+  // number of distinct control states (lane-group keys). The engine runs
+  // exactly one control state and refuses a kernel that declares another
+  // count (ConfigError); control_states() and run's `ctrl` stay in the
+  // interface because decorating kernels forward them.
   virtual std::size_t registers() const = 0;
   virtual std::uint32_t control_states() const = 0;
 
-  // Reset lane `pid` to the boot state (registers and control tag).
+  // Reset lane `pid` to the boot state.
   virtual void boot_lane(SoaStore& soa, Pid pid) const = 0;
 
-  // Execute one update cycle for every lane in `pids` (all currently in
-  // control state `ctrl`, ascending PID order). Each lane constructs a
+  // Execute one update cycle for every lane in `pids` (control state
+  // `ctrl`, which is 0; ascending PID order). Each lane constructs a
   // LaneEmit and routes its buffered writes (program order) and halting
   // decision through it; ctx.log is always filled, ctx.traces only when
   // the engine materializes traces.

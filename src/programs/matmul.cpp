@@ -35,7 +35,7 @@ void MatMulProgram::step(StepContext& ctx, Pid j, Step t) const {
   const Addr col = j % m_;
   const Word a = ctx.load(row * m_ + t);
   const Word b = ctx.load(mm + t * m_ + col);
-  const Word acc = sim_word(ctx.reg(0) + a * b);
+  const Word acc = sim_word(wrap_add(ctx.reg(0), wrap_mul(a, b)));
   if (t + 1 == static_cast<Step>(m_)) {
     ctx.store(2 * mm + j, acc);  // final term: publish C[row, col]
   } else {
@@ -49,8 +49,9 @@ bool MatMulProgram::verify(std::span<const Word> memory) const {
     for (Pid j = 0; j < m_; ++j) {
       Word acc = 0;
       for (Pid k = 0; k < m_; ++k) {
-        acc = sim_word(acc + a_[static_cast<std::size_t>(i) * m_ + k] *
-                                 b_[static_cast<std::size_t>(k) * m_ + j]);
+        acc = sim_word(
+            wrap_add(acc, wrap_mul(a_[static_cast<std::size_t>(i) * m_ + k],
+                                   b_[static_cast<std::size_t>(k) * m_ + j])));
       }
       if (memory[2 * mm + static_cast<std::size_t>(i) * m_ + j] != acc) {
         return false;

@@ -38,7 +38,7 @@ void ListRankingProgram::step(StepContext& ctx, Pid j, Step) const {
   const Word my_rank = ctx.load(n + j);
   const Word succ_rank = ctx.load(n + nj);
   const Word succ_next = ctx.load(nj);
-  ctx.store(n + j, sim_word(my_rank + succ_rank));
+  ctx.store(n + j, sim_word(wrap_add(my_rank, succ_rank)));
   ctx.store(j, succ_next);
 }
 

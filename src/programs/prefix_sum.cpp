@@ -29,13 +29,13 @@ void PrefixSumProgram::step(StepContext& ctx, Pid j, Step t) const {
   if (j < stride) return;  // idle processors perform an empty step
   const Word mine = ctx.load(j);
   const Word left = ctx.load(j - stride);
-  ctx.store(j, sim_word(mine + left));
+  ctx.store(j, sim_word(wrap_add(mine, left)));
 }
 
 bool PrefixSumProgram::verify(std::span<const Word> memory) const {
   Word acc = 0;
   for (std::size_t i = 0; i < input_.size(); ++i) {
-    acc = sim_word(acc + input_[i]);
+    acc = sim_word(wrap_add(acc, input_[i]));
     if (memory[i] != acc) return false;
   }
   return true;

@@ -24,7 +24,7 @@ void StencilProgram::step(StepContext& ctx, Pid j, Step) const {
   const Word left = ctx.load(j - 1);
   const Word mine = ctx.load(j);
   const Word right = ctx.load(j + 1);
-  ctx.store(j, (left + 2 * mine + right) / 4);
+  ctx.store(j, wrap_add(wrap_add(left, wrap_mul(2, mine)), right) / 4);
 }
 
 bool StencilProgram::verify(std::span<const Word> memory) const {
@@ -32,7 +32,8 @@ bool StencilProgram::verify(std::span<const Word> memory) const {
   std::vector<Word> next = initial_;
   for (Step t = 0; t < rounds_; ++t) {
     for (std::size_t j = 1; j + 1 < cur.size(); ++j) {
-      next[j] = sim_word((cur[j - 1] + 2 * cur[j] + cur[j + 1]) / 4);
+      next[j] = sim_word(
+          wrap_add(wrap_add(cur[j - 1], wrap_mul(2, cur[j])), cur[j + 1]) / 4);
     }
     cur = next;
   }

@@ -48,7 +48,7 @@ ReproSpec spec_from_meta(const FaultSchedule& schedule) {
   };
   ReproSpec spec;
   spec.algo = algo_from_string(require("algo"));
-  spec.n = parse_u64_meta("n", require("n"));
+  spec.n = parse_u64_meta("n", require("n"), UINT32_MAX);
   spec.p = static_cast<Pid>(parse_u64_meta("p", require("p"), UINT32_MAX));
   if (const auto it = schedule.meta.find("seed"); it != schedule.meta.end()) {
     spec.seed = parse_u64_meta("seed", it->second);

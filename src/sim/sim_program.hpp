@@ -42,6 +42,18 @@ using Step = std::uint64_t;
 inline constexpr Word kSimWordMask = 0xffffffff;
 constexpr Word sim_word(Word v) { return v & kSimWordMask; }
 
+// Word sum and product modulo 2^64. A step may see any 64-bit value (the
+// static verifier feeds it arbitrary reads), where the plain signed
+// operators would overflow; wherever they do not, the results are equal.
+constexpr Word wrap_add(Word a, Word b) {
+  return static_cast<Word>(static_cast<std::uint64_t>(a) +
+                           static_cast<std::uint64_t>(b));
+}
+constexpr Word wrap_mul(Word a, Word b) {
+  return static_cast<Word>(static_cast<std::uint64_t>(a) *
+                           static_cast<std::uint64_t>(b));
+}
+
 // Per-step facilities available to SimProgram::step.
 class StepContext {
  public:

@@ -43,8 +43,10 @@ struct SimOptions {
   SimInner inner = SimInner::kCombinedVX;
 
   // The physical machine's engine options, passed straight through:
-  // max_slots, the sink and metrics (no kPhase events — passes advance
-  // dynamically, so the run has no fixed phase structure), the memory
+  // max_slots, the sink (the run's observation channel: a
+  // StreamAggregator there yields the engine.* metrics; no kPhase events —
+  // passes advance dynamically, so the run has no fixed phase
+  // structure), the memory
   // model (faulty cells hit the simulator's own structures too; the
   // persistent cache delays its commits), checkpointing, and the audit
   // hook (which audits the simulator's own cycles, not the simulated

@@ -179,26 +179,37 @@ TEST(BinaryTraceRoundTrip, DecodedEventsMatchCollectedEvents) {
   EXPECT_EQ(i, collected.events().size());
 }
 
-// The aggregator as a direct engine sink reproduces RunResult::phases.
+// The aggregator as a direct engine sink attributes each slot to the phase
+// the program's schedule assigns it. Oracle without the engine: phase id's
+// slot count is the number of slots s < tally.slots with phase_of(s) == id.
 TEST(StreamAggregator, PhasesMatchEngineAttribution) {
-  BurstAdversary adversary({.period = 4, .count = 8});
-  StreamAggregator aggregator;
-  EngineOptions options;
-  options.sink = &aggregator;
-  options.attribute_phases = true;
-  const auto out = run_writeall(WriteAllAlgo::kV, {.n = 256, .p = 32, .seed = 5},
-                                adversary, options);
-  ASSERT_TRUE(out.solved);
-  ASSERT_EQ(aggregator.phases().size(), out.run.phases.size());
-  for (std::size_t i = 0; i < out.run.phases.size(); ++i) {
-    const PhaseWork& expected = out.run.phases[i];
-    const PhaseWork& actual = aggregator.phases()[i];
-    EXPECT_EQ(actual.name, expected.name);
-    EXPECT_EQ(actual.completed_work, expected.completed_work);
-    EXPECT_EQ(actual.attempted_work, expected.attempted_work);
-    EXPECT_EQ(actual.failures, expected.failures);
-    EXPECT_EQ(actual.restarts, expected.restarts);
-    EXPECT_EQ(actual.slots, expected.slots);
+  for (const WriteAllAlgo algo :
+       {WriteAllAlgo::kV, WriteAllAlgo::kW, WriteAllAlgo::kCombinedVX}) {
+    const WriteAllConfig config{.n = 256, .p = 32, .seed = 5};
+    BurstAdversary adversary({.period = 4, .count = 8});
+    StreamAggregator aggregator;
+    EngineOptions options;
+    options.sink = &aggregator;
+    options.max_slots = 1 << 14;  // W need not terminate under restarts
+    const auto out = run_writeall(algo, config, adversary, options);
+    const std::optional<PhaseSchedule> schedule =
+        make_writeall(algo, config)->phase_schedule();
+    ASSERT_TRUE(schedule.has_value()) << to_string(algo);
+    std::vector<std::uint64_t> expected(schedule->names.size(), 0);
+    for (Slot s = 0; s < out.run.tally.slots; ++s) {
+      ++expected[schedule->phase_of(s)];
+    }
+    const std::vector<PhaseWork> phases =
+        aggregator.phase_table(schedule->names);
+    ASSERT_EQ(phases.size(), expected.size());
+    for (std::size_t id = 0; id < phases.size(); ++id) {
+      EXPECT_EQ(phases[id].slots, expected[id])
+          << to_string(algo) << " phase " << schedule->names[id];
+      if (id < aggregator.phases().size() && expected[id] > 0) {
+        EXPECT_EQ(aggregator.phases()[id].name, schedule->names[id]);
+      }
+    }
+    EXPECT_TRUE(aggregator.check().empty()) << to_string(algo);
   }
 }
 
@@ -502,6 +513,25 @@ TEST(StreamAggregatorCheck, FlagsOutOfOrderEvents) {
     flagged |= v.find("slot regression") != std::string::npos;
   }
   EXPECT_TRUE(flagged);
+}
+
+// A hostile phase id is a violation, not a 2^32-row table (or a wrapped
+// index past its end).
+TEST(StreamAggregatorCheck, FlagsPhaseIdBeyondLimit) {
+  StreamAggregator agg;
+  TraceEvent phase;
+  phase.kind = TraceEventKind::kPhase;
+  phase.phase = ~std::uint32_t{0};
+  phase.phase_name = "x";
+  agg.on_event(phase);
+  agg.on_event(slot_event(0, 2, 2));
+  agg.on_event(commit_event(0, 2));
+  agg.on_event(run_end_event(1));
+  EXPECT_TRUE(agg.phases().empty());
+  EXPECT_EQ(agg.tally().slots, 1u);
+  const auto violations = agg.check();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("phase id"), std::string::npos);
 }
 
 TEST(StreamAggregatorCheck, FlagsCommitSlotMismatch) {

@@ -442,16 +442,26 @@ TEST(ArtifactCompat, MemoryModelMetaOnReplayAndResume) {
 
 // Malformed or out-of-range numeric flags, flags the CLI does not have,
 // and a repeated flag are usage errors (exit 2): no abort, no silent
-// narrowing of P to 32 bits, and no silently kept last value.
+// narrowing of P to 32 bits, no std::bad_alloc from an N beyond 2^32
+// (given as a flag or by a replay schedule's meta), and no silently kept
+// last value.
 TEST(CliErrors, BadNumericFlagsAreUsageErrors) {
   using ::rfsp::testing::run_cli;
   const auto dir = ::rfsp::testing::scratch_dir("cli_numeric_flags");
   for (const char* args :
        {"--n abc", "--algo X --n 1024 --p 4294967297",
+        "--algo X --n 1099511627776 --p 4",
         "--adversary random --fail x", "--cycle-threads 4",
         "--algo X --n 16 --n 32"}) {
     EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI, args, dir / "out.txt"), 2) << args;
   }
+  const auto bomb = dir / "bomb.jsonl";
+  std::ofstream(bomb) << "{\"format\":\"rfsp-fault-schedule\",\"version\":1,"
+                         "\"meta\":{\"algo\":\"X\",\"n\":\"1099511627776\","
+                         "\"p\":\"4\"}}\n";
+  EXPECT_EQ(run_cli(RFSP_WRITEALL_CLI, "--replay '" + bomb.string() + "'",
+                    dir / "out.txt"),
+            2);
   std::filesystem::remove_all(dir);
 }
 
@@ -533,8 +543,9 @@ TEST(CliErrors, BadSimSizesAreUsageErrors) {
   std::filesystem::remove_all(dir);
 }
 
-// verify_cli --sim: a zero size is a usage error (2), and a size the
-// executor refuses (P > N) is that target's error (5), never a crash.
+// verify_cli --sim: a zero size, or one beyond 2^32, is a usage error
+// (2), and a size the executor refuses (P > N) is that target's error
+// (5), never a crash.
 TEST(CliErrors, DegenerateVerifySimSizesAreErrors) {
   using ::rfsp::testing::run_cli;
   const auto dir = ::rfsp::testing::scratch_dir("cli_verify_sizes");
@@ -544,6 +555,7 @@ TEST(CliErrors, DegenerateVerifySimSizesAreErrors) {
       {"--sim matmul --sim-n 0", 2},
       {"--sim bitonic-sort --sim-n 0", 2},
       {"--sim prefix-sum --sim-n 4 --sim-p 9", 5},
+      {"--sim prefix-sum --sim-n 1099511627776 --sim-p 3", 2},
   };
   for (const auto& [args, code] : cases) {
     EXPECT_EQ(run_cli(RFSP_VERIFY_CLI, args, dir / "out.txt"), code) << args;

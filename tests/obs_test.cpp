@@ -11,9 +11,11 @@
 
 #include "fault/adversaries.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stream.hpp"
 #include "obs/trace.hpp"
 #include "parallel/threaded.hpp"
 #include "pram/engine.hpp"
+#include "replay/schedule.hpp"
 #include "sim/simulator.hpp"
 #include "programs/programs.hpp"
 #include "writeall/runner.hpp"
@@ -119,7 +121,7 @@ TEST(MetricsRegistry, JsonSnapshotIsOrderIndependent) {
 // Engine event streams
 
 WriteAllOutcome observed_run(WriteAllAlgo algo, Adversary& adversary,
-                             CollectingTraceSink& sink, Addr n = 512,
+                             TraceSink& sink, Addr n = 512,
                              Pid p = 64, EngineOptions options = {}) {
   options.sink = &sink;
   return run_writeall(algo, {.n = n, .p = p, .seed = 1}, adversary, options);
@@ -235,39 +237,40 @@ TEST(TraceSink, CsvHeaderAndRowShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-phase attribution
+// Per-phase attribution (StreamAggregator over the engine's event stream)
 
-void expect_phases_sum_to_tally(const WriteAllOutcome& out,
+void expect_phases_sum_to_tally(const StreamAggregator& stream,
+                                const WorkTally& tally,
                                 std::size_t expected_phases) {
-  ASSERT_EQ(out.run.phases.size(), expected_phases);
+  const std::vector<PhaseWork>& phases = stream.phases();
+  ASSERT_EQ(phases.size(), expected_phases);
   PhaseWork sum;
-  for (const PhaseWork& phase : out.run.phases) {
+  for (const PhaseWork& phase : phases) {
     sum.completed_work += phase.completed_work;
     sum.attempted_work += phase.attempted_work;
     sum.failures += phase.failures;
     sum.restarts += phase.restarts;
     sum.slots += phase.slots;
   }
-  EXPECT_EQ(sum.completed_work, out.run.tally.completed_work);
-  EXPECT_EQ(sum.attempted_work, out.run.tally.attempted_work);
-  EXPECT_EQ(sum.failures, out.run.tally.failures);
-  EXPECT_EQ(sum.restarts, out.run.tally.restarts);
-  EXPECT_EQ(sum.slots, out.run.tally.slots);
+  EXPECT_EQ(sum.completed_work, tally.completed_work);
+  EXPECT_EQ(sum.attempted_work, tally.attempted_work);
+  EXPECT_EQ(sum.failures, tally.failures);
+  EXPECT_EQ(sum.restarts, tally.restarts);
+  EXPECT_EQ(sum.slots, tally.slots);
+  EXPECT_TRUE(stream.check().empty());
 }
 
 TEST(PhaseAttribution, VSumsToTally) {
   BurstAdversary adversary({.period = 4, .count = 16});
-  EngineOptions options;
-  options.attribute_phases = true;
-  const auto out = run_writeall(WriteAllAlgo::kV,
-                                {.n = 512, .p = 64, .seed = 1}, adversary,
-                                options);
+  StreamAggregator stream;
+  const auto out = observed_run(WriteAllAlgo::kV, adversary, stream);
   ASSERT_TRUE(out.solved);
-  expect_phases_sum_to_tally(out, 3);
-  EXPECT_EQ(out.run.phases[0].name, "alloc");
-  EXPECT_EQ(out.run.phases[1].name, "work");
-  EXPECT_EQ(out.run.phases[2].name, "update");
-  for (const PhaseWork& phase : out.run.phases) {
+  expect_phases_sum_to_tally(stream, out.run.tally, 3);
+  const std::vector<PhaseWork>& phases = stream.phases();
+  EXPECT_EQ(phases[0].name, "alloc");
+  EXPECT_EQ(phases[1].name, "work");
+  EXPECT_EQ(phases[2].name, "update");
+  for (const PhaseWork& phase : phases) {
     EXPECT_GT(phase.slots, 0u) << phase.name;
   }
 }
@@ -275,41 +278,32 @@ TEST(PhaseAttribution, VSumsToTally) {
 TEST(PhaseAttribution, WSumsToTally) {
   // W only terminates without restarts; crash-free keeps it simple.
   NoFailures none;
-  EngineOptions options;
-  options.attribute_phases = true;
-  const auto out = run_writeall(WriteAllAlgo::kW,
-                                {.n = 512, .p = 64, .seed = 1}, none,
-                                options);
+  StreamAggregator stream;
+  const auto out = observed_run(WriteAllAlgo::kW, none, stream);
   ASSERT_TRUE(out.solved);
-  expect_phases_sum_to_tally(out, 4);
-  EXPECT_EQ(out.run.phases[0].name, "count");
-  EXPECT_EQ(out.run.phases[3].name, "update");
+  expect_phases_sum_to_tally(stream, out.run.tally, 4);
+  EXPECT_EQ(stream.phases()[0].name, "count");
+  EXPECT_EQ(stream.phases()[3].name, "update");
 }
 
 TEST(PhaseAttribution, XSumsToTally) {
   BurstAdversary adversary({.period = 4, .count = 16});
-  EngineOptions options;
-  options.attribute_phases = true;
-  const auto out = run_writeall(WriteAllAlgo::kX,
-                                {.n = 512, .p = 64, .seed = 1}, adversary,
-                                options);
+  StreamAggregator stream;
+  const auto out = observed_run(WriteAllAlgo::kX, adversary, stream);
   ASSERT_TRUE(out.solved);
-  expect_phases_sum_to_tally(out, 1);
-  EXPECT_EQ(out.run.phases[0].name, "descend");
+  expect_phases_sum_to_tally(stream, out.run.tally, 1);
+  EXPECT_EQ(stream.phases()[0].name, "descend");
 }
 
 TEST(PhaseAttribution, CombinedVXSumsToTally) {
   BurstAdversary adversary({.period = 4, .count = 16});
-  EngineOptions options;
-  options.attribute_phases = true;
-  const auto out = run_writeall(WriteAllAlgo::kCombinedVX,
-                                {.n = 512, .p = 64, .seed = 1}, adversary,
-                                options);
+  StreamAggregator stream;
+  const auto out = observed_run(WriteAllAlgo::kCombinedVX, adversary, stream);
   ASSERT_TRUE(out.solved);
-  expect_phases_sum_to_tally(out, 4);
-  EXPECT_EQ(out.run.phases[3].name, "x-descend");
+  expect_phases_sum_to_tally(stream, out.run.tally, 4);
+  EXPECT_EQ(stream.phases()[3].name, "x-descend");
   // Odd slots all belong to X: the interleave gives it ~half the slots.
-  EXPECT_GE(out.run.phases[3].slots, out.run.tally.slots / 2);
+  EXPECT_GE(stream.phases()[3].slots, out.run.tally.slots / 2);
 }
 
 TEST(PhaseAttribution, PhaseEventsMatchSchedule) {
@@ -318,6 +312,10 @@ TEST(PhaseAttribution, PhaseEventsMatchSchedule) {
   const WriteAllOutcome out =
       observed_run(WriteAllAlgo::kV, adversary, sink, 256, 32);
   ASSERT_TRUE(out.solved);
+  const std::optional<PhaseSchedule> schedule =
+      make_writeall(WriteAllAlgo::kV, {.n = 256, .p = 32, .seed = 1})
+          ->phase_schedule();
+  ASSERT_TRUE(schedule.has_value());
   // kPhase events carry ids within range, copies of the schedule's names,
   // and never repeat the previous phase (transitions only).
   std::uint32_t last = ~std::uint32_t{0};
@@ -326,58 +324,108 @@ TEST(PhaseAttribution, PhaseEventsMatchSchedule) {
     if (event.kind != TraceEventKind::kPhase) continue;
     ASSERT_LT(event.phase, 3u);
     EXPECT_NE(event.phase, last);
-    EXPECT_EQ(event.phase_name, out.run.phases[event.phase].name);
+    EXPECT_EQ(event.phase_name, schedule->names[event.phase]);
     last = event.phase;
     ++transitions;
   }
   EXPECT_GT(transitions, 3u);  // several iterations' worth
 }
 
-TEST(PhaseAttribution, OffByDefault) {
-  BurstAdversary adversary({.period = 4, .count = 16});
-  const auto out = run_writeall(WriteAllAlgo::kV,
-                                {.n = 256, .p = 32, .seed = 1}, adversary);
-  ASSERT_TRUE(out.solved);
-  EXPECT_TRUE(out.run.phases.empty());
+// ---------------------------------------------------------------------------
+// Engine metrics (StreamAggregator::write_engine_metrics)
+
+void expect_counters_equal(const MetricsRegistry& metrics, const WorkTally& t) {
+  const auto counter = [&](const char* name) {
+    return metrics.counters().at(name).value();
+  };
+  EXPECT_EQ(counter("engine.completed_work"), t.completed_work);
+  EXPECT_EQ(counter("engine.attempted_work"), t.attempted_work);
+  EXPECT_EQ(counter("engine.failures"), t.failures);
+  EXPECT_EQ(counter("engine.restarts"), t.restarts);
+  EXPECT_EQ(counter("engine.halted"), t.halted);
+  EXPECT_EQ(counter("engine.slots_to_goal"), t.slots);
+  EXPECT_DOUBLE_EQ(metrics.gauges().at("engine.peak_live").value(),
+                   static_cast<double>(t.peak_live));
 }
 
-// ---------------------------------------------------------------------------
-// Engine metrics
-
 TEST(EngineMetrics, InvariantsAgainstTally) {
-  BurstAdversary adversary({.period = 4, .count = 16});
-  MetricsRegistry metrics;
-  EngineOptions options;
-  options.metrics = &metrics;
+  BurstAdversary burst({.period = 4, .count = 16});
+  FaultSchedule schedule;
+  RecordingAdversary adversary(burst, schedule);
   const Pid p = 64;
-  const auto out = run_writeall(WriteAllAlgo::kV,
-                                {.n = 512, .p = p, .seed = 1}, adversary,
-                                options);
+  StreamAggregator stream;
+  const auto out = observed_run(WriteAllAlgo::kV, adversary, stream, 512, p);
   ASSERT_TRUE(out.solved);
   const WorkTally& t = out.run.tally;
+  MetricsRegistry metrics;
+  stream.write_engine_metrics(t, p, metrics);
 
-  EXPECT_EQ(metrics.counter("engine.completed_work").value(),
-            t.completed_work);
-  EXPECT_EQ(metrics.counter("engine.attempted_work").value(),
-            t.attempted_work);
-  EXPECT_EQ(metrics.counter("engine.failures").value(), t.failures);
-  EXPECT_EQ(metrics.counter("engine.restarts").value(), t.restarts);
-  EXPECT_EQ(metrics.counter("engine.halted").value(), t.halted);
-  EXPECT_EQ(metrics.counter("engine.slots_to_goal").value(), t.slots);
-  EXPECT_DOUBLE_EQ(metrics.gauge("engine.peak_live").value(),
-                   static_cast<double>(t.peak_live));
-  EXPECT_DOUBLE_EQ(metrics.gauge("engine.goal_met").value(), 1.0);
+  expect_counters_equal(metrics, t);
+  EXPECT_DOUBLE_EQ(metrics.gauges().at("engine.goal_met").value(), 1.0);
+  EXPECT_EQ(metrics.counters().size(), 6u);
+  EXPECT_EQ(metrics.gauges().size(), 2u);
+  EXPECT_EQ(metrics.histograms().size(), 2u);
 
   // live_per_slot observes every slot's started count: count == slots,
   // sum == S'. restarts_per_processor observes every PID once.
-  const Histogram& live = metrics.histogram("engine.live_per_slot");
+  const Histogram& live = metrics.histograms().at("engine.live_per_slot");
   EXPECT_EQ(live.count(), t.slots);
   EXPECT_EQ(live.sum(), t.attempted_work);
   EXPECT_EQ(live.max(), t.peak_live);
   const Histogram& restarts =
-      metrics.histogram("engine.restarts_per_processor");
+      metrics.histograms().at("engine.restarts_per_processor");
+  // Oracle outside the stream: the recorded schedule's restart moves.
+  std::vector<std::uint64_t> per_pid(p, 0);
+  for (const ScheduleEntry& entry : schedule.entries) {
+    for (const Pid pid : entry.decision.restart) ++per_pid[pid];
+  }
+  Histogram expected;
+  for (const std::uint64_t count : per_pid) expected.observe(count);
   EXPECT_EQ(restarts.count(), p);
   EXPECT_EQ(restarts.sum(), t.restarts);
+  EXPECT_EQ(restarts.max(), expected.max());
+  for (unsigned k = 0; k < Histogram::kBuckets; ++k) {
+    EXPECT_EQ(restarts.bucket(k), expected.bucket(k)) << "bucket " << k;
+  }
+}
+
+// A resumed run's stream starts at the resume slot, but its counters are
+// the whole run's: they come from the cumulative tally.
+TEST(EngineMetrics, ResumedRunCountersAreCumulative) {
+  const WriteAllConfig config{.n = 512, .p = 64, .seed = 1};
+  const Slot resume_at = 40;
+  EngineCheckpoint cp;
+  EngineOptions capture;
+  capture.checkpoint_every = resume_at;
+  capture.on_checkpoint = [&](const EngineCheckpoint& c) {
+    if (c.slot == resume_at) cp = c;
+  };
+  RandomAdversary straight_adversary(7, {.fail_prob = 0.1});
+  const WriteAllOutcome straight = run_writeall(
+      WriteAllAlgo::kCombinedVX, config, straight_adversary, capture);
+  ASSERT_TRUE(straight.solved);
+  ASSERT_EQ(cp.slot, resume_at);
+
+  RandomAdversary adversary(7, {.fail_prob = 0.1});
+  StreamAggregator stream;
+  EngineOptions options;
+  options.sink = &stream;
+  const WriteAllOutcome resumed = run_writeall(
+      WriteAllAlgo::kCombinedVX, config, adversary, options, &cp);
+  ASSERT_TRUE(resumed.solved);
+  const WorkTally& t = resumed.run.tally;
+  ASSERT_EQ(t, straight.run.tally);
+  EXPECT_EQ(stream.tally().slots, t.slots - resume_at);
+
+  MetricsRegistry metrics;
+  stream.write_engine_metrics(t, config.p, metrics);
+  expect_counters_equal(metrics, t);
+  EXPECT_DOUBLE_EQ(metrics.gauges().at("engine.goal_met").value(), 1.0);
+  // The histograms cover the stream: the slots after the resume point.
+  EXPECT_EQ(metrics.histograms().at("engine.live_per_slot").count(),
+            t.slots - resume_at);
+  EXPECT_EQ(metrics.histograms().at("engine.restarts_per_processor").sum(),
+            stream.tally().restarts);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,32 +434,38 @@ TEST(EngineMetrics, InvariantsAgainstTally) {
 TEST(SimObservability, SinkReconstructsTally) {
   PrefixSumProgram program({1, 2, 3, 4, 5, 6, 7, 8});
   BurstAdversary adversary({.period = 8, .count = 2});
-  CollectingTraceSink sink;
-  MetricsRegistry metrics;
+  CollectingTraceSink collected;
+  StreamAggregator stream;
+  TeeTraceSink tee(collected, stream);
   SimOptions options;
   options.physical_processors = 4;
-  options.engine.sink = &sink;
-  options.engine.metrics = &metrics;
+  options.engine.sink = &tee;
   const SimResult r = simulate(program, adversary, options);
   ASSERT_TRUE(r.completed);
 
-  const WorkTally rebuilt = sink.reconstruct_tally();
+  const WorkTally rebuilt = collected.reconstruct_tally();
   EXPECT_EQ(rebuilt.completed_work, r.tally.completed_work);
   EXPECT_EQ(rebuilt.attempted_work, r.tally.attempted_work);
   EXPECT_EQ(rebuilt.failures, r.tally.failures);
   EXPECT_EQ(rebuilt.restarts, r.tally.restarts);
   EXPECT_EQ(rebuilt.slots, r.tally.slots);
-  EXPECT_EQ(metrics.counter("engine.completed_work").value(),
-            r.tally.completed_work);
+  EXPECT_EQ(stream.tally(), rebuilt);
+  EXPECT_TRUE(stream.phases().empty());  // passes advance dynamically
+
+  MetricsRegistry metrics;
+  stream.write_engine_metrics(r.tally, 4, metrics);
+  expect_counters_equal(metrics, r.tally);
+  EXPECT_EQ(metrics.histograms().at("engine.restarts_per_processor").count(),
+            4u);
 }
 
+// ThreadedResult carries the runtime's metrics: per-worker counts that sum
+// to the totals, and the wall time.
 TEST(ThreadedObservability, PerWorkerCountsAndMetrics) {
-  MetricsRegistry metrics;
   ThreadedOptions options;
   options.n = 4096;
   options.workers = 4;
   options.seed = 7;
-  options.metrics = &metrics;
   const ThreadedResult result = run_threaded_writeall(options);
   ASSERT_TRUE(result.solved);
 
@@ -420,13 +474,10 @@ TEST(ThreadedObservability, PerWorkerCountsAndMetrics) {
   std::uint64_t sum = 0;
   for (const std::uint64_t it : result.worker_iterations) sum += it;
   EXPECT_EQ(sum, result.loop_iterations);
-
-  EXPECT_EQ(metrics.counter("threaded.loop_iterations").value(),
-            result.loop_iterations);
-  EXPECT_EQ(metrics.counter("threaded.injected_failures").value(),
-            result.injected_failures);
-  EXPECT_EQ(metrics.histogram("threaded.iterations_per_worker").count(), 4u);
-  EXPECT_GT(metrics.gauge("threaded.wall_seconds").value(), 0.0);
+  std::uint64_t failures = 0;
+  for (const std::uint64_t f : result.worker_failures) failures += f;
+  EXPECT_EQ(failures, result.injected_failures);
+  EXPECT_GT(result.wall_seconds, 0.0);
 }
 
 }  // namespace

@@ -536,6 +536,18 @@ TEST(Engine, ZeroProcessorsRejected) {
   EXPECT_THROW(Engine engine(program), ConfigError);
 }
 
+// The lane logs hold 32-bit cell addresses. A larger memory is a
+// ConfigError before anything sized by it is allocated (here 2^40 cells,
+// 8 TiB of words: any allocation would throw std::bad_alloc instead).
+TEST(Engine, MemoryBeyond32BitAddressesRejected) {
+  LambdaProgram program(1, Addr{1} << 40,
+                        [](Pid, std::uint64_t, CycleContext&) { return false; });
+  EXPECT_THROW(Engine engine(program), ConfigError);
+  EngineOptions faulty;
+  faulty.memory_model = MemoryModel::kFaultyCells;
+  EXPECT_THROW(Engine engine(program, faulty), ConfigError);
+}
+
 TEST(Engine, BudgetsOutOfRangeRejected) {
   LambdaProgram program(1, 4,
                         [](Pid, std::uint64_t, CycleContext&) { return false; });

@@ -275,14 +275,15 @@ TEST(StaticVerify, HaltUnreachableSpinnerIsFound) {
 
 namespace kernelmut {
 
-// Interpreter: write(0, 42) then halt. The kernel writes 43 instead.
+// Interpreter: write(0, 42) then halt. The kernel writes 43 instead, and
+// declares `states` control states.
 class LyingKernel final : public BatchKernel {
  public:
+  explicit LyingKernel(std::uint32_t states) : states_(states) {}
   std::size_t registers() const override { return 1; }
-  std::uint32_t control_states() const override { return 1; }
+  std::uint32_t control_states() const override { return states_; }
   void boot_lane(SoaStore& soa, Pid pid) const override {
     soa.reg(0, pid) = 0;
-    soa.set_ctrl(pid, 0);
   }
   void run(std::uint32_t, std::span<const Pid> pids, const BatchContext& ctx,
            SoaStore&) const override {
@@ -300,20 +301,26 @@ class LyingKernel final : public BatchKernel {
                  std::span<const Word> data) const override {
     if (data.size() != 1) throw ConfigError("bad lane stream");
     soa.reg(0, pid) = data[0];
-    soa.set_ctrl(pid, 0);
   }
+
+ private:
+  std::uint32_t states_;
 };
 
 class LyingProgram final : public MutantProgram {
  public:
-  LyingProgram()
+  explicit LyingProgram(std::uint32_t states = 1)
       : MutantProgram(1, 8, [](CycleContext& ctx, Pid, Word&) {
           ctx.write(0, 42);
           return false;
-        }) {}
+        }),
+        states_(states) {}
   std::unique_ptr<BatchKernel> batch_kernels() const override {
-    return std::make_unique<LyingKernel>();
+    return std::make_unique<LyingKernel>(states_);
   }
+
+ private:
+  std::uint32_t states_;
 };
 
 }  // namespace kernelmut
@@ -324,6 +331,16 @@ TEST(StaticVerify, KernelValueMismatchIsFound) {
   EXPECT_TRUE(report.kernel_checked);
   EXPECT_GT(report.count(StaticCheck::kKernelMismatch), 0u);
   EXPECT_GT(report.kernel_paths, 0u);
+}
+
+// The engine runs the whole live set as one lane group: a kernel that
+// declares another number of control states is refused, not run as one.
+TEST(StaticVerify, EngineRefusesKernelWithSeveralControlStates) {
+  const kernelmut::LyingProgram mutant(2);
+  EngineOptions options;
+  options.batch = true;
+  EXPECT_THROW(Engine engine(mutant, options), ConfigError);
+  EXPECT_TRUE(Engine(kernelmut::LyingProgram(1), options).batch_active());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <stdexcept>
 
 #include "accounting/tally.hpp"
 
@@ -47,46 +47,6 @@ TEST(WorkTally, OverheadImprovesWithLargePatterns) {
   EXPECT_GT(small.overhead_ratio(100), large.overhead_ratio(100));
 }
 
-TEST(WorkTally, MergeAccumulates) {
-  WorkTally a, b;
-  a.completed_work = 5;
-  a.attempted_work = 6;
-  a.failures = 1;
-  a.slots = 10;
-  a.peak_live = 3;
-  b.completed_work = 7;
-  b.attempted_work = 9;
-  b.restarts = 2;
-  b.slots = 4;
-  b.peak_live = 8;
-  a.merge(b);
-  EXPECT_EQ(a.completed_work, 12u);
-  EXPECT_EQ(a.attempted_work, 15u);
-  EXPECT_EQ(a.pattern_size(), 3u);
-  EXPECT_EQ(a.slots, 14u);
-  EXPECT_EQ(a.peak_live, 8u);
-}
-
-TEST(WorkTally, MergeTakesPeakLiveMaxNotSum) {
-  // peak_live is a maximum over slots, so merging runs keeps the larger
-  // peak — summing would invent a processor count no slot ever had.
-  WorkTally a, b;
-  a.peak_live = 8;
-  b.peak_live = 3;
-  a.merge(b);
-  EXPECT_EQ(a.peak_live, 8u);
-  b.merge(a);
-  EXPECT_EQ(b.peak_live, 8u);
-}
-
-TEST(WorkTally, MergeAccumulatesHalted) {
-  WorkTally a, b;
-  a.halted = 2;
-  b.halted = 5;
-  a.merge(b);
-  EXPECT_EQ(a.halted, 7u);
-}
-
 TEST(WorkTally, OverheadRatioWithEmptyPattern) {
   // |F| = 0: σ degenerates to S / |I| exactly.
   WorkTally t;
@@ -104,21 +64,6 @@ TEST(WorkTally, OverheadRatioSmallestInput) {
   EXPECT_DOUBLE_EQ(t.overhead_ratio(1), 1.0);
   WorkTally idle;
   EXPECT_DOUBLE_EQ(idle.overhead_ratio(1), 0.0);
-}
-
-TEST(PhaseCsv, GoldenOutput) {
-  const PhaseWork phases[] = {
-      {.name = "alloc", .completed_work = 10, .attempted_work = 12,
-       .failures = 1, .restarts = 1, .slots = 4},
-      {.name = "work", .completed_work = 20, .attempted_work = 22,
-       .failures = 2, .restarts = 0, .slots = 8},
-  };
-  std::ostringstream os;
-  write_phase_csv(os, phases);
-  EXPECT_EQ(os.str(),
-            "phase,completed,attempted,failures,restarts,slots\n"
-            "alloc,10,12,1,1,4\n"
-            "work,20,22,2,0,8\n");
 }
 
 }  // namespace
