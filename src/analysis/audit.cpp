@@ -379,7 +379,7 @@ void Auditor::on_transitions(Slot slot, const FaultDecision& decision) {
   for (const Pid pid : decision.fail_mid_cycle) twins_.erase(pid);
   for (const Pid pid : decision.fail_after_cycle) twins_.erase(pid);
   for (const TornWrite& tear : decision.torn) twins_.erase(tear.pid);
-  // Restarts boot a twin alongside the engine's own fresh state; from the
+  // Restarts boot a twin alongside the engine's rebooted state; from the
   // next slot on both run the same cycles against the same memory.
   for (const Pid pid : decision.restart) {
     twins_[pid] = program_->boot(pid);

@@ -11,9 +11,11 @@
 //     the per-program maxima, instead of the run dying at the first one.
 //   * amnesia check — after each restart the auditor boots a fresh "twin"
 //     state via Program::boot(pid) and steps it against the same slot-start
-//     memory as the real processor. Any divergence (addresses read, writes,
-//     halting) means the restarted processor's behaviour depends on private
-//     memory that the failure should have wiped.
+//     memory as the real processor, whose state the engine reset in place
+//     through Program::reboot (so the twin checks reboot against boot). Any
+//     divergence (addresses read, writes, halting) means the restarted
+//     processor's behaviour depends on private memory that the failure
+//     should have wiped.
 //   * CRCW write agreement — concurrent same-slot writers must agree at
 //     every cell (COMMON) or write the designated value (WEAK), across
 //     *all started* cycles — including ones the adversary then aborts,

@@ -10,8 +10,9 @@ namespace rfsp {
 HalvingAdversary::HalvingAdversary(Addr x_base, Addr n, Word visited_mask,
                                    HalvingOptions options)
     : x_base_(x_base), n_(n), visited_mask_(visited_mask),
-      options_(options) {
+      options_(options), writers_(n), in_unvisited_(n), doomed_cell_(n) {
   RFSP_CHECK(n >= 1);
+  unvisited_.reserve(n);
 }
 
 FaultDecision HalvingAdversary::decide(const MachineView& view) {
@@ -23,48 +24,65 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
     }
   }
 
-  // Current unvisited set and the pending writers per unvisited cell.
-  std::vector<Addr> unvisited;
-  unvisited.reserve(n_);
+  // Current unvisited set; the per-cell scratch starts over.
+  unvisited_.clear();
   for (Addr i = 0; i < n_; ++i) {
-    if ((view.memory().read(x_base_ + i) & visited_mask_) == 0) {
-      unvisited.push_back(i);
-    }
+    const bool open = (view.memory().read(x_base_ + i) & visited_mask_) == 0;
+    if (open) unvisited_.push_back(i);
+    in_unvisited_[i] = open ? 1 : 0;
+    writers_[i] = 0;
+    doomed_cell_[i] = 0;
   }
-  const std::size_t u = unvisited.size();
+  const std::size_t u = unvisited_.size();
   if (u <= 1) return d;  // nothing left to halve; let the algorithm finish
 
-  std::vector<std::uint32_t> writers(n_, 0);
-  std::vector<std::uint8_t> in_unvisited(n_, 0);
-  for (Addr i : unvisited) in_unvisited[i] = 1;
-
+  // Pending writers per unvisited cell.
   const std::span<const Pid> started = view.started_pids();
+  std::uint32_t most_writers = 0;
   for (Pid pid : started) {
     for (const WriteOp& op : view.trace(pid).writes) {
       if (op.addr >= x_base_ && op.addr < x_base_ + n_ &&
           (op.value & visited_mask_) != 0) {
         const Addr cell = op.addr - x_base_;
-        if (in_unvisited[cell]) ++writers[cell];
+        if (in_unvisited_[cell]) {
+          most_writers = std::max(most_writers, ++writers_[cell]);
+        }
       }
     }
   }
 
-  // Pick the ⌊U/2⌋ unvisited cells with the fewest pending writers.
-  std::stable_sort(unvisited.begin(), unvisited.end(), [&](Addr a, Addr b) {
-    return writers[a] < writers[b];
-  });
+  // Doom the ⌊U/2⌋ unvisited cells with the fewest pending writers, ties
+  // to the lower index: the first half of a stable counting sort by writer
+  // count, found without sorting. Count the cells per writer count, find
+  // the count k where the half runs out, then doom every cell below k and
+  // the lowest-indexed cells at k.
   const std::size_t chosen = u / 2;
-  std::vector<std::uint8_t> doomed_cell(n_, 0);
-  for (std::size_t i = 0; i < chosen; ++i) doomed_cell[unvisited[i]] = 1;
+  cells_by_writers_.assign(std::size_t{most_writers} + 1, 0);
+  for (Addr i : unvisited_) ++cells_by_writers_[writers_[i]];
+  std::uint32_t k = 0;
+  std::size_t below_k = 0;
+  while (below_k + cells_by_writers_[k] < chosen) {
+    below_k += cells_by_writers_[k];
+    ++k;
+  }
+  std::size_t at_k = chosen - below_k;
+  for (Addr i : unvisited_) {
+    if (writers_[i] < k) {
+      doomed_cell_[i] = 1;
+    } else if (writers_[i] == k && at_k > 0) {
+      doomed_cell_[i] = 1;
+      --at_k;
+    }
+  }
 
   // Fail every processor writing into a chosen cell.
-  std::vector<Pid> victims;
+  victims_.clear();
   for (Pid pid : started) {
     for (const WriteOp& op : view.trace(pid).writes) {
       if (op.addr >= x_base_ && op.addr < x_base_ + n_ &&
           (op.value & visited_mask_) != 0 &&
-          doomed_cell[op.addr - x_base_] != 0) {
-        victims.push_back(pid);
+          doomed_cell_[op.addr - x_base_] != 0) {
+        victims_.push_back(pid);
         break;
       }
     }
@@ -74,12 +92,14 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
   // halves; guard constraint 2(i) by sparing one victim if all started
   // cycles would be aborted. Without revival, also never kill the machine's
   // last processor.
-  if (victims.size() == started.size() && !victims.empty()) victims.pop_back();
-  for (Pid pid : victims) {
+  if (victims_.size() == started.size() && !victims_.empty()) {
+    victims_.pop_back();
+  }
+  for (Pid pid : victims_) {
     d.fail_mid_cycle.push_back(pid);
     if (options_.revive) d.restart.push_back(pid);
   }
-  if (!victims.empty()) ++rounds_;
+  if (!victims_.empty()) ++rounds_;
   return d;
 }
 

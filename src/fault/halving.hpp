@@ -58,6 +58,15 @@ class HalvingAdversary final : public Adversary {
   Word visited_mask_;
   HalvingOptions options_;
   std::uint64_t rounds_ = 0;
+
+  // Per-decision scratch, sized once: decide allocates nothing but its
+  // FaultDecision.
+  std::vector<Addr> unvisited_;                // ascending cell indices
+  std::vector<std::uint32_t> writers_;         // pending writers per cell
+  std::vector<std::uint8_t> in_unvisited_;     // per cell
+  std::vector<std::uint8_t> doomed_cell_;      // per cell
+  std::vector<std::size_t> cells_by_writers_;  // unvisited cells per count
+  std::vector<Pid> victims_;
 };
 
 }  // namespace rfsp

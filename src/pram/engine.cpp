@@ -524,10 +524,11 @@ void Engine::resolve_write_conflict(Addr addr, Word value, Pid pid) {
 }
 
 void Engine::apply_transitions(const FaultDecision& d) {
-  // State transitions: failures destroy private memory (§2.1 point 3) ...
+  // State transitions: failures destroy private memory (§2.1 point 3). The
+  // state object stays allocated but unused; a restart resets it in place
+  // (Program::reboot) ...
   ++mark_epoch_;  // marks collect this slot's departures from the live set
   auto fail = [&](Pid pid) {
-    states_[pid].reset();
     status_[pid] = ProcStatus::kFailed;
     traces_[pid].clear();
     // Persistent-cache amnesia: un-persisted writes die with the processor.
@@ -541,7 +542,8 @@ void Engine::apply_transitions(const FaultDecision& d) {
   // ... voluntary halts take effect only for cycles that completed (the
   // halters come from the lane log, in ascending PID order; a processor the
   // adversary failed this slot is no longer kLive and stays failed, i.e.
-  // restartable) ...
+  // restartable). A halted processor never restarts, so its state is
+  // freed ...
   std::size_t halts = 0;
   for (Pid pid : lane_.halts) {
     if (status_[pid] != ProcStatus::kLive) continue;
@@ -563,7 +565,7 @@ void Engine::apply_transitions(const FaultDecision& d) {
     }
   }
 
-  // ... and restarts boot fresh states, live from the next slot.
+  // ... and restarts reboot their states, live from the next slot.
   for (Pid pid : d.restart) {
     if (kernel_ != nullptr) {
       kernel_->boot_lane(soa_, pid);
@@ -572,7 +574,7 @@ void Engine::apply_transitions(const FaultDecision& d) {
       // fail/halt cleared it above, a restarted lane runs from next slot.
       if (!batch_traces_) traces_[pid].started = true;
     } else {
-      states_[pid] = program_.boot(pid);
+      program_.reboot(states_[pid], pid);
     }
     status_[pid] = ProcStatus::kLive;
   }

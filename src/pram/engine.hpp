@@ -324,6 +324,9 @@ class Engine {
   // Persistent-cache backend state: one write-back cache per PID (empty
   // vector under the other models).
   std::vector<ProcCache> caches_;
+  // Interpreter path: one state per PID. A failed processor's state stays
+  // allocated (and unused) until its restart reboots it in place; halted
+  // processors' states are freed.
   std::vector<std::unique_ptr<ProcessorState>> states_;
   std::vector<ProcStatus> status_;
   std::vector<CycleTrace> traces_;

@@ -9,11 +9,13 @@
 // sequence, not a single synchronous tick), and they observe the memory as
 // of the start of the slot because all writes commit at slot end.
 //
-// Failure semantics: when the adversary fails a processor its ProcessorState
-// is destroyed (private memory is lost). A restart constructs a fresh state
-// via Program::boot(pid) — the restarted processor knows only its PID, P,
-// and whatever it subsequently reads from shared memory. The synchronous
-// clock (CycleContext::slot) is global knowledge, not private state.
+// Failure semantics: when the adversary fails a processor its private
+// memory is lost. The engine keeps the failed ProcessorState object but never
+// runs it again; a restart hands it to Program::reboot(state, pid), which
+// resets it in place to exactly what Program::boot(pid) would construct —
+// the restarted processor knows only its PID, P, and whatever it
+// subsequently reads from shared memory. The synchronous clock
+// (CycleContext::slot) is global knowledge, not private state.
 #pragma once
 
 #include <memory>
@@ -202,6 +204,17 @@ class Program {
   // Fresh private state for processor `pid`: used at time 0 and again after
   // every restart (restarts lose all private context — §2.1 point 3).
   virtual std::unique_ptr<ProcessorState> boot(Pid pid) const = 0;
+
+  // Restart processor `pid` (§2.1 point 3): leave in `state` a state that
+  // behaves exactly like boot(pid) and saves the same checkpoint words.
+  // `state` is null or an object this program's boot or load_state made,
+  // possibly used since. The default boots afresh; programs whose states can
+  // be reset in place override it so restarts free and allocate nothing
+  // (a null `state` must still boot). The auditor's amnesia twin
+  // (analysis/audit.hpp) boots through boot(), so it checks every override.
+  virtual void reboot(std::unique_ptr<ProcessorState>& state, Pid pid) const {
+    state = boot(pid);
+  }
 
   // Cheap success predicate, checked once per slot (typically one cell:
   // a progress-tree root or a done flag). The engine stops when it holds.

@@ -293,6 +293,8 @@ class SimulationProgram final : public Program {
   }
 
   std::unique_ptr<ProcessorState> boot(Pid pid) const override;
+  void reboot(std::unique_ptr<ProcessorState>& state,
+              Pid pid) const override;
   std::unique_ptr<ProcessorState> load_state(
       Pid pid, std::span<const Word> data) const override;
 
@@ -350,6 +352,18 @@ class SimProcState final : public ProcessorState {
       advance_from_ = pass;
     }
     return true;
+  }
+
+  // Back to the boot state, in place (Program::reboot). The pass's inner
+  // state and task go: the next cycle builds them for whatever pass the
+  // phase word then names.
+  void reboot() {
+    inner_.reset();  // first: it refers to task_ and config_
+    task_.reset();
+    config_ = WriteAllConfig{};
+    pass_ = kNoPass;
+    inner_start_ = 0;
+    advance_from_.reset();
   }
 
   // Checkpoint support (docs/resilience.md): the pass index plus the inner
@@ -440,9 +454,11 @@ class SimProcState final : public ProcessorState {
     inner_start_ = start;
   }
 
+  static constexpr std::uint64_t kNoPass = ~std::uint64_t{0};
+
   const SimulationProgram& outer_;
   Pid pid_;
-  std::uint64_t pass_ = ~std::uint64_t{0};
+  std::uint64_t pass_ = kNoPass;
   Slot inner_start_ = 0;  // build()'s start slot, for checkpointing
   std::optional<std::uint64_t> advance_from_;
   std::unique_ptr<TaskSpec> task_;
@@ -452,6 +468,15 @@ class SimProcState final : public ProcessorState {
 
 std::unique_ptr<ProcessorState> SimulationProgram::boot(Pid pid) const {
   return std::make_unique<SimProcState>(*this, pid);
+}
+
+void SimulationProgram::reboot(std::unique_ptr<ProcessorState>& state,
+                               Pid pid) const {
+  if (state == nullptr) {
+    state = boot(pid);
+  } else {
+    static_cast<SimProcState&>(*state).reboot();
+  }
 }
 
 std::unique_ptr<ProcessorState> SimulationProgram::load_state(

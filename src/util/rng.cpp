@@ -15,29 +15,11 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   return splitmix64(state);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   // Expand the seed with SplitMix64, per the xoshiro authors' advice.
   for (auto& word : s_) word = splitmix64(seed);
   // Avoid the all-zero state (possible only if splitmix emitted four zeroes).
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) {
@@ -47,17 +29,6 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   std::uint64_t v = next();
   while (v >= limit) v = next();
   return v % bound;
-}
-
-double Rng::uniform() {
-  // 53 random bits into [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 }  // namespace rfsp

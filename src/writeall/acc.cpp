@@ -11,6 +11,15 @@ std::unique_ptr<ProcessorState> AccWriteAll::boot(Pid pid) const {
                                      AlgXState::Descent::kCoupon);
 }
 
+void AccWriteAll::reboot(std::unique_ptr<ProcessorState>& state,
+                         Pid pid) const {
+  if (state == nullptr) {
+    state = boot(pid);
+  } else {
+    static_cast<AlgXState&>(*state).reboot();
+  }
+}
+
 std::unique_ptr<ProcessorState> AccWriteAll::load_state(
     Pid pid, std::span<const Word> data) const {
   auto state = std::make_unique<AlgXState>(config_, layout_, pid, std::nullopt,

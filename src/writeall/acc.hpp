@@ -23,6 +23,8 @@ class AccWriteAll final : public WriteAllProgram {
   std::string_view name() const override { return "ACC"; }
   Addr memory_size() const override { return layout_.aux_end(); }
   std::unique_ptr<ProcessorState> boot(Pid pid) const override;
+  void reboot(std::unique_ptr<ProcessorState>& state,
+              Pid pid) const override;
   std::unique_ptr<ProcessorState> load_state(
       Pid pid, std::span<const Word> data) const override;
   bool goal(const SharedMemory& mem) const override;

@@ -41,12 +41,17 @@ VLayout::VLayout(Addr x_base_in, Addr aux_base, Addr n_in, Pid p_in,
 AlgVState::AlgVState(const WriteAllConfig& config, const VLayout& layout,
                      Pid /*pid*/, std::optional<Addr> done_flag,
                      Slot start_slot, Slot clock_stride)
-    : params_{config, layout, done_flag}, start_slot_(start_slot),
-      stride_(clock_stride) {
-  RFSP_CHECK(stride_ >= 1);
-  if (config.task != nullptr) {
-    scratch_.assign(config.task->scratch_words(), Word{0});
-  }
+    : params_{config, layout, done_flag} {
+  reboot(start_slot, clock_stride);
+}
+
+void AlgVState::reboot(Slot start_slot, Slot clock_stride) {
+  RFSP_CHECK(clock_stride >= 1);
+  const TaskSpec* task = params_.config.task;
+  start_slot_ = start_slot;
+  stride_ = clock_stride;
+  regs_ = VRegs{};
+  scratch_.assign(task != nullptr ? task->scratch_words() : 0, Word{0});
 }
 
 bool AlgVState::save_state(std::vector<Word>& out) const {
@@ -122,6 +127,14 @@ AlgV::AlgV(WriteAllConfig config)
 
 std::unique_ptr<ProcessorState> AlgV::boot(Pid pid) const {
   return std::make_unique<AlgVState>(config_, layout_, pid);
+}
+
+void AlgV::reboot(std::unique_ptr<ProcessorState>& state, Pid pid) const {
+  if (state == nullptr) {
+    state = boot(pid);
+  } else {
+    static_cast<AlgVState&>(*state).reboot();
+  }
 }
 
 std::unique_ptr<ProcessorState> AlgV::load_state(

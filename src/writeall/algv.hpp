@@ -296,6 +296,10 @@ class AlgVState final : public ProcessorState {
 
   bool cycle(CycleContext& ctx) override;
 
+  // Back to what the constructor builds from these arguments, in place
+  // (Program::reboot); the task scratch keeps its capacity.
+  void reboot(Slot start_slot = 0, Slot clock_stride = 1);
+
   // Checkpoint support (docs/resilience.md): flat word-stream round-trip.
   // The composable pair (save_words/load_words) lets CombinedState and the
   // simulator embed V's words inside their own streams.
@@ -326,6 +330,8 @@ class AlgV final : public WriteAllProgram {
   std::string_view name() const override { return "V"; }
   Addr memory_size() const override { return layout_.aux_end(); }
   std::unique_ptr<ProcessorState> boot(Pid pid) const override;
+  void reboot(std::unique_ptr<ProcessorState>& state,
+              Pid pid) const override;
   std::unique_ptr<ProcessorState> load_state(
       Pid pid, std::span<const Word> data) const override;
   bool goal(const SharedMemory& mem) const override;

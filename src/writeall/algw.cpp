@@ -168,6 +168,14 @@ std::unique_ptr<ProcessorState> AlgW::boot(Pid pid) const {
   return std::make_unique<AlgWState>(config_, layout_, pid);
 }
 
+void AlgW::reboot(std::unique_ptr<ProcessorState>& state, Pid pid) const {
+  if (state == nullptr) {
+    state = boot(pid);
+  } else {
+    static_cast<AlgWState&>(*state).reboot();
+  }
+}
+
 std::unique_ptr<ProcessorState> AlgW::load_state(
     Pid pid, std::span<const Word> data) const {
   auto state = std::make_unique<AlgWState>(config_, layout_, pid);

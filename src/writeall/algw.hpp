@@ -80,6 +80,9 @@ class AlgWState final : public ProcessorState {
 
   bool cycle(CycleContext& ctx) override;
 
+  // Back to the boot registers, in place (Program::reboot).
+  void reboot() { regs_ = WRegs{}; }
+
   // Checkpoint support (docs/resilience.md): flat word-stream round-trip.
   bool save_state(std::vector<Word>& out) const override;
   void save_words(WordWriter& w) const;
@@ -101,6 +104,8 @@ class AlgW final : public WriteAllProgram {
   std::string_view name() const override { return "W"; }
   Addr memory_size() const override { return layout_.aux_end(); }
   std::unique_ptr<ProcessorState> boot(Pid pid) const override;
+  void reboot(std::unique_ptr<ProcessorState>& state,
+              Pid pid) const override;
   std::unique_ptr<ProcessorState> load_state(
       Pid pid, std::span<const Word> data) const override;
   bool goal(const SharedMemory& mem) const override;

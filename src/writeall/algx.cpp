@@ -41,9 +41,16 @@ AlgXState::AlgXState(const WriteAllConfig& config, const XLayout& layout,
                      Pid /*pid*/, std::optional<Addr> done_flag,
                      Descent descent)
     : params_{config, layout, done_flag, descent} {
-  if (config.task != nullptr) {
-    regs_.scratch.assign(config.task->scratch_words(), Word{0});
-  }
+  reboot();
+}
+
+void AlgXState::reboot() {
+  const TaskSpec* task = params_.config.task;
+  regs_.mode = XRegs::Mode::kNavigate;
+  regs_.task_leaf = 0;
+  regs_.task_k = 0;
+  regs_.scratch.assign(task != nullptr ? task->scratch_words() : 0, Word{0});
+  regs_.rng.reset();
 }
 
 bool AlgXState::save_state(std::vector<Word>& out) const {
@@ -124,6 +131,14 @@ std::unique_ptr<BatchKernel> AlgX::batch_kernels() const {
 
 std::unique_ptr<ProcessorState> AlgX::boot(Pid pid) const {
   return std::make_unique<AlgXState>(config_, layout_, pid);
+}
+
+void AlgX::reboot(std::unique_ptr<ProcessorState>& state, Pid pid) const {
+  if (state == nullptr) {
+    state = boot(pid);
+  } else {
+    static_cast<AlgXState&>(*state).reboot();
+  }
 }
 
 std::unique_ptr<ProcessorState> AlgX::load_state(

@@ -317,6 +317,10 @@ class AlgXState final : public ProcessorState {
 
   bool cycle(CycleContext& ctx) override;
 
+  // Back to the registers the constructor sets, in place (Program::reboot);
+  // the task scratch keeps its capacity.
+  void reboot();
+
   // Checkpoint support (docs/resilience.md): flat word-stream round-trip,
   // including the private RNG of the randomized descents.
   bool save_state(std::vector<Word>& out) const override;
@@ -340,6 +344,8 @@ class AlgX final : public WriteAllProgram {
   std::string_view name() const override { return "X"; }
   Addr memory_size() const override { return layout_.aux_end(); }
   std::unique_ptr<ProcessorState> boot(Pid pid) const override;
+  void reboot(std::unique_ptr<ProcessorState>& state,
+              Pid pid) const override;
   std::unique_ptr<ProcessorState> load_state(
       Pid pid, std::span<const Word> data) const override;
   bool goal(const SharedMemory& mem) const override;

@@ -15,6 +15,12 @@ CombinedState::CombinedState(const WriteAllConfig& config,
       v_(config, layout.v, pid, layout.done, start_slot, /*clock_stride=*/2),
       x_(config, layout.x, pid, layout.done) {}
 
+void CombinedState::reboot(Slot start_slot) {
+  start_slot_ = start_slot;
+  v_.reboot(start_slot, /*clock_stride=*/2);
+  x_.reboot();
+}
+
 bool CombinedState::cycle(CycleContext& ctx) {
   RFSP_CHECK_MSG(ctx.slot() >= start_slot_,
                  "VX state used before its start slot");
@@ -86,6 +92,15 @@ std::unique_ptr<BatchKernel> CombinedVX::batch_kernels() const {
 
 std::unique_ptr<ProcessorState> CombinedVX::boot(Pid pid) const {
   return std::make_unique<CombinedState>(config_, layout_, pid);
+}
+
+void CombinedVX::reboot(std::unique_ptr<ProcessorState>& state,
+                        Pid pid) const {
+  if (state == nullptr) {
+    state = boot(pid);
+  } else {
+    static_cast<CombinedState&>(*state).reboot();
+  }
 }
 
 std::unique_ptr<ProcessorState> CombinedVX::load_state(

@@ -65,6 +65,10 @@ class CombinedState final : public ProcessorState {
 
   bool cycle(CycleContext& ctx) override;
 
+  // Back to what the constructor builds for `start_slot`, in place
+  // (Program::reboot).
+  void reboot(Slot start_slot = 0);
+
   // Checkpoint support (docs/resilience.md): start slot + V words + X words.
   bool save_state(std::vector<Word>& out) const override;
   void save_words(WordWriter& w) const;
@@ -86,6 +90,8 @@ class CombinedVX final : public WriteAllProgram {
   std::string_view name() const override { return "VX"; }
   Addr memory_size() const override { return layout_.aux_end(); }
   std::unique_ptr<ProcessorState> boot(Pid pid) const override;
+  void reboot(std::unique_ptr<ProcessorState>& state,
+              Pid pid) const override;
   std::unique_ptr<ProcessorState> load_state(
       Pid pid, std::span<const Word> data) const override;
   bool goal(const SharedMemory& mem) const override;
