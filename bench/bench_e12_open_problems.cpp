@@ -33,7 +33,7 @@ void print_no_restart_x() {
   double prev_s = 0;
   Addr prev_n = 0;
   for (Addr n : {Addr{256}, Addr{1024}, Addr{4096}, Addr{16384}}) {
-    HalvingAdversary crash(0, n, Word{0xffffffff}, {.revive = false});
+    HalvingAdversary crash(0, n, {.revive = false});
     const auto out = run_writeall(
         WriteAllAlgo::kX, {.n = n, .p = static_cast<Pid>(n), .seed = 1},
         crash);
@@ -95,7 +95,7 @@ void BM_CrashOnlyX(benchmark::State& state) {
   const Addr n = static_cast<Addr>(state.range(0));
   WriteAllOutcome out;
   for (auto _ : state) {
-    HalvingAdversary crash(0, n, Word{0xffffffff}, {.revive = false});
+    HalvingAdversary crash(0, n, {.revive = false});
     out = run_writeall(WriteAllAlgo::kX,
                        {.n = n, .p = static_cast<Pid>(n), .seed = 1}, crash);
   }

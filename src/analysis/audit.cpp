@@ -94,8 +94,7 @@ std::string diff_cycles(std::span<const Addr> real_reads,
 Auditor::Auditor(AuditOptions options) : options_(options) {}
 
 void Auditor::add(AuditCheck check, std::string detail, AuditContext context) {
-  report_.add(check, std::move(detail), std::move(context),
-              options_.max_violations);
+  report_.add(check, std::move(detail), std::move(context));
 }
 
 Auditor::PidCycle& Auditor::cycle_state(Pid pid) {
@@ -120,7 +119,6 @@ void Auditor::on_run_begin(const Program& program,
                            const EngineOptions& options) {
   program_ = &program;
   model_ = options.model;
-  weak_value_ = options.weak_value;
   snapshot_allowed_ = options.unit_cost_snapshot;
   read_budget_ = options.read_budget;
   write_budget_ = options.write_budget;
@@ -264,7 +262,7 @@ void Auditor::check_write_agreement(Slot slot,
       // WEAK: with >= 2 concurrent writers, every written value must be the
       // designated one. The first writer's value is checked when a second
       // writer reveals the concurrency, and only once.
-      if (!first.value_flagged && first.value != weak_value_) {
+      if (!first.value_flagged && first.value != kWeakValue) {
         first.value_flagged = true;
         AuditContext ctx;
         ctx.slot = static_cast<std::int64_t>(slot);
@@ -275,7 +273,7 @@ void Auditor::check_write_agreement(Slot slot,
             "WEAK CRCW concurrent write of a non-designated value",
             std::move(ctx));
       }
-      if (op.value != weak_value_) {
+      if (op.value != kWeakValue) {
         AuditContext ctx;
         ctx.slot = static_cast<std::int64_t>(slot);
         ctx.cell = static_cast<std::int64_t>(op.addr);

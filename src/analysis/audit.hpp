@@ -49,8 +49,6 @@ namespace rfsp {
 
 struct AuditOptions {
   bool fingerprint = true;  // per-cycle fingerprints for obliviousness
-  // Stored-violation cap; AuditReport::counts keeps the true totals past it.
-  std::size_t max_violations = 64;
 };
 
 // One attempted update cycle, digested: the hash mixes the addresses read
@@ -129,7 +127,6 @@ class Auditor final : public EngineAuditHook {
   // Machine parameters captured at on_run_begin.
   const Program* program_ = nullptr;
   CrcwModel model_ = CrcwModel::kCommon;
-  Word weak_value_ = 1;
   bool snapshot_allowed_ = false;
   std::size_t read_budget_ = 0;
   std::size_t write_budget_ = 0;

@@ -19,19 +19,18 @@ EngineOptions replay_options(EngineOptions options, Auditor& auditor) {
   return options;
 }
 
-void report_replay_failure(const std::exception& e, AuditReport& report,
-                           std::size_t max_violations) {
+void report_replay_failure(const std::exception& e, AuditReport& report) {
   report.add(AuditCheck::kOblivious,
              std::string("bit-exact replay of the recorded fault schedule "
                          "failed: ") +
                  e.what(),
-             AuditContext{}, max_violations);
+             AuditContext{});
 }
 
 }  // namespace
 
 void diff_fingerprints(const Auditor& recorded, const Auditor& replayed,
-                       AuditReport& report, std::size_t max_violations) {
+                       AuditReport& report) {
   const std::vector<CycleFingerprint>& a = recorded.fingerprints();
   const std::vector<CycleFingerprint>& b = replayed.fingerprints();
   const std::size_t common = std::min(a.size(), b.size());
@@ -48,7 +47,7 @@ void diff_fingerprints(const Auditor& recorded, const Auditor& replayed,
             std::to_string(b[i].slot) + " pid " + std::to_string(b[i].pid) +
             "): the address/value trace depends on state outside "
             "(pid, slot, values read)",
-        std::move(ctx), max_violations);
+        std::move(ctx));
     return;  // later entries diverge in cascade; the first one is the finding
   }
   if (a.size() != b.size()) {
@@ -59,7 +58,7 @@ void diff_fingerprints(const Auditor& recorded, const Auditor& replayed,
     report.add(AuditCheck::kOblivious,
                "recorded run produced " + std::to_string(a.size()) +
                    " cycles, its bit-exact replay " + std::to_string(b.size()),
-               std::move(ctx), max_violations);
+               std::move(ctx));
   }
   report.fingerprints_truncated |=
       recorded.report().fingerprints_truncated ||
@@ -82,10 +81,9 @@ AuditedRun audit_writeall(WriteAllAlgo algo, const WriteAllConfig& config,
     ReplayAdversary replayer(out.schedule);
     try {
       run_writeall(algo, config, replayer, replay_options(options, second));
-      diff_fingerprints(first, second, first.report_mutable(),
-                        audit.max_violations);
+      diff_fingerprints(first, second, first.report_mutable());
     } catch (const std::exception& e) {
-      report_replay_failure(e, first.report_mutable(), audit.max_violations);
+      report_replay_failure(e, first.report_mutable());
     }
   }
   out.report = first.take_report();
@@ -110,10 +108,9 @@ AuditedSimRun audit_simulation(const SimProgram& program, Adversary& adversary,
     opt.resume = nullptr;
     try {
       simulate(program, replayer, opt);
-      diff_fingerprints(first, second, first.report_mutable(),
-                        audit.max_violations);
+      diff_fingerprints(first, second, first.report_mutable());
     } catch (const std::exception& e) {
-      report_replay_failure(e, first.report_mutable(), audit.max_violations);
+      report_replay_failure(e, first.report_mutable());
     }
   }
   out.report = first.take_report();

@@ -50,7 +50,6 @@ AuditedSimRun audit_simulation(const SimProgram& program, Adversary& adversary,
 // any) to `report` as AuditCheck::kOblivious. Exposed for tests and for
 // callers driving their own engines.
 void diff_fingerprints(const Auditor& recorded, const Auditor& replayed,
-                       AuditReport& report,
-                       std::size_t max_violations = 64);
+                       AuditReport& report);
 
 }  // namespace rfsp

@@ -53,9 +53,9 @@ void append_context(std::string& line, const AuditContext& ctx) {
 }  // namespace
 
 void AuditReport::add(AuditCheck check, std::string detail,
-                      AuditContext context, std::size_t max_violations) {
+                      AuditContext context) {
   ++counts[static_cast<std::size_t>(check)];
-  if (violations.size() < max_violations) {
+  if (violations.size() < kMaxViolations) {
     violations.push_back({check, std::move(detail), std::move(context)});
   } else {
     ++dropped_violations;

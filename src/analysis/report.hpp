@@ -69,9 +69,12 @@ struct AuditViolation {
   AuditContext context;
 };
 
+// Stored-violation cap of an AuditReport.
+inline constexpr std::size_t kMaxViolations = 64;
+
 // Everything one audited run produced. Violations are capped by
-// AuditOptions::max_violations; the per-check counters keep counting past
-// the cap so `count(check)` is always the true total.
+// kMaxViolations; the per-check counters keep counting past the cap so
+// `count(check)` is always the true total.
 struct AuditReport {
   std::vector<AuditViolation> violations;
   std::array<std::uint64_t, kAuditCheckCount> counts{};  // per AuditCheck
@@ -89,10 +92,9 @@ struct AuditReport {
   bool fingerprints_truncated = false;  // obliviousness compare is a prefix
 
   // Record one finding: the per-check counter always increments; the
-  // violation itself is stored only while under `max_violations` (excess
+  // violation itself is stored only while under kMaxViolations (excess
   // findings bump dropped_violations instead).
-  void add(AuditCheck check, std::string detail, AuditContext context,
-           std::size_t max_violations);
+  void add(AuditCheck check, std::string detail, AuditContext context);
 
   std::uint64_t count(AuditCheck check) const {
     return counts[static_cast<std::size_t>(check)];

@@ -16,6 +16,16 @@
 
 namespace rfsp::analysis {
 
+namespace {
+
+// Exploration and report caps, constants of the verifier.
+constexpr std::size_t kMaxPathsPerConfig = 512;  // cycle runs per config
+constexpr std::size_t kMaxDomainValues = 24;     // values per cell domain
+constexpr std::size_t kMaxFindings = 64;         // stored findings
+constexpr std::size_t kMaxAgreementRecords = 64;  // per (slot, cell)
+
+}  // namespace
+
 std::string_view to_string(StaticCheck check) {
   switch (check) {
     case StaticCheck::kReadBudget: return "read-budget";
@@ -70,10 +80,9 @@ std::string render_truncation(std::uint32_t mask) {
 
 void StaticReport::add(StaticCheck check, std::string detail,
                        AuditContext context, std::vector<Word> state,
-                       std::vector<ReadAssumption> valuation,
-                       std::size_t max_findings) {
+                       std::vector<ReadAssumption> valuation) {
   ++counts[static_cast<std::size_t>(check)];
-  if (findings.size() < max_findings) {
+  if (findings.size() < kMaxFindings) {
     findings.push_back({check, std::move(detail), std::move(context),
                         std::move(state), std::move(valuation)});
   } else {
@@ -276,8 +285,7 @@ class Domain final : public DomainSource {
  public:
   Domain(const Program& program, const VerifyOptions& options,
          std::span<const Word> init)
-      : max_values_(std::max<std::size_t>(options.max_domain_values, 2)),
-        goal_(program.goal_cells()) {
+      : goal_(program.goal_cells()) {
     cells_.resize(init.size());
     for (Addr a = 0; a < init.size(); ++a) {
       std::vector<SymbolicValue>& dom = cells_[a].values;
@@ -303,7 +311,7 @@ class Domain final : public DomainSource {
     if (addr >= cells_.size()) return false;
     std::vector<SymbolicValue>& dom = cells_[addr].values;
     if (contains(dom, value)) return false;
-    if (dom.size() >= max_values_) {
+    if (dom.size() >= kMaxDomainValues) {
       truncated_ = true;
       return false;
     }
@@ -334,7 +342,6 @@ class Domain final : public DomainSource {
     return AbstractTag::kWritten;
   }
 
-  std::size_t max_values_;
   std::optional<GoalCells> goal_;
   std::vector<Cell> cells_;
   bool truncated_ = false;
@@ -411,7 +418,7 @@ class Explorer {
     }
     report_.read_budget = options_.read_budget;
     report_.write_budget = options_.write_budget;
-    oblivious_ = options_.force_oblivious || program_.oblivious();
+    oblivious_ = program_.oblivious();
     report_.oblivious_checked = oblivious_;
     if (options_.check_kernels) kernel_ = program_.batch_kernels();
     if (kernel_ != nullptr) {
@@ -580,7 +587,7 @@ class Explorer {
     std::vector<ReadAssumption> shape_valuation;
     std::vector<PathDecision> script;
     while (true) {
-      if (paths >= options_.max_paths_per_config) {
+      if (paths >= kMaxPathsPerConfig) {
         truncate(TruncationCause::kPathsPerConfig);
         break;
       }
@@ -768,7 +775,7 @@ class Explorer {
       return;
     }
     report_.add(check, std::move(detail), std::move(context), std::move(state),
-                std::move(valuation), options_.max_findings);
+                std::move(valuation));
   }
 
   // --- write agreement --------------------------------------------------
@@ -791,7 +798,7 @@ class Explorer {
         }
       }
       if (duplicate) continue;
-      if (records.size() >= options_.max_agreement_records) {
+      if (records.size() >= kMaxAgreementRecords) {
         ++report_.dropped_agreement_records;
         continue;
       }
@@ -817,7 +824,7 @@ class Explorer {
       const Addr cell = group & 0xffffffffu;
       if (options_.model == CrcwModel::kWeak) {
         for (const WriteRecord& r : records) {
-          if (r.value == options_.weak_value) continue;
+          if (r.value == kWeakValue) continue;
           AuditContext ctx;
           ctx.slot = static_cast<std::int64_t>(slot);
           ctx.cell = static_cast<std::int64_t>(cell);
@@ -946,7 +953,7 @@ class Explorer {
     report_.add(StaticCheck::kHaltUnreachable,
                 "no reachable configuration halts under any explored "
                 "valuation within the slot horizon",
-                std::move(ctx), {}, {}, options_.max_findings);
+                std::move(ctx), {}, {});
   }
 
   static constexpr std::uint32_t kNoState = 0xffffffffu;

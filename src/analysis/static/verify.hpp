@@ -85,9 +85,9 @@ std::string_view to_string(StaticCheck check);
 // kWriteAgreement cross-check.
 enum class TruncationCause : std::uint8_t {
   kStates = 0,          // VerifyOptions::max_states
-  kPathsPerConfig = 1,  // VerifyOptions::max_paths_per_config
+  kPathsPerConfig = 1,  // 512 cycle executions per (pid, state, slot)
   kTotalPaths = 2,      // VerifyOptions::max_total_paths
-  kDomainValues = 3,    // VerifyOptions::max_domain_values
+  kDomainValues = 3,    // 24 values in one cell's domain
   kRounds = 4,          // VerifyOptions::max_rounds hit while still growing
 };
 
@@ -132,7 +132,7 @@ struct StaticFinding {
 // Everything one verification produced. Findings are deduplicated per
 // (check, control state): the counters count offending *states*, not
 // offending paths, and `findings` keeps the first counterexample of each
-// up to `VerifyOptions::max_findings`.
+// up to 64 (past that only the counters and dropped_findings grow).
 struct StaticReport {
   std::vector<StaticFinding> findings;
   std::array<std::uint64_t, kStaticCheckCount> counts{};
@@ -164,8 +164,7 @@ struct StaticReport {
   bool oblivious_checked = false;
 
   void add(StaticCheck check, std::string detail, AuditContext context,
-           std::vector<Word> state, std::vector<ReadAssumption> valuation,
-           std::size_t max_findings);
+           std::vector<Word> state, std::vector<ReadAssumption> valuation);
 
   std::uint64_t count(StaticCheck check) const {
     return counts[static_cast<std::size_t>(check)];
@@ -193,7 +192,6 @@ struct VerifyOptions {
   std::size_t write_budget = 2;
   bool unit_cost_snapshot = false;
   CrcwModel model = CrcwModel::kCommon;
-  Word weak_value = 1;
 
   // Explored slot horizon [0, slots). Restarts are modelled by seeding
   // every processor's boot state at every slot in the horizon.
@@ -207,17 +205,15 @@ struct VerifyOptions {
   bool check_kernels = true;
   bool check_write_agreement = true;
   bool check_halt_reachability = true;
-  // Run the obliviousness proof even when Program::oblivious is false.
-  bool force_oblivious = false;
 
-  // Exploration caps; hitting any sets StaticReport::truncated.
+  // Exploration caps; hitting any sets StaticReport::truncated. The
+  // per-configuration path cap (512), the per-cell domain cap (24), the
+  // stored-finding cap (64) and the per-(slot, cell) agreement-record cap
+  // (64) are constants of the verifier. The obliviousness proof runs iff
+  // Program::oblivious() claims it.
   std::size_t max_rounds = 10;
   std::size_t max_states = std::size_t{1} << 15;
-  std::size_t max_paths_per_config = 512;
   std::size_t max_total_paths = std::size_t{1} << 22;
-  std::size_t max_domain_values = 24;  // per-cell value-set cap
-  std::size_t max_findings = 64;
-  std::size_t max_agreement_records = 64;  // per (slot, cell)
 };
 
 // Explicit-state verifier over one Program. The program must support the

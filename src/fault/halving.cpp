@@ -7,10 +7,16 @@
 
 namespace rfsp {
 
-HalvingAdversary::HalvingAdversary(Addr x_base, Addr n, Word visited_mask,
-                                   HalvingOptions options)
-    : x_base_(x_base), n_(n), visited_mask_(visited_mask),
-      options_(options), writers_(n), in_unvisited_(n), doomed_cell_(n) {
+namespace {
+
+// A cell is visited when its low 32 bits (a stamped cell's payload) are set.
+constexpr Word kVisitedMask = 0xffffffff;
+
+}  // namespace
+
+HalvingAdversary::HalvingAdversary(Addr x_base, Addr n, HalvingOptions options)
+    : x_base_(x_base), n_(n), options_(options), writers_(n),
+      in_unvisited_(n), doomed_cell_(n) {
   RFSP_CHECK(n >= 1);
   unvisited_.reserve(n);
 }
@@ -27,7 +33,7 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
   // Current unvisited set; the per-cell scratch starts over.
   unvisited_.clear();
   for (Addr i = 0; i < n_; ++i) {
-    const bool open = (view.memory().read(x_base_ + i) & visited_mask_) == 0;
+    const bool open = (view.memory().read(x_base_ + i) & kVisitedMask) == 0;
     if (open) unvisited_.push_back(i);
     in_unvisited_[i] = open ? 1 : 0;
     writers_[i] = 0;
@@ -42,7 +48,7 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
   for (Pid pid : started) {
     for (const WriteOp& op : view.trace(pid).writes) {
       if (op.addr >= x_base_ && op.addr < x_base_ + n_ &&
-          (op.value & visited_mask_) != 0) {
+          (op.value & kVisitedMask) != 0) {
         const Addr cell = op.addr - x_base_;
         if (in_unvisited_[cell]) {
           most_writers = std::max(most_writers, ++writers_[cell]);
@@ -80,7 +86,7 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
   for (Pid pid : started) {
     for (const WriteOp& op : view.trace(pid).writes) {
       if (op.addr >= x_base_ && op.addr < x_base_ + n_ &&
-          (op.value & visited_mask_) != 0 &&
+          (op.value & kVisitedMask) != 0 &&
           doomed_cell_[op.addr - x_base_] != 0) {
         victims_.push_back(pid);
         break;

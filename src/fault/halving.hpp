@@ -32,13 +32,10 @@ struct HalvingOptions {
 
 class HalvingAdversary final : public Adversary {
  public:
-  // `x_base`/`n`: the Write-All output region. `visited_value_mask`: a cell
-  // counts as visited when (value & mask) != 0 (stamped layouts keep the
-  // payload in the low 32 bits; plain layouts write 1 — the default mask
-  // covers both).
-  HalvingAdversary(Addr x_base, Addr n,
-                   Word visited_mask = Word{0xffffffff},
-                   HalvingOptions options = {});
+  // `x_base`/`n`: the Write-All output region. A cell counts as visited
+  // when its low 32 bits are non-zero (stamped layouts keep the payload
+  // there; plain layouts write 1).
+  HalvingAdversary(Addr x_base, Addr n, HalvingOptions options = {});
 
   std::string_view name() const override { return "halving"; }
   FaultDecision decide(const MachineView& view) override;
@@ -55,7 +52,6 @@ class HalvingAdversary final : public Adversary {
  private:
   Addr x_base_;
   Addr n_;
-  Word visited_mask_;
   HalvingOptions options_;
   std::uint64_t rounds_ = 0;
 

@@ -3,25 +3,26 @@
 #include <algorithm>
 #include <span>
 
-#include "util/error.hpp"
 
 namespace rfsp {
 
 namespace {
 
+// A cell's payload as a standalone (epoch 0) run stamps it.
+Word payload(Word cell) { return payload_of(cell, /*stamp=*/0); }
+
 // Traversal position of `pid` as committed in shared memory (the stable
 // w[] cell algorithm X maintains); 0 = not initialized, layout.exited() =
 // left the tree.
 Addr committed_position(const MachineView& view, const XLayout& layout,
-                        Word stamp, Pid pid) {
-  return static_cast<Addr>(
-      payload_of(view.memory().read(layout.w(pid)), stamp));
+                        Pid pid) {
+  return static_cast<Addr>(payload(view.memory().read(layout.w(pid))));
 }
 
 bool is_unfinished_leaf(const MachineView& view, const XLayout& layout,
-                        Word stamp, Addr pos) {
+                        Addr pos) {
   if (pos < layout.n_pad || pos >= 2 * layout.n_pad) return false;
-  return payload_of(view.memory().read(layout.d(pos)), stamp) == 0;
+  return payload(view.memory().read(layout.d(pos))) == 0;
 }
 
 }  // namespace
@@ -29,12 +30,11 @@ bool is_unfinished_leaf(const MachineView& view, const XLayout& layout,
 // ---------------------------------------------------------------------------
 // PostOrderStalker
 
-PostOrderStalker::PostOrderStalker(XLayout layout, Word stamp)
-    : layout_(layout), stamp_(stamp) {}
+PostOrderStalker::PostOrderStalker(XLayout layout) : layout_(layout) {}
 
 FaultDecision PostOrderStalker::decide(const MachineView& view) {
   FaultDecision d;
-  const Addr pos0 = committed_position(view, layout_, stamp_, 0);
+  const Addr pos0 = committed_position(view, layout_, 0);
   const std::span<const Pid> started = view.started_pids();
 
   // Release failed processors only when processor 0 has *just* completed a
@@ -46,9 +46,9 @@ FaultDecision PostOrderStalker::decide(const MachineView& view) {
 
   for (Pid pid : started) {
     if (pid == 0) continue;
-    const Addr pos = committed_position(view, layout_, stamp_, pid);
+    const Addr pos = committed_position(view, layout_, pid);
     // Reached an unfinished leaf where processor 0 is not: stop there.
-    if (pos != pos0 && is_unfinished_leaf(view, layout_, stamp_, pos)) {
+    if (pos != pos0 && is_unfinished_leaf(view, layout_, pos)) {
       d.fail_mid_cycle.push_back(pid);
     }
   }
@@ -78,19 +78,21 @@ FaultDecision PostOrderStalker::decide(const MachineView& view) {
     }
     for (const WriteOp& op : view.trace(pid).writes) {
       if (op.addr >= layout_.x_base && op.addr < layout_.x_base + layout_.n &&
-          payload_of(op.value, stamp_) != 0) {
+          payload(op.value) != 0) {
         last_visited_ =
             std::max(last_visited_, op.addr - layout_.x_base + 1);
       }
     }
   }
 
-  // Fold this slot's victims into the failed set (both ascending).
+  // Fold this slot's victims into the failed set (both ascending),
+  // through a member buffer: std::inplace_merge would heap-allocate a
+  // temporary buffer on every call.
   if (!d.fail_mid_cycle.empty()) {
-    const std::size_t mid = failed_.size();
-    failed_.insert(failed_.end(), d.fail_mid_cycle.begin(),
-                   d.fail_mid_cycle.end());
-    std::inplace_merge(failed_.begin(), failed_.begin() + mid, failed_.end());
+    merge_buf_.resize(failed_.size() + d.fail_mid_cycle.size());
+    std::merge(failed_.begin(), failed_.end(), d.fail_mid_cycle.begin(),
+               d.fail_mid_cycle.end(), merge_buf_.begin());
+    failed_.swap(merge_buf_);
   }
   return d;
 }
@@ -98,13 +100,8 @@ FaultDecision PostOrderStalker::decide(const MachineView& view) {
 // ---------------------------------------------------------------------------
 // LeafStalker
 
-LeafStalker::LeafStalker(XLayout layout, LeafStalkerOptions opt, Word stamp)
-    : layout_(layout), opt_(opt), stamp_(stamp) {
-  const Addr element =
-      opt_.target_element == ~Addr{0} ? layout_.n - 1 : opt_.target_element;
-  RFSP_CHECK_MSG(element < layout_.n, "stalked element out of range");
-  target_node_ = layout_.leaf(element);
-}
+LeafStalker::LeafStalker(XLayout layout, LeafStalkerOptions opt)
+    : layout_(layout), opt_(opt), target_node_(layout_.leaf(layout_.n - 1)) {}
 
 FaultDecision LeafStalker::decide(const MachineView& view) {
   FaultDecision d;
@@ -113,7 +110,7 @@ FaultDecision LeafStalker::decide(const MachineView& view) {
   const std::span<const Pid> started = view.started_pids();
   std::vector<Pid> touching;
   for (Pid pid : started) {
-    if (committed_position(view, layout_, stamp_, pid) == target_node_) {
+    if (committed_position(view, layout_, pid) == target_node_) {
       touching.push_back(pid);
     }
   }
@@ -144,7 +141,7 @@ FaultDecision LeafStalker::decide(const MachineView& view) {
     if (status == ProcStatus::kHalted) continue;
     ++live_or_failed;
     if (status == ProcStatus::kFailed &&
-        committed_position(view, layout_, stamp_, pid) == target_node_) {
+        committed_position(view, layout_, pid) == target_node_) {
       ++at_leaf;
     }
   }

@@ -3,7 +3,9 @@
 //
 // Both watch the traversal positions that algorithm X (and the ACC
 // stand-in) keep in the shared w[] array — which an on-line adversary may
-// do, since it "knows everything about the algorithm".
+// do, since it "knows everything about the algorithm". They decode cells
+// as a standalone run stamps them (epoch 0, writeall/layout.hpp): a cell
+// carrying another epoch's stamp reads as 0.
 #pragma once
 
 #include <cstdint>
@@ -31,20 +33,20 @@ namespace rfsp {
 // the remaining work, re-paying traversal cycles — the N^{log₂3} recursion).
 class PostOrderStalker final : public Adversary {
  public:
-  explicit PostOrderStalker(XLayout layout, Word stamp = 0);
+  explicit PostOrderStalker(XLayout layout);
 
   std::string_view name() const override { return "postorder-stalker"; }
   FaultDecision decide(const MachineView& view) override;
 
  private:
   XLayout layout_;
-  Word stamp_;
   Addr last_visited_ = 0;  // 1 + max element index whose x-write committed
   Addr last_release_mark_ = 0;  // last_visited_ value at the last release
   // PIDs this adversary has failed and not yet restarted, ascending. Only
   // decide() fails/restarts processors, so this mirrors the engine's
   // kFailed set without an O(P) status scan per release slot.
   std::vector<Pid> failed_;
+  std::vector<Pid> merge_buf_;  // the next failed_; swapped in
 };
 
 // §5: the stalking adversary against the randomized ACC algorithm.
@@ -53,15 +55,15 @@ class PostOrderStalker final : public Adversary {
 //    failing all processors that touch that leaf until only one processor
 //    remains in the fail-stop case, or until all processors simultaneously
 //    touch the leaf in the fail-stop/restart case."
+//
+// The stalked leaf is the last element's (n - 1).
 struct LeafStalkerOptions {
-  // Element whose leaf is stalked; SIZE_MAX means the last element (n - 1).
-  Addr target_element = ~Addr{0};
   bool restart_variant = false;  // false: fail-stop case (no restarts)
 };
 
 class LeafStalker final : public Adversary {
  public:
-  LeafStalker(XLayout layout, LeafStalkerOptions opt = {}, Word stamp = 0);
+  explicit LeafStalker(XLayout layout, LeafStalkerOptions opt = {});
 
   std::string_view name() const override { return "leaf-stalker"; }
   FaultDecision decide(const MachineView& view) override;
@@ -71,7 +73,6 @@ class LeafStalker final : public Adversary {
  private:
   XLayout layout_;
   LeafStalkerOptions opt_;
-  Word stamp_;
   Addr target_node_ = 0;
   bool released_ = false;  // termination condition reached; gone passive
 };

@@ -48,9 +48,8 @@ class AtomicContext {
 
 // One worker's run loop: the Figure 5 iteration against atomic memory.
 // `kill` is the injector's flag; observing it costs the worker its private
-// registers (the coin), after which it recovers from the stable w[] cell —
-// restart-at-recovery-action per [SS 83]. The coin reseeds lazily from
-// (seed, PID, loop count).
+// registers, after which it recovers from the stable w[] cell —
+// restart-at-recovery-action per [SS 83].
 void run_worker(const XParams& params, AtomicContext ctx,
                 std::atomic<bool>& kill, std::uint64_t& iters,
                 std::uint64_t& failures) {
@@ -80,9 +79,7 @@ ThreadedResult run_threaded_writeall(const ThreadedOptions& options) {
   const WriteAllConfig config{.n = options.n,
                               .p = static_cast<Pid>(options.workers),
                               .seed = options.seed};
-  const XParams params{config, layout, std::nullopt,
-                       options.random_descent ? XDescent::kRandom
-                                              : XDescent::kPidBits};
+  const XParams params{config, layout, std::nullopt};
   AtomicMemory mem(layout.aux_end() + 1);
 
   // Per-worker counters: written only by the owning thread; join() below

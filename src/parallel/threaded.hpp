@@ -1,6 +1,6 @@
-// A real-concurrency runtime for algorithm X (and its randomized ACC
-// variant): OS threads over std::atomic shared words, with a failure
-// injector that models restartable fail-stop workers.
+// A real-concurrency runtime for algorithm X: OS threads over std::atomic
+// shared words, with a failure injector that models restartable fail-stop
+// workers.
 //
 // Why this exists (§2.3): the paper argues its algorithms run on an actual
 // multiprocessor built from fail-stop processors, reliable shared memory,
@@ -48,7 +48,6 @@ class AtomicMemory {
 struct ThreadedOptions {
   Addr n = 1024;          // Write-All instance size
   unsigned workers = 4;   // OS threads (the P processors)
-  bool random_descent = false;  // false: algorithm X; true: ACC variant
   std::uint64_t seed = 1;
 
   // Failure injection: mean injections per worker over the whole run

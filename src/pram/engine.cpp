@@ -116,6 +116,7 @@ Engine::Engine(const Program& program, EngineOptions options)
   cell_stamp_.assign(mem_.size(), 0);
   live_pids_.resize(p);
   for (Pid pid = 0; pid < p; ++pid) live_pids_[pid] = pid;
+  merge_buf_.reserve(p);
   program_.init_memory(mem_);
 
   if (const std::optional<GoalCells> cells = program_.goal_cells()) {
@@ -140,17 +141,15 @@ Engine::Engine(const Program& program, EngineOptions options)
   // Batched SoA backend: active only when nothing demands per-op hooks.
   // Budgets below the paper defaults could make the interpreter throw
   // where a kernel (which does not meter its reads) would not, so they
-  // force the interpreter too. ARBITRARY/PRIORITY resolve concurrent
-  // writes by commit order (first writer wins), and batch runs are checked
-  // bit-identical only under the order-symmetric COMMON/WEAK rules, so
-  // those fall back as well. Unported programs return nullptr.
+  // force the interpreter too. Every CRCW model batches: the kernel runs
+  // the live set as one ascending-PID group, so the lane log's write order
+  // is the interpreter's and ARBITRARY/PRIORITY's first writer is the same
+  // processor. Unported programs return nullptr.
   // Non-reliable memory models force the interpreter as well: kernels read
   // the flat memory span directly, which cannot show remapped cells or the
   // per-processor write-back caches.
   if (options_.batch && audit_ == nullptr &&
       options_.memory_model == MemoryModel::kReliable &&
-      options_.model != CrcwModel::kArbitrary &&
-      options_.model != CrcwModel::kPriority &&
       options_.read_budget >= 4 && options_.write_budget >= 2) {
     kernel_ = program_.batch_kernels();
   }
@@ -502,8 +501,7 @@ void Engine::resolve_write_conflict(Addr addr, Word value, Pid pid) {
         }
         break;
       case CrcwModel::kWeak:
-        if (value != options_.weak_value ||
-            mem_.read(addr) != options_.weak_value) {
+        if (value != kWeakValue || mem_.read(addr) != kWeakValue) {
           throw ModelViolation(
               "WEAK CRCW conflict: concurrent write of a non-designated "
               "value at cell " +
@@ -592,13 +590,14 @@ void Engine::apply_transitions(const FaultDecision& d) {
                      live_pids_.end());
   }
   if (!d.restart.empty()) {
+    // Merge into a member buffer and swap: std::inplace_merge would
+    // heap-allocate a temporary buffer on every call.
     restart_buf_.assign(d.restart.begin(), d.restart.end());
     std::sort(restart_buf_.begin(), restart_buf_.end());
-    const std::size_t mid = live_pids_.size();
-    live_pids_.insert(live_pids_.end(), restart_buf_.begin(),
-                      restart_buf_.end());
-    std::inplace_merge(live_pids_.begin(), live_pids_.begin() + mid,
-                       live_pids_.end());
+    merge_buf_.resize(live_pids_.size() + restart_buf_.size());
+    std::merge(live_pids_.begin(), live_pids_.end(), restart_buf_.begin(),
+               restart_buf_.end(), merge_buf_.begin());
+    live_pids_.swap(merge_buf_);
   }
 
   // Memory-model moves land last, after the slot's commit (cell_faults kill
@@ -854,12 +853,6 @@ RunResult Engine::run(Adversary& adversary) {
   }
   result.tally = tally_;
   return result;
-}
-
-RunResult run_program(const Program& program, Adversary& adversary,
-                      EngineOptions options) {
-  Engine engine(program, options);
-  return engine.run(adversary);
 }
 
 }  // namespace rfsp

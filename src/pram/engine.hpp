@@ -120,12 +120,7 @@ struct EngineOptions {
   std::size_t read_budget = 4;
   std::size_t write_budget = 2;
 
-  CrcwModel model = CrcwModel::kCommon;
-
-  // The designated concurrent-write value of the WEAK CRCW variant
-  // (Theorem 4.1 lists WEAK among the simulable disciplines). A lone
-  // writer may write anything; concurrent writers must all write this.
-  Word weak_value = 1;
+  CrcwModel model = CrcwModel::kCommon;  // kWeak's value is kWeakValue
 
   // Enable the strong model of §3: a processor may read and locally process
   // the entire shared memory at unit cost (used by Theorems 3.1/3.2 only).
@@ -166,14 +161,13 @@ struct EngineOptions {
   // declares it never inspects cycle internals (Adversary::
   // inspects_cycles) and torn writes are off, kernels skip materializing
   // per-PID CycleTraces entirely — the oblivious fast path that makes the
-  // backend pay at scale. The engine silently falls back to the
-  // interpreter whenever per-op hooks demand it: an installed audit hook,
-  // budgets
-  // below the paper defaults (4 reads / 2 writes — kernels assume full
-  // budgets), an ARBITRARY/PRIORITY conflict model (its first-writer-wins
-  // rule observes cross-lane write order; batch runs are checked
-  // bit-identical only under the order-symmetric COMMON/WEAK rules), or a
-  // program without kernels.
+  // backend pay at scale. Every CRCW model batches: the lane log lists
+  // writes in ascending PID order, as the interpreter does, so
+  // ARBITRARY/PRIORITY's first writer is the same processor. The engine
+  // silently falls back to the interpreter whenever per-op hooks demand
+  // it: an installed audit hook, budgets below the paper defaults (4 reads
+  // / 2 writes — kernels assume full budgets), a non-reliable memory
+  // model, or a program without kernels.
   // A kernel declaring other than one control state is a ConfigError.
   // Engine::batch_active() reports which path was chosen.
   bool batch = false;
@@ -264,9 +258,6 @@ class Engine {
   // Final (or current) shared memory, for verification.
   const SharedMemory& memory() const { return mem_; }
 
-  // The faulty-cells fault map (null under the other memory models).
-  const CellFaultMap* fault_map() const { return fault_map_.get(); }
-
   const EngineOptions& options() const { return options_; }
 
   // Whether the batched SoA backend is driving the cycle phase (true iff
@@ -339,6 +330,7 @@ class Engine {
   // the slot loop costs O(live + |decision|), not O(P).
   std::vector<Pid> live_pids_;
   std::vector<Pid> restart_buf_;  // scratch for sorted re-insertion
+  std::vector<Pid> merge_buf_;    // the next live list; swapped in
 
   // Epoch-stamped per-PID marks (validate/commit/transition scratch).
   std::vector<std::uint64_t> mark_stamp_;
@@ -392,10 +384,5 @@ class Engine {
   Addr goal_end_ = 0;
   std::uint64_t goal_unsat_ = 0;
 };
-
-// Convenience: build an engine, run `program` under `adversary`, verify
-// nothing threw, and return the result plus final memory via out-param.
-RunResult run_program(const Program& program, Adversary& adversary,
-                      EngineOptions options = {});
 
 }  // namespace rfsp

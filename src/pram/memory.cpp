@@ -28,7 +28,6 @@ bool SharedMemory::faulty_write(Addr a, Word v) {
     return false;
   }
   cells_[faults_->translate(a)] = v;
-  ++committed_writes_;
   return true;
 }
 

@@ -50,7 +50,6 @@ class SharedMemory {
     if (a >= visible_) [[unlikely]] throw_out_of_bounds("write", a, pid);
     if (faults_ != nullptr) [[unlikely]] return faulty_write(a, v);
     cells_[a] = v;
-    ++committed_writes_;
     return true;
   }
 
@@ -74,10 +73,6 @@ class SharedMemory {
   Addr storage_size() const { return static_cast<Addr>(cells_.size()); }
   void restore_storage(std::span<const Word> words);
 
-  const CellFaultMap* fault_map() const { return faults_; }
-
-  // Number of committed writes since construction (diagnostics only).
-  std::uint64_t committed_writes() const { return committed_writes_; }
   // Writes dropped by dead cells (diagnostics only).
   std::uint64_t dropped_writes() const { return dropped_writes_; }
 
@@ -89,7 +84,6 @@ class SharedMemory {
   std::vector<Word> cells_;
   Addr visible_ = 0;
   const CellFaultMap* faults_ = nullptr;
-  std::uint64_t committed_writes_ = 0;
   std::uint64_t dropped_writes_ = 0;
 };
 

@@ -130,9 +130,6 @@ class CycleContext {
   // from boot). Budget violations carry it in their ViolationContext.
   Pid pid() const { return pid_; }
 
-  std::size_t reads_used() const { return reads_used_; }
-  std::size_t writes_used() const { return trace_.writes.size(); }
-
  private:
   [[noreturn]] void throw_read_budget() const;
   [[noreturn]] void throw_write_budget() const;

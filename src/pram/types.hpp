@@ -30,13 +30,18 @@ using Slot = std::uint64_t;
 enum class CrcwModel : std::uint8_t {
   kCommon,     // concurrent writers must write the same value (default)
   kWeak,       // concurrent writers allowed only for one designated value
-               // (EngineOptions::weak_value, conventionally 1 — the
-               // discipline Write-All itself needs)
+               // (kWeakValue — the discipline Write-All itself needs)
   kArbitrary,  // one writer wins; we resolve deterministically (lowest PID)
   kPriority,   // lowest-PID writer wins
   kCrew,       // concurrent reads allowed, concurrent writes forbidden
   kErew,       // neither concurrent reads nor writes
 };
+
+// The designated concurrent-write value of the WEAK CRCW variant (Theorem
+// 4.1 lists WEAK among the simulable disciplines): a lone writer may write
+// anything, concurrent writers must all write this — the 1 that Write-All
+// writes into every cell.
+inline constexpr Word kWeakValue = 1;
 
 // Life-cycle of a processor within a run.
 enum class ProcStatus : std::uint8_t {

@@ -12,13 +12,11 @@ using Pred = std::function<bool(const FaultSchedule&)>;
 
 class ProbeBudget {
  public:
-  explicit ProbeBudget(std::size_t max) : max_(max) {}
-  bool exhausted() const { return used_ >= max_; }
+  bool exhausted() const { return used_ >= kShrinkMaxProbes; }
   std::size_t used() const { return used_; }
   void charge() { ++used_; }
 
  private:
-  std::size_t max_;
   std::size_t used_ = 0;
 };
 
@@ -169,11 +167,11 @@ bool stage_weaken(FaultSchedule& current, const Pred& still_fails,
 }  // namespace
 
 ShrinkResult shrink_schedule(const FaultSchedule& input,
-                             const Pred& still_fails, ShrinkOptions options) {
+                             const Pred& still_fails) {
   ShrinkResult result;
   result.initial_moves = input.move_count();
 
-  ProbeBudget budget(options.max_probes);
+  ProbeBudget budget;
   budget.charge();
   if (!still_fails(input)) {
     throw ConfigError(
@@ -187,9 +185,7 @@ ShrinkResult shrink_schedule(const FaultSchedule& input,
     progress = false;
     progress |= stage_entries(current, still_fails, budget);
     progress |= stage_moves(current, still_fails, budget);
-    if (options.weaken_moves) {
-      progress |= stage_weaken(current, still_fails, budget);
-    }
+    progress |= stage_weaken(current, still_fails, budget);
   }
 
   result.schedule = std::move(current);

@@ -12,10 +12,13 @@
 //   stage C  weaken surviving moves: torn -> fail_mid_cycle and
 //            fail_mid_cycle -> fail_after_cycle — each step strictly less
 //            adversarial, so a failure that survives it has a simpler cause.
+//            A predicate that asks for the same outcome (ProbeStatus)
+//            already rejects a weakening that changes it.
 //
-// Stages loop to a fixpoint within the probe budget. The result is
-// 1-minimal at the granularity the budget allowed: a corpus reproducer
-// small enough to read, not just to re-run.
+// Stages loop to a fixpoint within kShrinkMaxProbes predicate evaluations
+// (each probe is a full engine replay). The result is 1-minimal at the
+// granularity the budget allowed: a corpus reproducer small enough to
+// read, not just to re-run.
 #pragma once
 
 #include <cstddef>
@@ -25,22 +28,15 @@
 
 namespace rfsp {
 
-struct ShrinkOptions {
-  // Upper bound on predicate evaluations across all stages. Each probe is
-  // a full engine replay, so this is the shrinker's cost dial.
-  std::size_t max_probes = 2000;
-
-  // Enable stage C. Off when the *kind* of move is the point (e.g. a
-  // reproducer for the torn-write path must keep its torn move).
-  bool weaken_moves = true;
-};
+// Upper bound on predicate evaluations across all stages.
+inline constexpr std::size_t kShrinkMaxProbes = 2000;
 
 struct ShrinkResult {
   FaultSchedule schedule;   // smallest failing schedule found
   std::size_t probes = 0;   // predicate evaluations spent
   std::uint64_t initial_moves = 0;
   std::uint64_t final_moves = 0;
-  bool budget_exhausted = false;  // stopped by max_probes, not by fixpoint
+  bool budget_exhausted = false;  // stopped by the budget, not by fixpoint
 };
 
 // Minimize `input` with respect to `still_fails` (true = the failure of
@@ -49,7 +45,6 @@ struct ShrinkResult {
 // caller's repro is already broken.
 ShrinkResult shrink_schedule(
     const FaultSchedule& input,
-    const std::function<bool(const FaultSchedule&)>& still_fails,
-    ShrinkOptions options = {});
+    const std::function<bool(const FaultSchedule&)>& still_fails);
 
 }  // namespace rfsp

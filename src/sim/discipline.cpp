@@ -1,60 +1,13 @@
 #include "sim/discipline.hpp"
 
 #include <map>
-#include <set>
 #include <vector>
 
-#include "util/error.hpp"
+#include "sim/sync_exec.hpp"
 
 namespace rfsp {
 
 namespace {
-
-// StepContext that executes directly against a memory image while
-// recording the access sets.
-class RecordingContext final : public StepContext {
- public:
-  RecordingContext(const SimProgram& program, std::span<const Word> memory,
-                   std::span<const Word> regs, Pid j)
-      : program_(program), memory_(memory), regs_(regs), j_(j) {}
-
-  Word load(Addr a) override {
-    RFSP_CHECK(a < memory_.size());
-    loads_.insert(a);
-    if (const auto it = stores_.find(a); it != stores_.end()) {
-      return it->second;
-    }
-    return memory_[a];
-  }
-  void store(Addr a, Word v) override {
-    RFSP_CHECK(a < memory_.size());
-    stores_[a] = sim_word(v);
-  }
-  Word reg(unsigned r) override {
-    RFSP_CHECK(r < program_.registers());
-    if (const auto it = reg_stores_.find(r); it != reg_stores_.end()) {
-      return it->second;
-    }
-    return regs_[j_ * program_.registers() + r];
-  }
-  void set_reg(unsigned r, Word v) override {
-    RFSP_CHECK(r < program_.registers());
-    reg_stores_[r] = sim_word(v);
-  }
-
-  const std::set<Addr>& loads() const { return loads_; }
-  const std::map<Addr, Word>& stores() const { return stores_; }
-  const std::map<unsigned, Word>& reg_stores() const { return reg_stores_; }
-
- private:
-  const SimProgram& program_;
-  std::span<const Word> memory_;
-  std::span<const Word> regs_;
-  Pid j_;
-  std::set<Addr> loads_;
-  std::map<Addr, Word> stores_;
-  std::map<unsigned, Word> reg_stores_;
-};
 
 DisciplineReport fail(std::string what, Step t, Addr a, std::vector<Pid> pids,
                       std::vector<Word> values) {
@@ -73,14 +26,8 @@ DisciplineReport fail(std::string what, Step t, Addr a, std::vector<Pid> pids,
 }  // namespace
 
 DisciplineReport check_discipline(const SimProgram& program,
-                                  CrcwModel discipline, Word weak_value) {
-  const Pid n = program.processors();
-  std::vector<Word> memory(program.memory_cells(), Word{0});
-  std::vector<Word> regs(static_cast<std::size_t>(n) * program.registers(),
-                         Word{0});
-  program.init(memory);
-  for (auto& w : memory) w = sim_word(w);
-
+                                  CrcwModel discipline) {
+  SyncExecutor exec(program, /*record_loads=*/true);
   DisciplineReport report;
   for (Step t = 0; t < program.steps(); ++t) {
     std::map<Addr, std::vector<Pid>> readers;
@@ -90,32 +37,25 @@ DisciplineReport check_discipline(const SimProgram& program,
       bool all_weak = true;
     };
     std::map<Addr, WriteInfo> writers;
-    std::map<Addr, Word> pending;
-    std::vector<std::pair<std::size_t, Word>> pending_regs;
 
-    for (Pid j = 0; j < n; ++j) {
-      RecordingContext ctx(program, memory, regs, j);
-      program.step(ctx, j, t);
-      for (const Addr a : ctx.loads()) readers[a].push_back(j);
-      for (const auto& [a, v] : ctx.stores()) {
-        WriteInfo& info = writers[a];
-        if (!info.pids.empty() && info.values.back() != v &&
-            discipline == CrcwModel::kCommon) {
-          info.pids.push_back(j);
-          info.values.push_back(v);
-          return fail("COMMON writers disagree", t, a, std::move(info.pids),
-                      std::move(info.values));
-        }
+    const bool ran = exec.step(t, [&](Pid j) {
+      for (const Addr a : exec.loads()) readers[a].push_back(j);
+      for (const WriteOp& w : exec.stores()) {
+        WriteInfo& info = writers[w.addr];
+        const bool disagree =
+            !info.pids.empty() && info.values.back() != w.value;
         info.pids.push_back(j);
-        info.values.push_back(v);
-        info.all_weak = info.all_weak && v == weak_value;
-        pending[a] = v;  // last writer's value (ARBITRARY tie-break here)
+        info.values.push_back(w.value);
+        if (disagree && discipline == CrcwModel::kCommon) {
+          report = fail("COMMON writers disagree", t, w.addr,
+                        std::move(info.pids), std::move(info.values));
+          return false;
+        }
+        info.all_weak = info.all_weak && w.value == kWeakValue;
       }
-      for (const auto& [r, v] : ctx.reg_stores()) {
-        pending_regs.emplace_back(
-            static_cast<std::size_t>(j) * program.registers() + r, v);
-      }
-    }
+      return true;
+    });
+    if (!ran) return report;
 
     // A synchronous PRAM step has a read phase then a write phase, so a
     // read and a write to one cell by different processors never collide:
@@ -143,9 +83,6 @@ DisciplineReport check_discipline(const SimProgram& program,
             std::move(info.pids), std::move(info.values));
       }
     }
-
-    for (const auto& [a, v] : pending) memory[a] = v;
-    for (const auto& [idx, v] : pending_regs) regs[idx] = v;
   }
   return report;
 }

@@ -3,15 +3,16 @@
 // and COMMON CRCW PRAM algorithms are simulated on fail-stop COMMON CRCW
 // PRAMs; ARBITRARY ... on fail-stop CRCW PRAMs of the same type."
 //
-// The checker executes the program fault-free while recording every
-// simulated processor's per-step load/store sets and validates them
+// The checker executes the program fault-free (sim/sync_exec.hpp, the
+// executor reference_run uses) while recording every simulated
+// processor's per-step load/store sets and validates them
 // against the requested discipline:
 //   kErew    — no two processors touch one cell in a step (read or write);
 //   kCrew    — concurrent reads allowed, concurrent writes not;
 //   kCommon  — concurrent writes must carry equal values;
-//   kWeak    — concurrent writes only of the designated value (Theorem 4.1
-//              lists WEAK among the simulable variants; Write-All itself
-//              is the canonical WEAK program);
+//   kWeak    — concurrent writes only of the designated value kWeakValue
+//              (Theorem 4.1 lists WEAK among the simulable variants;
+//              Write-All itself is the canonical WEAK program);
 //   kArbitrary / kPriority — any concurrent writes allowed.
 // Registers are private by construction and are not checked.
 //
@@ -44,7 +45,6 @@ struct DisciplineReport {
 };
 
 DisciplineReport check_discipline(const SimProgram& program,
-                                  CrcwModel discipline,
-                                  Word weak_value = 1);
+                                  CrcwModel discipline);
 
 }  // namespace rfsp

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 
+#include "sim/sync_exec.hpp"
 #include "util/error.hpp"
 #include "writeall/algv.hpp"
 #include "writeall/algx.hpp"
@@ -540,86 +541,22 @@ SimResult simulate(const SimProgram& program, Adversary& adversary,
   return result;
 }
 
-namespace {
-
-// Plain synchronous execution used as ground truth by tests/benches.
-class DirectContext final : public StepContext {
- public:
-  DirectContext(const SimProgram& program, std::span<const Word> memory,
-                std::span<const Word> regs, Pid j)
-      : program_(program), memory_(memory), regs_(regs), j_(j) {}
-
-  Word load(Addr a) override {
-    RFSP_CHECK(a < memory_.size());
-    if (const auto it = writes_.find(a); it != writes_.end()) {
-      return it->second;
-    }
-    return memory_[a];
-  }
-  void store(Addr a, Word v) override {
-    RFSP_CHECK(a < memory_.size());
-    writes_[a] = sim_word(v);
-  }
-  Word reg(unsigned r) override {
-    RFSP_CHECK(r < program_.registers());
-    if (const auto it = reg_writes_.find(r); it != reg_writes_.end()) {
-      return it->second;
-    }
-    return regs_[j_ * program_.registers() + r];
-  }
-  void set_reg(unsigned r, Word v) override {
-    RFSP_CHECK(r < program_.registers());
-    reg_writes_[r] = sim_word(v);
-  }
-
-  const std::map<Addr, Word>& writes() const { return writes_; }
-  const std::map<unsigned, Word>& reg_writes() const { return reg_writes_; }
-
- private:
-  const SimProgram& program_;
-  std::span<const Word> memory_;
-  std::span<const Word> regs_;
-  Pid j_;
-  std::map<Addr, Word> writes_;
-  std::map<unsigned, Word> reg_writes_;
-};
-
-}  // namespace
-
 std::vector<Word> reference_run(const SimProgram& program) {
-  const Pid n = program.processors();
-  std::vector<Word> memory(program.memory_cells(), Word{0});
-  std::vector<Word> regs(static_cast<std::size_t>(n) * program.registers(),
-                         Word{0});
-  program.init(memory);
-  for (auto& w : memory) w = sim_word(w);
-
+  SyncExecutor exec(program, /*record_loads=*/false);
+  const bool common = program.discipline() == CrcwModel::kCommon;
   for (Step t = 0; t < program.steps(); ++t) {
-    std::map<Addr, Word> pending;
-    std::vector<std::pair<std::size_t, Word>> pending_regs;
-    for (Pid j = 0; j < n; ++j) {
-      DirectContext ctx(program, memory, regs, j);
-      program.step(ctx, j, t);
-      for (const auto& [addr, value] : ctx.writes()) {
-        if (program.discipline() == CrcwModel::kCommon) {
-          const auto it = pending.find(addr);
-          RFSP_CHECK_MSG(it == pending.end() || it->second == value,
+    exec.step(t, [&](Pid) {
+      if (common) {
+        for (const WriteOp& w : exec.stores()) {
+          const Word* prior = exec.pending(w.addr);
+          RFSP_CHECK_MSG(prior == nullptr || *prior == w.value,
                          "simulated program violates COMMON CRCW");
         }
-        // ARBITRARY reference semantics: last writer in PID order wins
-        // (one legal arbitrary choice; the fault-tolerant executor may
-        // legitimately pick a different one).
-        pending[addr] = value;
       }
-      for (const auto& [r, value] : ctx.reg_writes()) {
-        pending_regs.emplace_back(
-            static_cast<std::size_t>(j) * program.registers() + r, value);
-      }
-    }
-    for (const auto& [addr, value] : pending) memory[addr] = value;
-    for (const auto& [idx, value] : pending_regs) regs[idx] = value;
+      return true;
+    });
   }
-  return memory;
+  return std::move(exec.memory());
 }
 
 }  // namespace rfsp

@@ -87,14 +87,14 @@ struct XLayout {
 // How the traversal makes its free choices:
 //  * kPidBits — algorithm X: contested interior nodes resolve by the PID
 //    bit at the node's depth; done subtrees are climbed out of.
-//  * kRandom  — randomized descent: contested nodes flip a private coin.
 //  * kCoupon  — the ACC stand-in (§5, [MSP 90] "coupon clipping"):
-//    kRandom, plus a done node is escaped by a jump to a uniformly
-//    random leaf half the time (sampling fresh coupons) and a climb the
-//    other half (which preserves termination through the root).
+//    processors start on a random leaf, contested nodes flip a private
+//    coin, and a done node is escaped by a jump to a uniformly random leaf
+//    half the time (sampling fresh coupons) and a climb the other half
+//    (which preserves termination through the root).
 // Private generators are seeded from (config.seed, PID, boot slot), so a
 // restarted processor deterministically reseeds from data it still has.
-enum class XDescent { kPidBits, kRandom, kCoupon };
+enum class XDescent { kPidBits, kCoupon };
 
 // Everything an X cycle reads besides its registers. By reference: states
 // are booted once per processor per restart, so copying the config and

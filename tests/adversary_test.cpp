@@ -252,7 +252,7 @@ TEST(GoldenDecisions, Halving) {
   HalvingAdversary adversary(0, 64);
   EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, {.n = 64, .p = 64}, adversary),
             0x104b442eu);
-  HalvingAdversary no_revive(0, 64, Word{0xffffffff}, {.revive = false});
+  HalvingAdversary no_revive(0, 64, {.revive = false});
   EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, {.n = 64, .p = 64}, no_revive),
             0x63a031f9u);
 }

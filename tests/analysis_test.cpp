@@ -267,21 +267,22 @@ TEST(AuditMode, StorageCapStillThrowsUnderAudit) {
 }
 
 TEST(AuditMode, ViolationCapCountsPastTheCap) {
+  constexpr std::uint64_t kCycles = kMaxViolations + 10;
   LambdaProgram program(1, 8, [](Pid, std::uint64_t k, CycleContext& ctx) {
     for (Addr a = 0; a < 5; ++a) ctx.read(a);
-    return k < 9;  // ten over-budget cycles
+    return k + 1 < kCycles;  // kCycles over-budget cycles
   });
-  Auditor auditor(AuditOptions{.max_violations = 3});
+  Auditor auditor;
   EngineOptions options;
   options.audit = &auditor;
-  options.max_slots = 32;
+  options.max_slots = 2 * kCycles;
   Engine engine(program, options);
   LambdaAdversary adversary(no_faults);
   engine.run(adversary);
   const AuditReport& report = auditor.report();
-  EXPECT_EQ(report.count(AuditCheck::kReadBudget), 10u);
-  EXPECT_EQ(report.violations.size(), 3u);
-  EXPECT_EQ(report.dropped_violations, 7u);
+  EXPECT_EQ(report.count(AuditCheck::kReadBudget), kCycles);
+  EXPECT_EQ(report.violations.size(), kMaxViolations);
+  EXPECT_EQ(report.dropped_violations, 10u);
 }
 
 // --- Auditor x memory-model matrix -------------------------------------------

@@ -142,14 +142,17 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
   return std::make_unique<NoFailures>();
 }
 
-void check_equivalence(WriteAllAlgo algo, const std::string& adversary_name) {
-  const std::string what =
-      std::string(to_string(algo)) + " x " + adversary_name;
+void check_equivalence(WriteAllAlgo algo, const std::string& adversary_name,
+                       CrcwModel model = CrcwModel::kCommon) {
+  const std::string what = std::string(to_string(algo)) + " x " +
+                           adversary_name + " model " +
+                           std::to_string(static_cast<int>(model));
   SCOPED_TRACE(what);
   const WriteAllConfig config{.n = 192, .p = 48, .seed = 5};
   const std::uint64_t seed = 77;
 
   EngineOptions options;
+  options.model = model;
   options.max_slots = 4000;  // W need not terminate under restarts
   if (adversary_name == "chaos") options.bit_atomic_writes = true;
 
@@ -182,6 +185,19 @@ TEST(BatchEquivalence, RandomFaults) {
                                   WriteAllAlgo::kX,
                                   WriteAllAlgo::kCombinedVX}) {
     check_equivalence(algo, "random");
+  }
+}
+
+// ARBITRARY and PRIORITY let the first committed writer of a cell win. The
+// kernel runs the live set as one ascending-PID group, so its lane log
+// lists writes in the interpreter's order and both models batch.
+TEST(BatchEquivalence, ArbitraryAndPriorityUnderRandomFaults) {
+  for (const CrcwModel model : {CrcwModel::kArbitrary, CrcwModel::kPriority}) {
+    for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
+                                    WriteAllAlgo::kX,
+                                    WriteAllAlgo::kCombinedVX}) {
+      check_equivalence(algo, "random", model);
+    }
   }
 }
 

@@ -15,7 +15,6 @@
 #include "replay/schedule.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
-#include "writeall/acc.hpp"
 #include "writeall/algx.hpp"
 #include "writeall/runner.hpp"
 
@@ -84,23 +83,6 @@ TEST(BaseOffset, AlgorithmsRelocateCleanly) {
     }
     EXPECT_EQ(program->x_base(), 10u);
   }
-}
-
-TEST(LeafStalkerOptions, ExplicitTargetElement) {
-  const Addr n = 64;
-  const AccWriteAll program({.n = n, .p = static_cast<Pid>(n), .seed = 4});
-  LeafStalker adversary(program.layout(),
-                        {.target_element = 17, .restart_variant = false});
-  Engine engine(program);
-  const RunResult result = engine.run(adversary);
-  EXPECT_TRUE(result.goal_met);
-  EXPECT_TRUE(program.solved(engine.memory()));
-}
-
-TEST(LeafStalkerOptions, OutOfRangeTargetRejected) {
-  const AlgX program({.n = 8, .p = 8});
-  EXPECT_THROW(LeafStalker(program.layout(), {.target_element = 8}),
-               std::logic_error);
 }
 
 TEST(PostOrderStalker, TinyInstances) {

@@ -31,12 +31,6 @@ TEST(Threaded, ManyWorkersSolve) {
   }
 }
 
-TEST(Threaded, RandomDescentVariantSolves) {
-  const ThreadedResult r = run_threaded_writeall(
-      {.n = 1024, .workers = 4, .random_descent = true, .seed = 9});
-  EXPECT_TRUE(r.solved);
-}
-
 TEST(Threaded, SurvivesInjectedRestarts) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const ThreadedResult r = run_threaded_writeall({.n = 4096,

@@ -237,10 +237,11 @@ TEST(Simulate, UnderThePostOrderStalker) {
   // expensive, but the simulation still completes correctly.
   PrefixSumProgram program(random_values(32, 12, 50));
   const SimLayout layout(program, 32);
-  PostOrderStalker stalker(layout.wa_compute.x, /*stamp=*/0);
-  // The stalker reads stamped w[] cells; epoch stamps rotate per pass, so
-  // give it stamp 0 — payload_of() then sees positions only during pass 0.
-  // That still exercises hostile interference; correctness must hold.
+  PostOrderStalker stalker(layout.wa_compute.x);
+  // The stalker decodes cells as a standalone (epoch 0) run stamps them,
+  // and epoch stamps rotate per pass, so it sees positions only during
+  // pass 0. That still exercises hostile interference; correctness must
+  // hold.
   const SimResult r = simulate(program, stalker, {.physical_processors = 32});
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(program.verify(r.memory));

@@ -249,6 +249,35 @@ TEST(StaticVerify, CommonWriteDisagreementIsFound) {
   EXPECT_TRUE(found);
 }
 
+TEST(StaticVerify, WeakNonDesignatedWriteIsFound) {
+  // Under WEAK, processors writing one cell in one slot must all write
+  // kWeakValue: two writing 7 is a finding, two writing kWeakValue clean.
+  const auto both_write = [](Word value) {
+    return [value](CycleContext& ctx, Pid, Word&) {
+      ctx.write(0, value);
+      return false;
+    };
+  };
+  VerifyOptions options = quick();
+  options.model = CrcwModel::kWeak;
+
+  MutantProgram mutant(2, 8, both_write(7));
+  const StaticReport report = verify_program(mutant, options);
+  EXPECT_GT(report.count(StaticCheck::kWriteAgreement), 0u);
+  bool found = false;
+  for (const analysis::StaticFinding& f : report.findings) {
+    if (f.check != StaticCheck::kWriteAgreement) continue;
+    found = true;
+    EXPECT_EQ(f.context.cell, 0);
+    EXPECT_EQ(f.context.values, std::vector<Word>{7});
+  }
+  EXPECT_TRUE(found);
+
+  MutantProgram designated(2, 8, both_write(kWeakValue));
+  const StaticReport clean = verify_program(designated, options);
+  EXPECT_TRUE(clean.ok()) << clean.to_text();
+}
+
 TEST(StaticVerify, OutOfBoundsReachableWithoutArbitraryIsFound) {
   MutantProgram mutant(1, 8, [](CycleContext& ctx, Pid, Word&) {
     ctx.read(8);  // memory_size() is 8: one past the end
