@@ -4,16 +4,15 @@
 # trajectory the ROADMAP tracks PR over PR.
 #
 # Usage:
-#   scripts/run_benches.sh [build-dir] [out-dir] [tag] [--force]
+#   scripts/run_benches.sh TAG [build-dir] [out-dir] [--force]
 #
-# Defaults: build-dir = build, out-dir = <build-dir>/bench-results,
-# tag = $RFSP_BENCH_TAG or PR12. The aggregate lands in
-# <out-dir>/BENCH_<tag>.json. If that file already exists the script
-# refuses to run (an aggregate is a point on the perf trajectory —
-# clobbering one silently rewrites history); pass --force to overwrite.
+# TAG is required: it names the aggregate, <out-dir>/BENCH_<TAG>.json.
+# Defaults: build-dir = build, out-dir = <build-dir>/bench-results. If the
+# aggregate already exists the script refuses to run (an aggregate is a
+# point on the perf trajectory — clobbering one silently rewrites
+# history); pass --force to overwrite.
 #
 # Environment:
-#   RFSP_BENCH_TAG=…     aggregate name when the tag argument is omitted.
 #   RFSP_BENCH_LARGE=1   also run the minutes-long headline rows
 #                        (E5/X-stalked/n:65536). Off by default so the
 #                        whole suite stays a coffee-break run.
@@ -33,9 +32,13 @@ for arg in "$@"; do
   fi
 done
 
-build_dir=${positional[0]:-build}
-out_dir=${positional[1]:-"$build_dir/bench-results"}
-tag=${positional[2]:-${RFSP_BENCH_TAG:-PR12}}
+if [ ${#positional[@]} -lt 1 ] || [ -z "${positional[0]}" ]; then
+  echo "usage: scripts/run_benches.sh TAG [build-dir] [out-dir] [--force]" >&2
+  exit 2
+fi
+tag=${positional[0]}
+build_dir=${positional[1]:-build}
+out_dir=${positional[2]:-"$build_dir/bench-results"}
 
 aggregate_out="$out_dir/BENCH_${tag}.json"
 if [ -e "$aggregate_out" ] && [ "$force" != 1 ]; then

@@ -21,8 +21,6 @@ std::string_view to_string(AuditCheck check) {
   return "?";
 }
 
-namespace {
-
 void append_context(std::string& line, const AuditContext& ctx) {
   if (ctx.slot >= 0) {
     line += ",\"t\":";
@@ -49,8 +47,6 @@ void append_context(std::string& line, const AuditContext& ctx) {
     line += ']';
   }
 }
-
-}  // namespace
 
 void AuditReport::add(AuditCheck check, std::string detail,
                       AuditContext context) {

@@ -63,6 +63,10 @@ struct AuditContext {
   friend bool operator==(const AuditContext&, const AuditContext&) = default;
 };
 
+// Append the context's set fields (t, cell, pids, values) as JSON members
+// to a JSONL line; the audit and static reports share this rendering.
+void append_context(std::string& line, const AuditContext& ctx);
+
 struct AuditViolation {
   AuditCheck check = AuditCheck::kReadBudget;
   std::string detail;  // human-readable specifics

@@ -92,33 +92,6 @@ void StaticReport::add(StaticCheck check, std::string detail,
 
 namespace {
 
-void append_context(std::string& line, const AuditContext& ctx) {
-  if (ctx.slot >= 0) {
-    line += ",\"t\":";
-    json::append_i64(line, ctx.slot);
-  }
-  if (ctx.cell >= 0) {
-    line += ",\"cell\":";
-    json::append_i64(line, ctx.cell);
-  }
-  if (!ctx.pids.empty()) {
-    line += ",\"pids\":[";
-    for (std::size_t i = 0; i < ctx.pids.size(); ++i) {
-      if (i > 0) line += ',';
-      json::append_u64(line, ctx.pids[i]);
-    }
-    line += ']';
-  }
-  if (!ctx.values.empty()) {
-    line += ",\"values\":[";
-    for (std::size_t i = 0; i < ctx.values.size(); ++i) {
-      if (i > 0) line += ',';
-      json::append_i64(line, ctx.values[i]);
-    }
-    line += ']';
-  }
-}
-
 std::string render_valuation(const std::vector<ReadAssumption>& valuation) {
   std::ostringstream os;
   os << '{';
@@ -822,36 +795,36 @@ class Explorer {
       const std::vector<WriteRecord>& records = agreement_.at(group);
       const Slot slot = group >> 32;
       const Addr cell = group & 0xffffffffu;
-      if (options_.model == CrcwModel::kWeak) {
-        for (const WriteRecord& r : records) {
-          if (r.value == kWeakValue) continue;
-          AuditContext ctx;
-          ctx.slot = static_cast<std::int64_t>(slot);
-          ctx.cell = static_cast<std::int64_t>(cell);
-          ctx.pids = {r.pid};
-          ctx.values = {r.value};
-          add_once(StaticCheck::kWriteAgreement, cell,
-                   "WEAK write of a non-designated value", std::move(ctx),
-                   states_[r.state], r.valuation);
-          break;
-        }
-        continue;
-      }
+      // COMMON's concurrent writers must agree; WEAK's must all write
+      // kWeakValue, while a lone writer may write any value.
+      const bool weak = options_.model == CrcwModel::kWeak;
       for (std::size_t i = 0; i < records.size(); ++i) {
         for (std::size_t j = i + 1; j < records.size(); ++j) {
           const WriteRecord& a = records[i];
           const WriteRecord& b = records[j];
-          if (a.pid == b.pid || a.value == b.value) continue;
+          const bool clash = weak ? a.value != kWeakValue ||
+                                        b.value != kWeakValue
+                                  : a.value != b.value;
+          if (a.pid == b.pid || !clash) continue;
           if (!consistent(a.valuation, b.valuation)) continue;
           AuditContext ctx;
           ctx.slot = static_cast<std::int64_t>(slot);
           ctx.cell = static_cast<std::int64_t>(cell);
-          ctx.pids = {a.pid, b.pid};
-          ctx.values = {a.value, b.value};
-          add_once(StaticCheck::kWriteAgreement, cell,
-                   "two processors with consistent read valuations write "
-                   "different values (COMMON)",
-                   std::move(ctx), states_[a.state], a.valuation);
+          if (weak) {
+            const WriteRecord& r = a.value != kWeakValue ? a : b;
+            ctx.pids = {r.pid};
+            ctx.values = {r.value};
+            add_once(StaticCheck::kWriteAgreement, cell,
+                     "WEAK write of a non-designated value", std::move(ctx),
+                     states_[r.state], r.valuation);
+          } else {
+            ctx.pids = {a.pid, b.pid};
+            ctx.values = {a.value, b.value};
+            add_once(StaticCheck::kWriteAgreement, cell,
+                     "two processors with consistent read valuations write "
+                     "different values (COMMON)",
+                     std::move(ctx), states_[a.state], a.valuation);
+          }
           j = records.size();
           i = records.size();
         }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "obs/phase.hpp"
@@ -28,6 +29,7 @@
 #include "pram/types.hpp"
 #include "util/error.hpp"
 #include "util/fixed_vec.hpp"
+#include "util/wordio.hpp"
 
 namespace rfsp {
 
@@ -166,9 +168,22 @@ class ProcessorState {
   }
 };
 
-// Opt-in declaration that a Program's goal() is exactly the conjunction
-// "Program::goal_cell_done(a, mem[a]) holds for every cell a in
-// [base, base + count)". Programs exposing this through Program::goal_cells
+// save_state written once for the states whose checkpoint is the word
+// stream of their save_words(WordWriter&), the mirror of the load_words
+// that ProgramLifecycle::load_state calls.
+template <class State>
+class WordStreamState : public ProcessorState {
+ public:
+  bool save_state(std::vector<Word>& out) const override {
+    WordWriter w(out);
+    static_cast<const State&>(*this).save_words(w);
+    return true;
+  }
+};
+
+// The cell range a Program's goal is stated over: goal() holds exactly when
+// Program::goal_cell_done(a, mem[a]) holds for every cell a in
+// [base, base + count). Programs exposing this through Program::goal_cells
 // let the engine maintain an unsatisfied-cell counter incrementally at
 // write-commit time, turning the once-per-slot goal check into an O(1)
 // counter test instead of a goal() call (which for array goals is an O(N)
@@ -206,24 +221,22 @@ class Program {
   // behaves exactly like boot(pid) and saves the same checkpoint words.
   // `state` is null or an object this program's boot or load_state made,
   // possibly used since. The default boots afresh; programs whose states can
-  // be reset in place override it so restarts free and allocate nothing
-  // (a null `state` must still boot). The auditor's amnesia twin
+  // be reset in place get the override from ProgramLifecycle (below), so
+  // restarts free and allocate nothing. The auditor's amnesia twin
   // (analysis/audit.hpp) boots through boot(), so it checks every override.
   virtual void reboot(std::unique_ptr<ProcessorState>& state, Pid pid) const {
     state = boot(pid);
   }
 
-  // Cheap success predicate, checked once per slot (typically one cell:
-  // a progress-tree root or a done flag). The engine stops when it holds.
-  // Remains the authoritative definition — goal_cells below is a
-  // performance hook that must agree with it.
+  // Success predicate; the engine stops when it holds. A program that
+  // declares goal_cells returns all_goal_cells_done(mem) here, so goal()
+  // and the engine's incremental counter agree by construction; any other
+  // program states its own predicate, which the engine calls every slot.
   virtual bool goal(const SharedMemory& mem) const = 0;
 
-  // Incremental-goal opt-in (see GoalCells). Return the cell range whose
-  // per-cell satisfaction — as judged by goal_cell_done — is equivalent to
-  // goal(); return nullopt (the default) to keep per-slot goal() scans.
-  // Contract: for every reachable memory state,
-  //   goal(mem) == all_of(cells, goal_cell_done(a, mem[a])).
+  // Incremental-goal opt-in (see GoalCells): the cell range whose per-cell
+  // satisfaction, as judged by goal_cell_done, is the goal; nullopt (the
+  // default) keeps per-slot goal() calls.
   virtual std::optional<GoalCells> goal_cells() const { return std::nullopt; }
 
   // Per-cell satisfaction predicate for the goal_cells range. Must be a
@@ -274,6 +287,60 @@ class Program {
   // construction, and only when a sink is installed.
   virtual std::optional<PhaseSchedule> phase_schedule() const {
     return std::nullopt;
+  }
+
+ protected:
+  // The goal of a program that declares goal_cells: every cell of the range
+  // satisfies goal_cell_done.
+  bool all_goal_cells_done(const SharedMemory& mem) const {
+    const GoalCells cells = goal_cells().value();
+    for (Addr a = cells.base; a < cells.base + cells.count; ++a) {
+      if (!goal_cell_done(a, mem.read(a))) return false;
+    }
+    return true;
+  }
+};
+
+// Boot, reboot and checkpoint load, written once (§2.1 point 3: a restarted
+// processor knows only its PID, P and N). `Derived` derives from this over
+// `Base` (Program or a subclass) and supplies make_state(pid), returning a
+// std::unique_ptr<State>. `State` supplies reboot(), which resets it in
+// place to what make_state built, and load_words(WordReader&), the mirror
+// of its save_words (see WordStreamState).
+template <class Derived, class State, class Base>
+class ProgramLifecycle : public Base {
+ public:
+  using Base::Base;
+
+  std::unique_ptr<ProcessorState> boot(Pid pid) const override {
+    return derived().make_state(pid);
+  }
+
+  // A null state boots; any other resets in place, so a restart frees and
+  // allocates nothing.
+  void reboot(std::unique_ptr<ProcessorState>& state,
+              Pid pid) const override {
+    if (state == nullptr) {
+      state = derived().make_state(pid);
+    } else {
+      static_cast<State&>(*state).reboot();
+    }
+  }
+
+  std::unique_ptr<ProcessorState> load_state(
+      Pid pid, std::span<const Word> data) const override {
+    std::unique_ptr<State> state = derived().make_state(pid);
+    WordReader r(data);
+    state->load_words(r);
+    RFSP_CHECK_MSG(r.exhausted(), "trailing words in a " +
+                                      std::string(this->name()) +
+                                      " checkpoint state");
+    return state;
+  }
+
+ private:
+  const Derived& derived() const {
+    return static_cast<const Derived&>(*this);
   }
 };
 

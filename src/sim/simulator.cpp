@@ -274,7 +274,10 @@ SimLayout::SimLayout(const SimProgram& program, Pid physical)
 
 namespace {
 
-class SimulationProgram final : public Program {
+class SimProcState;
+
+class SimulationProgram final
+    : public ProgramLifecycle<SimulationProgram, SimProcState, Program> {
  public:
   SimulationProgram(const SimProgram& sim, const SimLayout& layout,
                     SimInner inner)
@@ -293,14 +296,10 @@ class SimulationProgram final : public Program {
     }
   }
 
-  std::unique_ptr<ProcessorState> boot(Pid pid) const override;
-  void reboot(std::unique_ptr<ProcessorState>& state,
-              Pid pid) const override;
-  std::unique_ptr<ProcessorState> load_state(
-      Pid pid, std::span<const Word> data) const override;
+  std::unique_ptr<SimProcState> make_state(Pid pid) const;
 
   bool goal(const SharedMemory& mem) const override {
-    return phase_pass(mem.read(layout_.phase)) >= final_pass_;
+    return all_goal_cells_done(mem);
   }
 
   // goal() is the phase word reaching the final pass.
@@ -323,7 +322,7 @@ class SimulationProgram final : public Program {
   std::uint64_t final_pass_;
 };
 
-class SimProcState final : public ProcessorState {
+class SimProcState final : public WordStreamState<SimProcState> {
  public:
   SimProcState(const SimulationProgram& outer, Pid pid)
       : outer_(outer), pid_(pid) {}
@@ -370,8 +369,7 @@ class SimProcState final : public ProcessorState {
   // Checkpoint support (docs/resilience.md): the pass index plus the inner
   // Write-All state's words. The task/config referents are rebuilt from the
   // pass index on load — only the inner's dynamic fields travel.
-  bool save_state(std::vector<Word>& out) const override {
-    WordWriter w(out);
+  void save_words(WordWriter& w) const {
     w.put_u64(pass_);
     w.put_bool(advance_from_.has_value());
     if (advance_from_) w.put_u64(*advance_from_);
@@ -390,7 +388,6 @@ class SimProcState final : public ProcessorState {
           break;
       }
     }
-    return true;
   }
 
   void load_words(WordReader& r) {
@@ -467,27 +464,8 @@ class SimProcState final : public ProcessorState {
   std::unique_ptr<ProcessorState> inner_;
 };
 
-std::unique_ptr<ProcessorState> SimulationProgram::boot(Pid pid) const {
+std::unique_ptr<SimProcState> SimulationProgram::make_state(Pid pid) const {
   return std::make_unique<SimProcState>(*this, pid);
-}
-
-void SimulationProgram::reboot(std::unique_ptr<ProcessorState>& state,
-                               Pid pid) const {
-  if (state == nullptr) {
-    state = boot(pid);
-  } else {
-    static_cast<SimProcState&>(*state).reboot();
-  }
-}
-
-std::unique_ptr<ProcessorState> SimulationProgram::load_state(
-    Pid pid, std::span<const Word> data) const {
-  auto state = std::make_unique<SimProcState>(*this, pid);
-  WordReader r(data);
-  state->load_words(r);
-  RFSP_CHECK_MSG(r.exhausted(),
-                 "trailing words in a simulation checkpoint state");
-  return state;
 }
 
 }  // namespace

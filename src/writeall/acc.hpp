@@ -16,18 +16,14 @@
 
 namespace rfsp {
 
-class AccWriteAll final : public WriteAllProgram {
+class AccWriteAll final
+    : public ProgramLifecycle<AccWriteAll, AlgXState, WriteAllProgram> {
  public:
   explicit AccWriteAll(WriteAllConfig config);
 
   std::string_view name() const override { return "ACC"; }
   Addr memory_size() const override { return layout_.aux_end(); }
-  std::unique_ptr<ProcessorState> boot(Pid pid) const override;
-  void reboot(std::unique_ptr<ProcessorState>& state,
-              Pid pid) const override;
-  std::unique_ptr<ProcessorState> load_state(
-      Pid pid, std::span<const Word> data) const override;
-  bool goal(const SharedMemory& mem) const override;
+  std::unique_ptr<AlgXState> make_state(Pid pid) const;
   Addr x_base() const override { return layout_.x_base; }
 
   // goal() is the root of the d heap turning non-zero (as algorithm X).

@@ -54,12 +54,6 @@ void AlgVState::reboot(Slot start_slot, Slot clock_stride) {
   scratch_.assign(task != nullptr ? task->scratch_words() : 0, Word{0});
 }
 
-bool AlgVState::save_state(std::vector<Word>& out) const {
-  WordWriter w(out);
-  save_words(w);
-  return true;
-}
-
 void AlgVState::save_words(WordWriter& w) const {
   // start_slot_/stride_ are constructor parameters, but a loader may have
   // built this state with defaults (e.g. CombinedState reloading a state
@@ -121,40 +115,18 @@ struct VLanes {
 // AlgV
 
 AlgV::AlgV(WriteAllConfig config)
-    : WriteAllProgram(config),
+    : ProgramLifecycle(config),
       layout_(config_.base, config_.base + config_.n, config_.n, config_.p,
               config_.task_cycles(), config_.leaf_elems) {}
 
-std::unique_ptr<ProcessorState> AlgV::boot(Pid pid) const {
+std::unique_ptr<AlgVState> AlgV::make_state(Pid pid) const {
   return std::make_unique<AlgVState>(config_, layout_, pid);
-}
-
-void AlgV::reboot(std::unique_ptr<ProcessorState>& state, Pid pid) const {
-  if (state == nullptr) {
-    state = boot(pid);
-  } else {
-    static_cast<AlgVState&>(*state).reboot();
-  }
-}
-
-std::unique_ptr<ProcessorState> AlgV::load_state(
-    Pid pid, std::span<const Word> data) const {
-  auto state = std::make_unique<AlgVState>(config_, layout_, pid);
-  WordReader r(data);
-  state->load_words(r);
-  RFSP_CHECK_MSG(r.exhausted(), "trailing words in a V checkpoint state");
-  return state;
 }
 
 std::unique_ptr<BatchKernel> AlgV::batch_kernels() const {
   if (config_.task != nullptr) return nullptr;
   return std::make_unique<LaneKernel<VLanes>>(
       VLanes{{config_, layout_, std::nullopt}});
-}
-
-bool AlgV::goal(const SharedMemory& mem) const {
-  return payload_of(mem.read(layout_.c(1)), config_.stamp) ==
-         static_cast<Word>(layout_.leaves_real);
 }
 
 std::optional<PhaseSchedule> AlgV::phase_schedule() const {

@@ -288,7 +288,7 @@ inline void v_prefetch(const VLayout& lay, std::span<const Word> mem,
 // clock stride) for the combined algorithm and the simulator. The states'
 // `pid` parameter mirrors Program::boot(pid); the cycle body reads the PID
 // from its context, which is the one source for both instantiations.
-class AlgVState final : public ProcessorState {
+class AlgVState final : public WordStreamState<AlgVState> {
  public:
   AlgVState(const WriteAllConfig& config, const VLayout& layout, Pid pid,
             std::optional<Addr> done_flag = std::nullopt, Slot start_slot = 0,
@@ -303,7 +303,6 @@ class AlgVState final : public ProcessorState {
   // Checkpoint support (docs/resilience.md): flat word-stream round-trip.
   // The composable pair (save_words/load_words) lets CombinedState and the
   // simulator embed V's words inside their own streams.
-  bool save_state(std::vector<Word>& out) const override;
   void save_words(WordWriter& w) const;
   void load_words(WordReader& r);
 
@@ -323,18 +322,14 @@ class AlgVState final : public ProcessorState {
 };
 
 // Standalone Write-All program running algorithm V.
-class AlgV final : public WriteAllProgram {
+class AlgV final
+    : public ProgramLifecycle<AlgV, AlgVState, WriteAllProgram> {
  public:
   explicit AlgV(WriteAllConfig config);
 
   std::string_view name() const override { return "V"; }
   Addr memory_size() const override { return layout_.aux_end(); }
-  std::unique_ptr<ProcessorState> boot(Pid pid) const override;
-  void reboot(std::unique_ptr<ProcessorState>& state,
-              Pid pid) const override;
-  std::unique_ptr<ProcessorState> load_state(
-      Pid pid, std::span<const Word> data) const override;
-  bool goal(const SharedMemory& mem) const override;
+  std::unique_ptr<AlgVState> make_state(Pid pid) const;
   Addr x_base() const override { return layout_.x_base; }
 
   // The fixed three-phase iteration: alloc / work / update, by slot mod

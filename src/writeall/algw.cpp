@@ -93,12 +93,6 @@ AlgWState::AlgWState(const WriteAllConfig& config, const WLayout& layout,
                      Pid /*pid*/)
     : config_(config), layout_(layout) {}
 
-bool AlgWState::save_state(std::vector<Word>& out) const {
-  WordWriter w(out);
-  save_words(w);
-  return true;
-}
-
 void AlgWState::save_words(WordWriter& w) const {
   w.put_bool(regs_.waiting);
   w.put_u64(regs_.rank);
@@ -152,7 +146,7 @@ struct WLanes {
 // AlgW
 
 AlgW::AlgW(WriteAllConfig config)
-    : WriteAllProgram(config),
+    : ProgramLifecycle(config),
       layout_(config_.base, config_.base + config_.n, config_.n, config_.p) {
   if (config_.task != nullptr || config_.stamp != 0) {
     throw ConfigError(
@@ -164,30 +158,8 @@ std::unique_ptr<BatchKernel> AlgW::batch_kernels() const {
   return std::make_unique<LaneKernel<WLanes>>(WLanes{config_, layout_});
 }
 
-std::unique_ptr<ProcessorState> AlgW::boot(Pid pid) const {
+std::unique_ptr<AlgWState> AlgW::make_state(Pid pid) const {
   return std::make_unique<AlgWState>(config_, layout_, pid);
-}
-
-void AlgW::reboot(std::unique_ptr<ProcessorState>& state, Pid pid) const {
-  if (state == nullptr) {
-    state = boot(pid);
-  } else {
-    static_cast<AlgWState&>(*state).reboot();
-  }
-}
-
-std::unique_ptr<ProcessorState> AlgW::load_state(
-    Pid pid, std::span<const Word> data) const {
-  auto state = std::make_unique<AlgWState>(config_, layout_, pid);
-  WordReader r(data);
-  state->load_words(r);
-  RFSP_CHECK_MSG(r.exhausted(), "trailing words in a W checkpoint state");
-  return state;
-}
-
-bool AlgW::goal(const SharedMemory& mem) const {
-  return payload_of(mem.read(layout_.progress.c(1)), 0) ==
-         static_cast<Word>(layout_.progress.leaves_real);
 }
 
 std::optional<PhaseSchedule> AlgW::phase_schedule() const {

@@ -74,7 +74,7 @@ struct WLane : VLane {
 };
 
 // `pid` mirrors Program::boot(pid); see AlgVState.
-class AlgWState final : public ProcessorState {
+class AlgWState final : public WordStreamState<AlgWState> {
  public:
   AlgWState(const WriteAllConfig& config, const WLayout& layout, Pid pid);
 
@@ -84,7 +84,6 @@ class AlgWState final : public ProcessorState {
   void reboot() { regs_ = WRegs{}; }
 
   // Checkpoint support (docs/resilience.md): flat word-stream round-trip.
-  bool save_state(std::vector<Word>& out) const override;
   void save_words(WordWriter& w) const;
   void load_words(WordReader& r);
 
@@ -97,18 +96,14 @@ class AlgWState final : public ProcessorState {
   WRegs regs_;
 };
 
-class AlgW final : public WriteAllProgram {
+class AlgW final
+    : public ProgramLifecycle<AlgW, AlgWState, WriteAllProgram> {
  public:
   explicit AlgW(WriteAllConfig config);
 
   std::string_view name() const override { return "W"; }
   Addr memory_size() const override { return layout_.aux_end(); }
-  std::unique_ptr<ProcessorState> boot(Pid pid) const override;
-  void reboot(std::unique_ptr<ProcessorState>& state,
-              Pid pid) const override;
-  std::unique_ptr<ProcessorState> load_state(
-      Pid pid, std::span<const Word> data) const override;
-  bool goal(const SharedMemory& mem) const override;
+  std::unique_ptr<AlgWState> make_state(Pid pid) const;
   Addr x_base() const override { return layout_.progress.x_base; }
 
   // The fixed four-phase iteration of [KS 89]: count / alloc / work /

@@ -53,12 +53,6 @@ void AlgXState::reboot() {
   regs_.rng.reset();
 }
 
-bool AlgXState::save_state(std::vector<Word>& out) const {
-  WordWriter w(out);
-  save_words(w);
-  return true;
-}
-
 void AlgXState::save_words(WordWriter& w) const {
   w.put_u64(static_cast<std::uint64_t>(regs_.mode));
   w.put_u64(regs_.task_leaf);
@@ -121,7 +115,7 @@ struct XLanes {
 // AlgX
 
 AlgX::AlgX(WriteAllConfig config)
-    : WriteAllProgram(config),
+    : ProgramLifecycle(config),
       layout_(config_.base, config_.base + config_.n, config_.n, config_.p) {}
 
 std::unique_ptr<BatchKernel> AlgX::batch_kernels() const {
@@ -129,29 +123,8 @@ std::unique_ptr<BatchKernel> AlgX::batch_kernels() const {
   return std::make_unique<LaneKernel<XLanes>>(XLanes{{config_, layout_}});
 }
 
-std::unique_ptr<ProcessorState> AlgX::boot(Pid pid) const {
+std::unique_ptr<AlgXState> AlgX::make_state(Pid pid) const {
   return std::make_unique<AlgXState>(config_, layout_, pid);
-}
-
-void AlgX::reboot(std::unique_ptr<ProcessorState>& state, Pid pid) const {
-  if (state == nullptr) {
-    state = boot(pid);
-  } else {
-    static_cast<AlgXState&>(*state).reboot();
-  }
-}
-
-std::unique_ptr<ProcessorState> AlgX::load_state(
-    Pid pid, std::span<const Word> data) const {
-  auto state = std::make_unique<AlgXState>(config_, layout_, pid);
-  WordReader r(data);
-  state->load_words(r);
-  RFSP_CHECK_MSG(r.exhausted(), "trailing words in an X checkpoint state");
-  return state;
-}
-
-bool AlgX::goal(const SharedMemory& mem) const {
-  return payload_of(mem.read(layout_.d(1)), config_.stamp) != 0;
 }
 
 std::optional<PhaseSchedule> AlgX::phase_schedule() const {

@@ -307,7 +307,7 @@ inline void x_prefetch(const XParams& k, std::span<const Word> mem, Pid pid) {
 // combined algorithm and the simulator): pass the epoch stamp via config
 // and an optional done-flag cell written together with the root mark.
 // `pid` mirrors Program::boot(pid); see AlgVState.
-class AlgXState final : public ProcessorState {
+class AlgXState final : public WordStreamState<AlgXState> {
  public:
   using Descent = XDescent;
 
@@ -323,7 +323,6 @@ class AlgXState final : public ProcessorState {
 
   // Checkpoint support (docs/resilience.md): flat word-stream round-trip,
   // including the private RNG of the randomized descents.
-  bool save_state(std::vector<Word>& out) const override;
   void save_words(WordWriter& w) const;
   void load_words(WordReader& r);
 
@@ -337,18 +336,14 @@ class AlgXState final : public ProcessorState {
 };
 
 // Standalone Write-All program running algorithm X.
-class AlgX final : public WriteAllProgram {
+class AlgX final
+    : public ProgramLifecycle<AlgX, AlgXState, WriteAllProgram> {
  public:
   explicit AlgX(WriteAllConfig config);
 
   std::string_view name() const override { return "X"; }
   Addr memory_size() const override { return layout_.aux_end(); }
-  std::unique_ptr<ProcessorState> boot(Pid pid) const override;
-  void reboot(std::unique_ptr<ProcessorState>& state,
-              Pid pid) const override;
-  std::unique_ptr<ProcessorState> load_state(
-      Pid pid, std::span<const Word> data) const override;
-  bool goal(const SharedMemory& mem) const override;
+  std::unique_ptr<AlgXState> make_state(Pid pid) const;
   Addr x_base() const override { return layout_.x_base; }
 
   // X has no global phase structure (every decision is local): a single

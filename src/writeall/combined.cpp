@@ -29,12 +29,6 @@ bool CombinedState::cycle(CycleContext& ctx) {
                   vx_clock(v_.params().layout, ctx.slot() - start_slot_));
 }
 
-bool CombinedState::save_state(std::vector<Word>& out) const {
-  WordWriter w(out);
-  save_words(w);
-  return true;
-}
-
 void CombinedState::save_words(WordWriter& w) const {
   w.put_u64(start_slot_);
   v_.save_words(w);
@@ -79,7 +73,7 @@ struct VxLanes {
 }  // namespace
 
 CombinedVX::CombinedVX(WriteAllConfig config)
-    : WriteAllProgram(config),
+    : ProgramLifecycle(config),
       layout_(config_.base, config_.base + config_.n, config_.n, config_.p,
               config_.task_cycles(), config_.leaf_elems) {}
 
@@ -90,30 +84,8 @@ std::unique_ptr<BatchKernel> CombinedVX::batch_kernels() const {
               {config_, layout_.x, layout_.done}});
 }
 
-std::unique_ptr<ProcessorState> CombinedVX::boot(Pid pid) const {
+std::unique_ptr<CombinedState> CombinedVX::make_state(Pid pid) const {
   return std::make_unique<CombinedState>(config_, layout_, pid);
-}
-
-void CombinedVX::reboot(std::unique_ptr<ProcessorState>& state,
-                        Pid pid) const {
-  if (state == nullptr) {
-    state = boot(pid);
-  } else {
-    static_cast<CombinedState&>(*state).reboot();
-  }
-}
-
-std::unique_ptr<ProcessorState> CombinedVX::load_state(
-    Pid pid, std::span<const Word> data) const {
-  auto state = std::make_unique<CombinedState>(config_, layout_, pid);
-  WordReader r(data);
-  state->load_words(r);
-  RFSP_CHECK_MSG(r.exhausted(), "trailing words in a VX checkpoint state");
-  return state;
-}
-
-bool CombinedVX::goal(const SharedMemory& mem) const {
-  return payload_of(mem.read(layout_.done), config_.stamp) != 0;
 }
 
 std::optional<PhaseSchedule> CombinedVX::phase_schedule() const {

@@ -58,7 +58,7 @@ bool vx_cycle(Ctx& ctx, const VParams& v, VR& v_regs,
   return v_cycle(ctx, v, v_regs, clock.v_phi, v_scratch);
 }
 
-class CombinedState final : public ProcessorState {
+class CombinedState final : public WordStreamState<CombinedState> {
  public:
   CombinedState(const WriteAllConfig& config, const CombinedLayout& layout,
                 Pid pid, Slot start_slot = 0);
@@ -70,7 +70,6 @@ class CombinedState final : public ProcessorState {
   void reboot(Slot start_slot = 0);
 
   // Checkpoint support (docs/resilience.md): start slot + V words + X words.
-  bool save_state(std::vector<Word>& out) const override;
   void save_words(WordWriter& w) const;
   void load_words(WordReader& r);
 
@@ -83,18 +82,14 @@ class CombinedState final : public ProcessorState {
   AlgXState x_;
 };
 
-class CombinedVX final : public WriteAllProgram {
+class CombinedVX final
+    : public ProgramLifecycle<CombinedVX, CombinedState, WriteAllProgram> {
  public:
   explicit CombinedVX(WriteAllConfig config);
 
   std::string_view name() const override { return "VX"; }
   Addr memory_size() const override { return layout_.aux_end(); }
-  std::unique_ptr<ProcessorState> boot(Pid pid) const override;
-  void reboot(std::unique_ptr<ProcessorState>& state,
-              Pid pid) const override;
-  std::unique_ptr<ProcessorState> load_state(
-      Pid pid, std::span<const Word> data) const override;
-  bool goal(const SharedMemory& mem) const override;
+  std::unique_ptr<CombinedState> make_state(Pid pid) const;
   Addr x_base() const override { return layout_.v.x_base; }
 
   // The interleave's schedule: odd slots are X's ("x-descend"), even slots

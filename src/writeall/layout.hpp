@@ -141,13 +141,18 @@ class WriteAllProgram : public Program {
   // Whether the Write-All postcondition holds (every x payload non-zero).
   bool solved(const SharedMemory& mem) const;
 
-  // Incremental-goal default for the algorithms whose goal() IS the array
-  // postcondition (trivial, sequential, snapshot): the goal range is
-  // x[0..n), a cell is done when its epoch-stamped payload is non-zero.
-  // The progress-tree algorithms override both methods with their single
-  // root/done cell — their goal() is that cell, not the array (the tree
-  // root fills strictly after the last x write, so the two predicates flip
-  // at different slots and must not be mixed up).
+  // Every Write-All goal is its goal cells, each satisfying goal_cell_done.
+  bool goal(const SharedMemory& mem) const override {
+    return all_goal_cells_done(mem);
+  }
+
+  // Goal cells for the algorithms whose goal IS the array postcondition
+  // (trivial, sequential, snapshot): x[0..n), a cell is done when its
+  // epoch-stamped payload is non-zero. The progress-tree algorithms
+  // override both methods with their single root/done cell — their goal is
+  // that cell, not the array (the tree root fills strictly after the last x
+  // write, so the two predicates flip at different slots and must not be
+  // mixed up).
   std::optional<GoalCells> goal_cells() const override {
     return GoalCells{x_base(), config_.n};
   }

@@ -69,8 +69,4 @@ std::unique_ptr<ProcessorState> SnapshotWriteAll::load_state(
   return boot(pid);
 }
 
-bool SnapshotWriteAll::goal(const SharedMemory& mem) const {
-  return solved(mem);
-}
-
 }  // namespace rfsp

@@ -24,7 +24,6 @@ class SnapshotWriteAll final : public WriteAllProgram {
   std::unique_ptr<ProcessorState> boot(Pid pid) const override;
   std::unique_ptr<ProcessorState> load_state(
       Pid pid, std::span<const Word> data) const override;
-  bool goal(const SharedMemory& mem) const override;
   Addr x_base() const override { return config_.base; }
 };
 

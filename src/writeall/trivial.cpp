@@ -1,71 +1,10 @@
 #include "writeall/trivial.hpp"
 
 #include "util/error.hpp"
-#include "util/wordio.hpp"
 
 namespace rfsp {
 
 namespace {
-
-// Shared goal logic: guard on the lexicographically last cell (always the
-// last one a fault-free run writes) before paying for a full scan, so the
-// per-slot goal check is O(1) until the run is nearly finished.
-bool all_visited(const SharedMemory& mem, const WriteAllConfig& config,
-                 Addr x_base) {
-  if (payload_of(mem.read(x_base + config.n - 1), config.stamp) == 0) {
-    return false;
-  }
-  for (Addr i = 0; i + 1 < config.n; ++i) {
-    if (payload_of(mem.read(x_base + i), config.stamp) == 0) return false;
-  }
-  return true;
-}
-
-class TrivialState final : public ProcessorState {
- public:
-  TrivialState(const WriteAllConfig& config, Pid pid)
-      : config_(config), next_(pid) {}
-
-  bool cycle(CycleContext& ctx) override {
-    if (next_ >= config_.n) return false;
-    ctx.write(config_.base + next_, stamped(config_.stamp, 1));
-    next_ += config_.p;  // private stride counter; lost on failure
-    return next_ < config_.n;
-  }
-
-  bool save_state(std::vector<Word>& out) const override {
-    WordWriter w(out);
-    w.put_u64(next_);
-    return true;
-  }
-  void set_next(Addr next) { next_ = next; }
-
- private:
-  const WriteAllConfig& config_;  // owned by the booting program
-  Addr next_;
-};
-
-class SequentialState final : public ProcessorState {
- public:
-  explicit SequentialState(const WriteAllConfig& config) : config_(config) {}
-
-  bool cycle(CycleContext& ctx) override {
-    ctx.write(config_.base + next_, stamped(config_.stamp, 1));
-    ++next_;
-    return next_ < config_.n;
-  }
-
-  bool save_state(std::vector<Word>& out) const override {
-    WordWriter w(out);
-    w.put_u64(next_);
-    return true;
-  }
-  void set_next(Addr next) { next_ = next; }
-
- private:
-  const WriteAllConfig& config_;  // owned by the booting program
-  Addr next_ = 0;
-};
 
 void require_plain(const WriteAllConfig& config, const char* who) {
   if (config.task != nullptr) {
@@ -76,53 +15,32 @@ void require_plain(const WriteAllConfig& config, const char* who) {
 
 }  // namespace
 
+bool StrideState::cycle(CycleContext& ctx) {
+  if (next_ >= config_.n) return false;
+  ctx.write(config_.base + next_, stamped(config_.stamp, 1));
+  next_ += config_.p;  // private stride counter; lost on failure
+  return next_ < config_.n;
+}
+
 TrivialWriteAll::TrivialWriteAll(WriteAllConfig config)
-    : WriteAllProgram(config) {
+    : ProgramLifecycle(config) {
   require_plain(config_, "TrivialWriteAll");
 }
 
-std::unique_ptr<ProcessorState> TrivialWriteAll::boot(Pid pid) const {
-  return std::make_unique<TrivialState>(config_, pid);
-}
-
-std::unique_ptr<ProcessorState> TrivialWriteAll::load_state(
-    Pid pid, std::span<const Word> data) const {
-  auto state = std::make_unique<TrivialState>(config_, pid);
-  WordReader r(data);
-  state->set_next(static_cast<Addr>(r.get_u64()));
-  RFSP_CHECK_MSG(r.exhausted(),
-                 "trailing words in a trivial checkpoint state");
-  return state;
-}
-
-bool TrivialWriteAll::goal(const SharedMemory& mem) const {
-  return all_visited(mem, config_, x_base());
+std::unique_ptr<StrideState> TrivialWriteAll::make_state(Pid pid) const {
+  return std::make_unique<StrideState>(config_, pid);
 }
 
 SequentialWriteAll::SequentialWriteAll(WriteAllConfig config)
-    : WriteAllProgram(config) {
+    : ProgramLifecycle(config) {
   require_plain(config_, "SequentialWriteAll");
   if (config_.p != 1) {
     throw ConfigError("SequentialWriteAll runs with exactly one processor");
   }
 }
 
-std::unique_ptr<ProcessorState> SequentialWriteAll::boot(Pid) const {
-  return std::make_unique<SequentialState>(config_);
-}
-
-std::unique_ptr<ProcessorState> SequentialWriteAll::load_state(
-    Pid, std::span<const Word> data) const {
-  auto state = std::make_unique<SequentialState>(config_);
-  WordReader r(data);
-  state->set_next(static_cast<Addr>(r.get_u64()));
-  RFSP_CHECK_MSG(r.exhausted(),
-                 "trailing words in a sequential checkpoint state");
-  return state;
-}
-
-bool SequentialWriteAll::goal(const SharedMemory& mem) const {
-  return all_visited(mem, config_, x_base());
+std::unique_ptr<StrideState> SequentialWriteAll::make_state(Pid pid) const {
+  return std::make_unique<StrideState>(config_, pid);
 }
 
 }  // namespace rfsp

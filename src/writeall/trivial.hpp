@@ -18,32 +18,48 @@
 
 namespace rfsp {
 
-class TrivialWriteAll final : public WriteAllProgram {
+// Processor `pid` writes x cells pid, pid+P, pid+2P, ... and halts; a
+// restart loses the private position and starts over at pid. With P = 1
+// (processor 0 alone) this is the sequential sweep.
+class StrideState final : public WordStreamState<StrideState> {
+ public:
+  StrideState(const WriteAllConfig& config, Pid pid)
+      : config_(config), pid_(pid), next_(pid) {}
+
+  bool cycle(CycleContext& ctx) override;
+  void reboot() { next_ = pid_; }
+  void save_words(WordWriter& w) const { w.put_u64(next_); }
+  void load_words(WordReader& r) { next_ = static_cast<Addr>(r.get_u64()); }
+
+ private:
+  const WriteAllConfig& config_;  // owned by the booting program
+  Pid pid_;
+  Addr next_;
+};
+
+class TrivialWriteAll final
+    : public ProgramLifecycle<TrivialWriteAll, StrideState, WriteAllProgram> {
  public:
   explicit TrivialWriteAll(WriteAllConfig config);
 
   std::string_view name() const override { return "trivial"; }
   Addr memory_size() const override { return config_.base + config_.n; }
-  std::unique_ptr<ProcessorState> boot(Pid pid) const override;
-  std::unique_ptr<ProcessorState> load_state(
-      Pid pid, std::span<const Word> data) const override;
-  bool goal(const SharedMemory& mem) const override;
+  std::unique_ptr<StrideState> make_state(Pid pid) const;
   // Cells PID, PID+P, ... with no shared reads at all: the address trace is
   // a pure function of (pid, cycle index). Proven by the static verifier.
   bool oblivious() const override { return true; }
   Addr x_base() const override { return config_.base; }
 };
 
-class SequentialWriteAll final : public WriteAllProgram {
+class SequentialWriteAll final
+    : public ProgramLifecycle<SequentialWriteAll, StrideState,
+                              WriteAllProgram> {
  public:
   explicit SequentialWriteAll(WriteAllConfig config);  // requires p == 1
 
   std::string_view name() const override { return "sequential"; }
   Addr memory_size() const override { return config_.base + config_.n; }
-  std::unique_ptr<ProcessorState> boot(Pid pid) const override;
-  std::unique_ptr<ProcessorState> load_state(
-      Pid pid, std::span<const Word> data) const override;
-  bool goal(const SharedMemory& mem) const override;
+  std::unique_ptr<StrideState> make_state(Pid pid) const;
   // The left-to-right sweep never reads shared memory either.
   bool oblivious() const override { return true; }
   Addr x_base() const override { return config_.base; }

@@ -9,7 +9,9 @@
 #include "fault/adversaries.hpp"
 #include "obs/trace.hpp"
 #include "pram/engine.hpp"
+#include "programs/programs.hpp"
 #include "replay/schedule.hpp"
+#include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "writeall/runner.hpp"
 
@@ -101,31 +103,48 @@ class FullScanGoal final : public Program {
 
 // The counter-based goal must agree with per-slot full goal() scans for the
 // whole observable result, and the final counter must match a recount.
+void expect_goal_scan_agrees(const Program& program,
+                             const RandomAdversaryOptions& rand_opt,
+                             const EngineOptions& options) {
+  const std::string what(program.name());
+  RandomAdversary incremental_adv(7, rand_opt);
+  const FullOutcome incremental = run_full(program, incremental_adv, options);
+
+  RandomAdversary fullscan_adv(7, rand_opt);
+  const FullOutcome fullscan =
+      run_full(FullScanGoal(program), fullscan_adv, options);
+
+  expect_identical(incremental, fullscan, what.c_str());
+  // The opt-in is active (these programs expose goal_cells) and the run
+  // finished: no goal cell may be left unsatisfied.
+  EXPECT_TRUE(incremental.run.goal_met) << what;
+  ASSERT_TRUE(incremental.goal_unsat.has_value()) << what;
+  EXPECT_EQ(*incremental.goal_unsat, 0u) << what;
+  // The full-scan reference keeps scanning and reports no counter.
+  EXPECT_FALSE(fullscan.goal_unsat.has_value()) << what;
+}
+
 TEST(IncrementalGoal, MatchesFullScanUnderRandomFaults) {
   for (const WriteAllAlgo algo :
-       {WriteAllAlgo::kTrivial, WriteAllAlgo::kV, WriteAllAlgo::kX}) {
-    const WriteAllConfig config{.n = 160, .p = 32};
+       {WriteAllAlgo::kTrivial, WriteAllAlgo::kW, WriteAllAlgo::kV,
+        WriteAllAlgo::kX, WriteAllAlgo::kCombinedVX, WriteAllAlgo::kAcc}) {
     RandomAdversaryOptions rand_opt;
     rand_opt.fail_prob = algo == WriteAllAlgo::kTrivial ? 0.0 : 0.05;
+    // W is a fail-stop algorithm: under restarts it need not terminate.
+    if (algo == WriteAllAlgo::kW) rand_opt.restart_prob = 0.0;
     rand_opt.max_pattern = 200;
-
-    const auto program = make_writeall(algo, config);
-    RandomAdversary incremental_adv(7, rand_opt);
-    const FullOutcome incremental = run_full(*program, incremental_adv, {});
-
-    RandomAdversary fullscan_adv(7, rand_opt);
-    const FullOutcome fullscan =
-        run_full(FullScanGoal(*program), fullscan_adv, {});
-
-    expect_identical(incremental, fullscan,
-                     std::string(to_string(algo)).c_str());
-    // The opt-in is active (these programs expose goal_cells) and the run
-    // finished: no goal cell may be left unsatisfied.
-    ASSERT_TRUE(incremental.goal_unsat.has_value());
-    EXPECT_EQ(*incremental.goal_unsat, 0u);
-    // The full-scan reference keeps scanning and reports no counter.
-    EXPECT_FALSE(fullscan.goal_unsat.has_value());
+    const auto program = make_writeall(algo, {.n = 160, .p = 32});
+    expect_goal_scan_agrees(*program, rand_opt, {});
   }
+
+  // The Theorem 4.1 executor, on prefix sums.
+  const PrefixSumProgram sim({3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8});
+  const SimLayout layout(sim, 6);
+  const auto program =
+      make_simulation_program(sim, layout, SimInner::kCombinedVX);
+  EngineOptions options;
+  options.read_budget = 5;  // the executor's cycle: Write-All plus the phase
+  expect_goal_scan_agrees(*program, {.max_pattern = 200}, options);
 }
 
 TEST(IncrementalGoal, AbsentWithoutProgramOptIn) {

@@ -112,6 +112,20 @@ TEST(Reboot, WriteAllStatesResetToBoot) {
   }
 }
 
+TEST(Reboot, StrideStatesResetToBoot) {
+  for (const WriteAllAlgo algo :
+       {WriteAllAlgo::kTrivial, WriteAllAlgo::kSequential}) {
+    const Pid p = algo == WriteAllAlgo::kTrivial ? 8 : 1;
+    const std::unique_ptr<WriteAllProgram> program =
+        make_writeall(algo, {.n = 64, .p = p});
+    std::vector<EngineCheckpoint> cps;
+    Engine engine(*program, capturing(cps));
+    RandomAdversary adversary(17, {.fail_prob = 0.1, .restart_prob = 0.5});
+    engine.run(adversary);
+    expect_all_reboot_like_boot(*program, cps);
+  }
+}
+
 TEST(Reboot, SimulationStatesResetToBoot) {
   const PrefixSumProgram sim({3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8});
   constexpr Pid kP = 6;

@@ -15,6 +15,7 @@
 
 #include "analysis/static/symbolic.hpp"
 #include "analysis/static/verify.hpp"
+#include "fault/adversaries.hpp"
 #include "pram/soa.hpp"
 #include "util/error.hpp"
 #include "writeall/runner.hpp"
@@ -276,6 +277,26 @@ TEST(StaticVerify, WeakNonDesignatedWriteIsFound) {
   MutantProgram designated(2, 8, both_write(kWeakValue));
   const StaticReport clean = verify_program(designated, options);
   EXPECT_TRUE(clean.ok()) << clean.to_text();
+}
+
+TEST(StaticVerify, WeakLoneWritersAreClean) {
+  // WEAK constrains concurrent writers only: each PID alone at its own cell
+  // may write any value, as the engine under WEAK lets it.
+  MutantProgram lone(2, 8, [](CycleContext& ctx, Pid pid, Word&) {
+    ctx.write(pid, 7);
+    return false;
+  });
+  VerifyOptions options = quick();
+  options.model = CrcwModel::kWeak;
+  const StaticReport report = verify_program(lone, options);
+  EXPECT_EQ(report.count(StaticCheck::kWriteAgreement), 0u)
+      << report.to_text();
+
+  EngineOptions engine_options;
+  engine_options.model = CrcwModel::kWeak;
+  Engine engine(lone, engine_options);
+  NoFailures none;
+  EXPECT_TRUE(engine.run(none).goal_met);
 }
 
 TEST(StaticVerify, OutOfBoundsReachableWithoutArbitraryIsFound) {
