@@ -13,20 +13,27 @@ namespace rfsp {
 
 RandomAdversary::RandomAdversary(std::uint64_t seed,
                                  RandomAdversaryOptions opt)
-    : rng_(seed), opt_(opt) {
+    : rng_(seed), opt_(opt), fail_(opt.fail_prob),
+      restart_(opt.restart_prob) {
   RFSP_CHECK(opt_.fail_prob >= 0 && opt_.fail_prob <= 1);
   RFSP_CHECK(opt_.restart_prob >= 0 && opt_.restart_prob <= 1);
   RFSP_CHECK(opt_.fail_after_frac >= 0 && opt_.fail_after_frac <= 1);
 }
 
+// Bernoulli trials over the started PIDs, then over the failed ones, each
+// in ascending PID order. Rng::first_hit runs through the misses, so a slot
+// costs its draws plus its moves.
 FaultDecision RandomAdversary::decide(const MachineView& view) {
   FaultDecision d;
   const std::span<const Pid> started = view.started_pids();
 
   std::size_t mid_failures = 0;
-  for (Pid pid : started) {
-    if (pattern_used_ >= opt_.max_pattern) break;
-    if (!rng_.chance(opt_.fail_prob)) continue;
+  // The budget only changes on a hit, so checking it once per hit is
+  // checking it before every draw.
+  for (std::size_t i = 0; pattern_used_ < opt_.max_pattern; ++i) {
+    i += rng_.first_hit(fail_, started.size() - i);
+    if (i == started.size()) break;
+    const Pid pid = started[i];
     if (rng_.chance(opt_.fail_after_frac)) {
       d.fail_after_cycle.push_back(pid);
     } else {
@@ -37,12 +44,12 @@ FaultDecision RandomAdversary::decide(const MachineView& view) {
     }
     ++pattern_used_;
   }
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
-    if (view.status(pid) == ProcStatus::kFailed &&
-        rng_.chance(opt_.restart_prob)) {
-      d.restart.push_back(pid);
-      ++pattern_used_;
-    }
+  const std::span<const Pid> failed = view.failed_pids();
+  for (std::size_t i = 0;; ++i) {
+    i += rng_.first_hit(restart_, failed.size() - i);
+    if (i == failed.size()) break;
+    d.restart.push_back(failed[i]);
+    ++pattern_used_;
   }
   // Avoid stranding the machine: if this decision fails every live processor
   // and restarts nobody, revive one casualty. Only post-write failures can
@@ -85,9 +92,8 @@ FaultDecision BurstAdversary::decide(const MachineView& view) {
   // Always revive old casualties (whether or not this is a burst slot), so
   // the machine keeps its processors when restart == false bursts pile up.
   if (opt_.restart) {
-    for (Pid pid = 0; pid < view.processors(); ++pid) {
+    for (Pid pid : view.failed_pids()) {
       if (pattern_used_ >= opt_.max_pattern) break;
-      if (view.status(pid) != ProcStatus::kFailed) continue;
       d.restart.push_back(pid);
       ++pattern_used_;
     }
@@ -122,9 +128,8 @@ void BurstAdversary::load_state(std::span<const std::uint64_t> data) {
 FaultDecision ThrashingAdversary::decide(const MachineView& view) {
   FaultDecision d;
   // Revive all previous casualties so the whole machine thrashes again.
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
+  for (Pid pid : view.failed_pids()) {
     if (pattern_used_ >= max_pattern_) break;
-    if (view.status(pid) != ProcStatus::kFailed) continue;
     d.restart.push_back(pid);
     ++pattern_used_;
   }

@@ -53,6 +53,9 @@ class RandomAdversary final : public Adversary {
  private:
   Rng rng_;
   RandomAdversaryOptions opt_;
+  // fail_prob and restart_prob as integer thresholds for Rng::first_hit,
+  // fixed at construction.
+  Rng::Threshold fail_, restart_;
   std::uint64_t pattern_used_ = 0;
 };
 

@@ -25,9 +25,8 @@ FaultDecision HalvingAdversary::decide(const MachineView& view) {
   FaultDecision d;
   if (options_.revive) {
     // "All N processors are revived."
-    for (Pid pid = 0; pid < view.processors(); ++pid) {
-      if (view.status(pid) == ProcStatus::kFailed) d.restart.push_back(pid);
-    }
+    const std::span<const Pid> failed = view.failed_pids();
+    d.restart.assign(failed.begin(), failed.end());
   }
 
   // Current unvisited set; the per-cell scratch starts over.

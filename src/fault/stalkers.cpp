@@ -134,23 +134,18 @@ FaultDecision LeafStalker::decide(const MachineView& view) {
   // Restart case: touchers are failed and instantly revived (they resume at
   // the stalked leaf and are caught again) until every processor that is
   // still in the computation is simultaneously at the leaf.
-  std::size_t live_or_failed = 0;  // processors still in the computation
+  // Processors still in the computation: the live (started) ones and the
+  // failed ones.
+  const std::span<const Pid> failed = view.failed_pids();
+  const std::size_t live_or_failed = started.size() + failed.size();
   std::size_t at_leaf = touching.size();
-  for (Pid pid = 0; pid < view.processors(); ++pid) {
-    const ProcStatus status = view.status(pid);
-    if (status == ProcStatus::kHalted) continue;
-    ++live_or_failed;
-    if (status == ProcStatus::kFailed &&
-        committed_position(view, layout_, pid) == target_node_) {
-      ++at_leaf;
-    }
+  for (Pid pid : failed) {
+    if (committed_position(view, layout_, pid) == target_node_) ++at_leaf;
   }
   if (at_leaf >= live_or_failed) {
     // Everyone (not yet halted) is camped on the leaf: release them all.
     released_ = true;
-    for (Pid pid = 0; pid < view.processors(); ++pid) {
-      if (view.status(pid) == ProcStatus::kFailed) d.restart.push_back(pid);
-    }
+    d.restart.assign(failed.begin(), failed.end());
     return d;
   }
   for (Pid pid : touching) {

@@ -807,7 +807,8 @@ RunResult Engine::run(Adversary& adversary) {
       audit_->on_cycles_done(mem_, slot_, traces_, live_pids_);
     }
 
-    const MachineView view(mem_, slot_, status_, traces_, live_pids_, tally_);
+    const MachineView view(mem_, slot_, status_, traces_, live_pids_, tally_,
+                           failed_buf_);
     FaultDecision decision = adversary.decide(view);
     validate_decision(decision);
 

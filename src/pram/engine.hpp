@@ -331,6 +331,11 @@ class Engine {
   std::vector<Pid> live_pids_;
   std::vector<Pid> restart_buf_;  // scratch for sorted re-insertion
   std::vector<Pid> merge_buf_;    // the next live list; swapped in
+  // MachineView::failed_pids() sizes it to P on its first call and fills it
+  // on demand each slot. A failed list kept sorted across slots by
+  // apply_transitions cost more than it saved: PostOrderStalker holds
+  // hundreds of PIDs failed.
+  std::vector<Pid> failed_buf_;
 
   // Epoch-stamped per-PID marks (validate/commit/transition scratch).
   std::vector<std::uint64_t> mark_stamp_;

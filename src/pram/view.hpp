@@ -6,6 +6,8 @@
 // mid-flight (their buffered writes are then lost).
 #pragma once
 
+#include <vector>
+
 #include "accounting/tally.hpp"
 #include "pram/memory.hpp"
 #include "pram/program.hpp"
@@ -38,16 +40,36 @@ class MachineView {
   // processors are live; trace(pid).started == true iff pid is listed here.
   std::span<const Pid> started_pids() const { return started_; }
 
+  // PIDs whose status is kFailed, in ascending order. Filled on the first
+  // call of a slot by one branch-free pass over the statuses into a buffer
+  // the engine sizes on the run's first call, so an adversary that never
+  // asks pays nothing for it, neither per slot nor at setup.
+  std::span<const Pid> failed_pids() const {
+    if (failed_count_ == kUnfilled) {
+      failed_buf_.resize(status_.size());
+      std::size_t count = 0;
+      for (Pid pid = 0; pid < status_.size(); ++pid) {
+        failed_buf_[count] = pid;
+        count += status_[pid] == ProcStatus::kFailed;
+      }
+      failed_count_ = count;
+    }
+    return {failed_buf_.data(), failed_count_};
+  }
+
   const WorkTally& tally() const { return tally_; }
 
  private:
   friend class Engine;
+  // `failed_buf` is the engine's scratch for failed_pids().
   MachineView(const SharedMemory& mem, Slot slot,
               std::span<const ProcStatus> status,
               std::span<const CycleTrace> traces, std::span<const Pid> started,
-              const WorkTally& tally)
+              const WorkTally& tally, std::vector<Pid>& failed_buf)
       : mem_(mem), slot_(slot), status_(status), traces_(traces),
-        started_(started), tally_(tally) {}
+        started_(started), tally_(tally), failed_buf_(failed_buf) {}
+
+  static constexpr std::size_t kUnfilled = ~std::size_t{0};
 
   const SharedMemory& mem_;
   Slot slot_;
@@ -55,6 +77,8 @@ class MachineView {
   std::span<const CycleTrace> traces_;
   std::span<const Pid> started_;
   const WorkTally& tally_;
+  std::vector<Pid>& failed_buf_;
+  mutable std::size_t failed_count_ = kUnfilled;
 };
 
 }  // namespace rfsp

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <type_traits>
+#include <variant>
 
 #include "sim/sync_exec.hpp"
 #include "util/error.hpp"
@@ -98,10 +100,15 @@ class ReplayContext final : public StepContext {
 // Pass-A task: compute simulated processor j's step t into scratch log j.
 class ComputeTask final : public TaskSpec {
  public:
-  ComputeTask(const SimProgram& program, const SimLayout& layout, Step t,
-              Word stamp)
-      : program_(program), layout_(layout), t_(t), stamp_(stamp),
+  ComputeTask(const SimProgram& program, const SimLayout& layout)
+      : program_(program), layout_(layout),
         fetch_cap_(program.max_loads() + layout.reg_count) {}
+
+  // Pass 2t (even) computes step t under the pass's epoch stamp.
+  void set_pass(std::uint64_t pass) {
+    t_ = pass / 2;
+    stamp_ = static_cast<Word>(pass) + 1;
+  }
 
   unsigned cycles_per_task() const override {
     return layout_.compute_cycles;
@@ -167,8 +174,8 @@ class ComputeTask final : public TaskSpec {
  private:
   const SimProgram& program_;
   const SimLayout& layout_;
-  Step t_;
-  Word stamp_;
+  Step t_ = 0;
+  Word stamp_ = 0;
   unsigned fetch_cap_;
 };
 
@@ -185,8 +192,13 @@ class ComputeTask final : public TaskSpec {
 // same marker value, keeping the outcome stable ever after.
 class CommitTask final : public TaskSpec {
  public:
-  CommitTask(const SimLayout& layout, Word log_stamp, Word wa_stamp)
-      : layout_(layout), log_stamp_(log_stamp), wa_stamp_(wa_stamp) {}
+  explicit CommitTask(const SimLayout& layout) : layout_(layout) {}
+
+  // Pass 2t+1 (odd) commits the logs pass 2t stamped.
+  void set_pass(std::uint64_t pass) {
+    log_stamp_ = static_cast<Word>(pass);
+    wa_stamp_ = static_cast<Word>(pass) + 1;
+  }
 
   unsigned cycles_per_task() const override { return layout_.commit_cycles; }
 
@@ -222,8 +234,8 @@ class CommitTask final : public TaskSpec {
 
  private:
   const SimLayout& layout_;
-  Word log_stamp_;
-  Word wa_stamp_;
+  Word log_stamp_ = 0;
+  Word wa_stamp_ = 0;
 };
 
 }  // namespace
@@ -322,10 +334,26 @@ class SimulationProgram final
   std::uint64_t final_pass_;
 };
 
+// One kind of pass's machinery: the Write-All config and the inner state
+// bound to it and to one task, held in place. Built at the processor's
+// first pass of its kind; later passes of that kind, after a restart too,
+// re-stamp the config and the task and reboot the inner state. In place,
+// not on the heap: heap machines, allocated mid-run and freed together,
+// left the next run's setup allocating from a fragmented heap (rfsp-bench
+// sim-executor setup_s +17 to +20 %).
+struct PassMachine {
+  WriteAllConfig config;
+  std::optional<std::variant<CombinedState, AlgXState, AlgVState>> inner;
+};
+
 class SimProcState final : public WordStreamState<SimProcState> {
  public:
   SimProcState(const SimulationProgram& outer, Pid pid)
-      : outer_(outer), pid_(pid) {}
+      : outer_(outer), pid_(pid), compute_task_(outer.sim(), outer.layout()),
+        commit_task_(outer.layout()) {}
+
+  SimProcState(const SimProcState&) = delete;
+  SimProcState& operator=(const SimProcState&) = delete;
 
   bool cycle(CycleContext& ctx) override {
     const SimLayout& layout = outer_.layout();
@@ -346,47 +374,35 @@ class SimProcState final : public WordStreamState<SimProcState> {
     }
     advance_from_.reset();  // someone else advanced it first
 
-    if (!inner_ || pass != pass_) build(pass, phase_start(ph));
-    if (!inner_->cycle(ctx)) {
-      inner_.reset();
+    if (active_ == nullptr || pass != pass_) enter(pass, phase_start(ph));
+    if (!std::visit([&](auto& inner) { return inner.cycle(ctx); },
+                    *active_->inner)) {
+      active_ = nullptr;
       advance_from_ = pass;
     }
     return true;
   }
 
-  // Back to the boot state, in place (Program::reboot). The pass's inner
-  // state and task go: the next cycle builds them for whatever pass the
-  // phase word then names.
+  // Back to the boot state, in place (Program::reboot): no pass is active,
+  // and the next cycle enters whatever pass the phase word then names.
   void reboot() {
-    inner_.reset();  // first: it refers to task_ and config_
-    task_.reset();
-    config_ = WriteAllConfig{};
+    active_ = nullptr;
     pass_ = kNoPass;
     inner_start_ = 0;
     advance_from_.reset();
   }
 
-  // Checkpoint support (docs/resilience.md): the pass index plus the inner
-  // Write-All state's words. The task/config referents are rebuilt from the
-  // pass index on load — only the inner's dynamic fields travel.
+  // Checkpoint support (docs/resilience.md): the pass index plus the active
+  // inner Write-All state's words. The task and config are re-stamped from
+  // the pass index on load — only the inner's dynamic fields travel.
   void save_words(WordWriter& w) const {
     w.put_u64(pass_);
     w.put_bool(advance_from_.has_value());
     if (advance_from_) w.put_u64(*advance_from_);
-    w.put_bool(inner_ != nullptr);
-    if (inner_) {
+    w.put_bool(active_ != nullptr);
+    if (active_ != nullptr) {
       w.put_u64(inner_start_);
-      switch (outer_.inner()) {
-        case SimInner::kCombinedVX:
-          static_cast<const CombinedState&>(*inner_).save_words(w);
-          break;
-        case SimInner::kX:
-          static_cast<const AlgXState&>(*inner_).save_words(w);
-          break;
-        case SimInner::kV:
-          static_cast<const AlgVState&>(*inner_).save_words(w);
-          break;
-      }
+      std::visit([&](auto& inner) { inner.save_words(w); }, *active_->inner);
     }
   }
 
@@ -394,60 +410,65 @@ class SimProcState final : public WordStreamState<SimProcState> {
     const std::uint64_t pass = r.get_u64();
     advance_from_.reset();
     if (r.get_bool()) advance_from_ = r.get_u64();
-    inner_.reset();
-    task_.reset();
+    active_ = nullptr;
     if (r.get_bool()) {
-      const Slot start = static_cast<Slot>(r.get_u64());
-      build(pass, start);
-      switch (outer_.inner()) {
-        case SimInner::kCombinedVX:
-          static_cast<CombinedState&>(*inner_).load_words(r);
-          break;
-        case SimInner::kX:
-          static_cast<AlgXState&>(*inner_).load_words(r);
-          break;
-        case SimInner::kV:
-          static_cast<AlgVState&>(*inner_).load_words(r);
-          break;
-      }
+      enter(pass, static_cast<Slot>(r.get_u64()));
+      std::visit([&](auto& inner) { inner.load_words(r); }, *active_->inner);
     }
-    pass_ = pass;  // build() set it when an inner exists; cover the gap
+    pass_ = pass;  // enter() set it when a pass is active; cover the gap
   }
 
  private:
-  void build(std::uint64_t pass, Slot start) {
+  // Binds `machine` to `task` and builds its inner state; enter() reboots
+  // it for the pass's start slot.
+  void build(PassMachine& machine, const TaskSpec& task,
+             const CombinedLayout& wa) const {
     const SimLayout& layout = outer_.layout();
-    const Step t = pass / 2;
-    const bool compute = (pass % 2) == 0;
-    const Word stamp = static_cast<Word>(pass) + 1;
-    if (compute) {
-      task_ = std::make_unique<ComputeTask>(outer_.sim(), layout, t, stamp);
-    } else {
-      task_ = std::make_unique<CommitTask>(layout, stamp - 1, stamp);
-    }
-    const CombinedLayout& wa =
-        compute ? layout.wa_compute : layout.wa_commit;
-    // The inner states keep a reference to their config, so it must outlive
-    // them: store this pass's config in the member the new state will bind
-    // to. The outgoing inner_ (destroyed by the assignments below) never
-    // touches its config during destruction.
-    config_ = WriteAllConfig{};
-    config_.n = layout.n;
-    config_.p = layout.p;
-    config_.stamp = stamp;
-    config_.task = task_.get();
+    machine.config.n = layout.n;
+    machine.config.p = layout.p;
+    machine.config.task = &task;
+    const WriteAllConfig& config = machine.config;
     switch (outer_.inner()) {
       case SimInner::kCombinedVX:
-        inner_ = std::make_unique<CombinedState>(config_, wa, pid_, start);
+        machine.inner.emplace(std::in_place_type<CombinedState>, config, wa,
+                              pid_);
         break;
       case SimInner::kX:
-        inner_ = std::make_unique<AlgXState>(config_, wa.x, pid_, wa.done);
+        machine.inner.emplace(std::in_place_type<AlgXState>, config, wa.x,
+                              pid_, wa.done);
         break;
       case SimInner::kV:
-        inner_ = std::make_unique<AlgVState>(config_, wa.v, pid_, wa.done,
-                                             start, /*clock_stride=*/1);
+        machine.inner.emplace(std::in_place_type<AlgVState>, config, wa.v,
+                              pid_, wa.done);
         break;
     }
+  }
+
+  // Makes `pass`, begun at `start`, the active pass: its machine, with the
+  // task and the config stamped for it and the inner state built or
+  // rebooted, is what a fresh build for this pass would be.
+  void enter(std::uint64_t pass, Slot start) {
+    const SimLayout& layout = outer_.layout();
+    const bool compute = (pass % 2) == 0;
+    PassMachine& machine = compute ? compute_ : commit_;
+    machine.config.stamp = static_cast<Word>(pass) + 1;
+    if (compute) {
+      compute_task_.set_pass(pass);
+      if (!machine.inner) build(machine, compute_task_, layout.wa_compute);
+    } else {
+      commit_task_.set_pass(pass);
+      if (!machine.inner) build(machine, commit_task_, layout.wa_commit);
+    }
+    std::visit(
+        [&](auto& inner) {
+          if constexpr (std::is_same_v<decltype(inner), AlgXState&>) {
+            inner.reboot();  // X keeps no clock
+          } else {
+            inner.reboot(start);
+          }
+        },
+        *machine.inner);
+    active_ = &machine;
     pass_ = pass;
     inner_start_ = start;
   }
@@ -456,12 +477,15 @@ class SimProcState final : public WordStreamState<SimProcState> {
 
   const SimulationProgram& outer_;
   Pid pid_;
+  // Referents of the machines' configs, so declared before them.
+  ComputeTask compute_task_;
+  CommitTask commit_task_;
+  PassMachine compute_;
+  PassMachine commit_;
+  PassMachine* active_ = nullptr;  // the active pass's machine, if any
   std::uint64_t pass_ = kNoPass;
-  Slot inner_start_ = 0;  // build()'s start slot, for checkpointing
+  Slot inner_start_ = 0;  // enter()'s start slot, for checkpointing
   std::optional<std::uint64_t> advance_from_;
-  std::unique_ptr<TaskSpec> task_;
-  WriteAllConfig config_;  // referent of inner_'s config reference
-  std::unique_ptr<ProcessorState> inner_;
 };
 
 std::unique_ptr<SimProcState> SimulationProgram::make_state(Pid pid) const {

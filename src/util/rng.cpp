@@ -1,5 +1,7 @@
 #include "util/rng.hpp"
 
+#include <cmath>
+
 namespace rfsp {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -20,6 +22,16 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : s_) word = splitmix64(seed);
   // Avoid the all-zero state (possible only if splitmix emitted four zeroes).
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
+}
+
+Rng::Threshold::Threshold(double p) {
+  if (!(p > 0.0)) return;  // p <= 0 (a NaN, too): never, no draw
+  if (p >= 1.0) {
+    bound = std::uint64_t{1} << 53;
+    return;
+  }
+  bound = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  draws = true;
 }
 
 std::uint64_t Rng::below(std::uint64_t bound) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace rfsp {
@@ -25,17 +26,7 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  std::uint64_t next() {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-  }
+  std::uint64_t next() { return step(s_); }
 
   // Uniform in [0, bound) for bound >= 1 (unbiased via rejection).
   std::uint64_t below(std::uint64_t bound);
@@ -48,6 +39,29 @@ class Rng {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return uniform() < p;
+  }
+
+  // Bernoulli(p) fixed once as an integer compare on the 53 bits uniform()
+  // draws: uniform() < p  <=>  (next() >> 11) < ceil(p * 2^53), exactly,
+  // because both sides scale by a power of two. As with chance(p), p <= 0
+  // and p >= 1 decide without a draw.
+  struct Threshold {
+    explicit Threshold(double p);
+    std::uint64_t bound = 0;  // hit iff (next() >> 11) < bound
+    bool draws = false;       // false for p <= 0 (never) and p >= 1 (always)
+  };
+
+  // The index of the first hit among n trials of `t`, or n when all of them
+  // miss. Consumes exactly the draws of the chance(p) calls, for the p that
+  // `t` was built from, up to and including the hit. The loop calls nothing,
+  // so the generator state stays in registers across the misses.
+  std::size_t first_hit(const Threshold& t, std::size_t n) {
+    if (!t.draws) return t.bound != 0 ? 0 : n;
+    std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+    std::size_t i = 0;
+    while (i < n && (step(s) >> 11) >= t.bound) ++i;
+    s_[0] = s[0]; s_[1] = s[1]; s_[2] = s[2]; s_[3] = s[3];
+    return i;
   }
 
   // Checkpoint hooks (src/replay): the full 256-bit generator state. A
@@ -63,6 +77,19 @@ class Rng {
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  // One xoshiro256** step: advances `s` and returns the output word.
+  static std::uint64_t step(std::uint64_t (&s)[4]) {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
   }
 
   std::uint64_t s_[4];

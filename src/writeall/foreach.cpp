@@ -10,9 +10,8 @@ namespace {
 // region; the algorithm's structures live above it (config.base).
 class ForEachProgram final : public Program {
  public:
-  ForEachProgram(std::unique_ptr<WriteAllProgram> inner,
-                 const ForEachOptions& options)
-      : inner_(std::move(inner)), options_(options) {}
+  explicit ForEachProgram(std::unique_ptr<WriteAllProgram> inner)
+      : inner_(std::move(inner)) {}
 
   std::string_view name() const override { return "for-each"; }
   Pid processors() const override { return inner_->processors(); }
@@ -20,7 +19,6 @@ class ForEachProgram final : public Program {
 
   void init_memory(SharedMemory& mem) const override {
     inner_->init_memory(mem);
-    if (options_.init) options_.init(mem, /*user_base=*/0);
   }
 
   std::unique_ptr<ProcessorState> boot(Pid pid) const override {
@@ -44,7 +42,6 @@ class ForEachProgram final : public Program {
 
  private:
   std::unique_ptr<WriteAllProgram> inner_;
-  const ForEachOptions& options_;
 };
 
 class MapTask final : public TaskSpec {
@@ -87,7 +84,7 @@ ForEachResult for_each_resilient(Addr n, const TaskSpec& task,
   config.task = &task;
   auto inner = make_writeall(options.algo, config);
 
-  ForEachProgram program(std::move(inner), options);
+  ForEachProgram program(std::move(inner));
   Engine engine(program, options.engine);
   const RunResult run = engine.run(adversary);
 

@@ -30,9 +30,8 @@ struct ForEachOptions {
   // Extra shared memory appended after the algorithm's own structures,
   // addressable by tasks (e.g. a map's output region). Tasks may also read
   // the Write-All bookkeeping region, but must write only their own cells.
+  // The region starts zeroed; a task that needs input seeds it itself.
   Addr user_memory = 0;
-  // Initial contents for the user region (applied before slot 0).
-  std::function<void(SharedMemory&, Addr user_base)> init;
   EngineOptions engine;
 };
 

@@ -3,6 +3,8 @@
 // small — the motivation for the completed-work measure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fault/adversaries.hpp"
 #include "fault/halving.hpp"
 #include "fault/iteration_killer.hpp"
@@ -72,6 +74,92 @@ TEST(RandomAdversary, NeverStrandsWithPostWriteFailures) {
         << "seed " << seed;
     EXPECT_TRUE(out.solved) << "seed " << seed;
   }
+}
+
+// Checks MachineView::failed_pids() against a full status scan, before and
+// after the wrapped adversary decides, then forwards its decision.
+class FailedPidsChecker final : public Adversary {
+ public:
+  explicit FailedPidsChecker(Adversary& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_.name(); }
+  FaultDecision decide(const MachineView& view) override {
+    std::vector<Pid> scan;
+    for (Pid pid = 0; pid < view.processors(); ++pid) {
+      if (view.status(pid) == ProcStatus::kFailed) scan.push_back(pid);
+    }
+    const auto listed = [&] {
+      const std::span<const Pid> failed = view.failed_pids();
+      return std::vector<Pid>(failed.begin(), failed.end());
+    };
+    EXPECT_EQ(listed(), scan) << "slot " << view.slot();
+    FaultDecision d = inner_.decide(view);
+    EXPECT_EQ(listed(), scan) << "slot " << view.slot();
+    if (!scan.empty()) ++slots_with_failed_;
+    return d;
+  }
+  bool inspects_cycles() const override { return inner_.inspects_cycles(); }
+  void save_state(std::vector<std::uint64_t>& out) const override {
+    inner_.save_state(out);
+  }
+  void load_state(std::span<const std::uint64_t> data) override {
+    inner_.load_state(data);
+  }
+
+  std::uint64_t slots_with_failed() const { return slots_with_failed_; }
+
+ private:
+  Adversary& inner_;
+  std::uint64_t slots_with_failed_ = 0;
+};
+
+TEST(MachineView, FailedPidsMatchAStatusScan) {
+  const WriteAllConfig config{.n = 256, .p = 64};
+  for (const bool batch : {false, true}) {
+    EngineOptions options;
+    options.batch = batch;
+    RandomAdversary random(17, {.fail_prob = 0.2, .restart_prob = 0.3});
+    BurstAdversary burst({.period = 3, .count = 8});
+    for (Adversary* inner : {static_cast<Adversary*>(&random),
+                             static_cast<Adversary*>(&burst)}) {
+      FailedPidsChecker checker(*inner);
+      const auto program = make_writeall(WriteAllAlgo::kX, config);
+      Engine engine(*program, options);
+      ASSERT_EQ(engine.batch_active(), batch);
+      EXPECT_TRUE(engine.run(checker).goal_met);
+      EXPECT_GT(checker.slots_with_failed(), 10u)
+          << inner->name() << (batch ? " batch" : " interpreter");
+    }
+  }
+}
+
+TEST(MachineView, FailedPidsAfterRestore) {
+  // A checkpoint taken while processors are failed: the restored engine's
+  // first view must list them.
+  const auto program = make_writeall(WriteAllAlgo::kX, {.n = 256, .p = 64});
+  const RandomAdversaryOptions faults{.fail_prob = 0.2, .restart_prob = 0.3};
+  std::vector<EngineCheckpoint> cps;
+  EngineOptions options;
+  options.checkpoint_every = 5;
+  options.on_checkpoint = [&cps](const EngineCheckpoint& cp) {
+    cps.push_back(cp);
+  };
+  RandomAdversary first(23, faults);
+  Engine engine(*program, options);
+  ASSERT_TRUE(engine.run(first).goal_met);
+  const auto with_failed = std::find_if(
+      cps.begin(), cps.end(), [](const EngineCheckpoint& cp) {
+        return std::count(cp.status.begin(), cp.status.end(),
+                          ProcStatus::kFailed) > 0;
+      });
+  ASSERT_NE(with_failed, cps.end());
+
+  RandomAdversary random(0, faults);
+  FailedPidsChecker checker(random);
+  Engine resumed(*program);
+  resumed.restore(*with_failed, &checker);
+  EXPECT_TRUE(resumed.run(checker).goal_met);
+  EXPECT_GT(checker.slots_with_failed(), 0u);
 }
 
 TEST(BurstAdversary, ControlsPatternSizeDeterministically) {
@@ -195,6 +283,22 @@ std::uint32_t writeall_digest(WriteAllAlgo algo, const WriteAllConfig& config,
   return decision_digest(*make_writeall(algo, config), adversary, options);
 }
 
+// A restart of a PID that the same decision fails: restarts are drawn only
+// from PIDs failed before the slot, so such a move is the strand guard's.
+bool strand_guard_fired(const FaultSchedule& schedule) {
+  for (const ScheduleEntry& entry : schedule.entries) {
+    for (Pid pid : entry.decision.restart) {
+      const auto& after = entry.decision.fail_after_cycle;
+      const auto& mid = entry.decision.fail_mid_cycle;
+      if (std::find(after.begin(), after.end(), pid) != after.end() ||
+          std::find(mid.begin(), mid.end(), pid) != mid.end()) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 TEST(GoldenDecisions, Random) {
   // fail_after_frac == 0: every failure is clamped mid-cycle, so the
   // strand guard never fires.
@@ -210,6 +314,43 @@ TEST(GoldenDecisions, Random) {
   batch_options.batch = true;
   EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, config, batch, batch_options),
             0xced903dau);
+
+  // A finite |F| budget: the started-set loop breaks once it is spent.
+  RandomAdversaryOptions budget = opt;
+  budget.max_pattern = 150;
+  RandomAdversary budgeted(17, budget);
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, config, budgeted), 0x4692896cu);
+
+  // restart_prob == 1 decides without a draw, as Rng::chance does; a stray
+  // draw would shift every later failure.
+  RandomAdversaryOptions certain_opt = opt;
+  certain_opt.restart_prob = 1;
+  RandomAdversary certain(17, certain_opt);
+  EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, config, certain), 0x18982983u);
+
+  // fail_prob == 0 draws nothing at all.
+  RandomAdversary quiet(17, {.fail_prob = 0, .restart_prob = 0.5});
+  const auto out = run_writeall(WriteAllAlgo::kX, {.n = 64, .p = 16}, quiet);
+  EXPECT_TRUE(out.solved);
+  EXPECT_EQ(out.run.tally.pattern_size(), 0u);
+  std::vector<std::uint64_t> after, fresh;
+  quiet.save_state(after);
+  RandomAdversary(17).save_state(fresh);
+  EXPECT_EQ(after, fresh);
+
+  // fail_after_frac > 0: a second draw per failure, and post-write failures
+  // that may take every started cycle, so the strand guard fires.
+  RandomAdversaryOptions post_write;
+  post_write.fail_prob = 0.3;
+  post_write.restart_prob = 0.3;
+  post_write.fail_after_frac = 0.25;
+  RandomAdversary guarded(5, post_write);
+  FaultSchedule schedule;
+  RecordingAdversary recorder(guarded, schedule);
+  EXPECT_TRUE(
+      run_writeall(WriteAllAlgo::kX, {.n = 128, .p = 4}, recorder).solved);
+  EXPECT_TRUE(strand_guard_fired(schedule));
+  EXPECT_EQ(crc32(schedule_to_jsonl(schedule)), 0x493565e1u);
 }
 
 TEST(GoldenDecisions, Burst) {

@@ -10,8 +10,12 @@
 #include <cstdlib>
 #include <new>
 
+#include "fault/adversaries.hpp"
 #include "fault/stalkers.hpp"
 #include "pram/engine.hpp"
+#include "programs/programs.hpp"
+#include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "writeall/algx.hpp"
 
 namespace {
@@ -74,6 +78,56 @@ TEST(RestartAllocations, PostOrderStalkerRestartsDoNotAllocate) {
   EXPECT_GT(run.tally.restarts, 100000u);
   EXPECT_LT(4 * allocations, run.tally.restarts)
       << allocations << " allocations for " << run.tally.restarts
+      << " restarts over " << run.tally.slots << " slots";
+}
+
+// Forwards to `inner` and counts the allocations made inside its decide
+// calls (the FaultDecision vectors), so a test can bound the rest.
+class DecideAllocationCounter final : public Adversary {
+ public:
+  explicit DecideAllocationCounter(Adversary& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_.name(); }
+  FaultDecision decide(const MachineView& view) override {
+    const std::uint64_t before = g_allocations.load();
+    FaultDecision d = inner_.decide(view);
+    inside_ += g_allocations.load() - before;
+    return d;
+  }
+  bool inspects_cycles() const override { return inner_.inspects_cycles(); }
+
+  std::uint64_t inside() const { return inside_; }
+
+ private:
+  Adversary& inner_;
+  std::uint64_t inside_ = 0;
+};
+
+// The Theorem 4.1 executor keeps one compute-pass and one commit-pass
+// machine per processor; a restart or a pass change reboots them in place.
+// This is rfsp-bench's sim-executor prefix-sum instance at seed 1.
+TEST(RestartAllocations, SimExecutorRestartsDoNotAllocate) {
+  Rng values(1);
+  std::vector<Word> input(256);
+  for (Word& v : input) v = static_cast<Word>(values.below(1000));
+  const PrefixSumProgram sim(std::move(input));
+  const SimLayout layout(sim, 33);
+  const auto program =
+      make_simulation_program(sim, layout, SimInner::kCombinedVX);
+  EngineOptions options;
+  options.read_budget = 5;  // the executor's update cycle, as simulate() sets
+  Engine engine(*program, options);
+  RandomAdversary random(1 ^ 0xadde,
+                         {.fail_prob = 0.05, .restart_prob = 0.5});
+  DecideAllocationCounter adversary(random);
+  const std::uint64_t before = g_allocations.load();
+  const RunResult run = engine.run(adversary);
+  const std::uint64_t outside =
+      g_allocations.load() - before - adversary.inside();
+  ASSERT_TRUE(run.goal_met);
+  EXPECT_GT(run.tally.restarts, 10000u);
+  EXPECT_LT(outside, run.tally.restarts)
+      << outside << " allocations outside decide for " << run.tally.restarts
       << " restarts over " << run.tally.slots << " slots";
 }
 

@@ -48,22 +48,27 @@ TEST(MapResilient, SingleTaskSingleProcessor) {
 }
 
 TEST(ForEachResilient, MultiCycleTasksWithInit) {
-  // Tasks that read caller-initialized input and write two output cells
-  // over two micro-cycles: out[i] = in[i] + 1, aux[i] = 2 * in[i].
+  // Tasks that seed their input, read it back in a later cycle and write
+  // two output cells over three micro-cycles: in[i] = 10 + i, then
+  // out[i] = in[i] + 1, aux[i] = 2 * in[i].
   constexpr Addr kN = 64;
-  class TwoPhaseTask final : public TaskSpec {
+  class SeedingTask final : public TaskSpec {
    public:
-    unsigned cycles_per_task() const override { return 2; }
+    unsigned cycles_per_task() const override { return 3; }
     std::size_t scratch_words() const override { return 1; }
     void run(CycleContext& ctx, Addr i, unsigned k,
              std::span<Word> scratch) const override {
       if (k == 0) {
-        scratch[0] = ctx.read(i);  // in[i] lives at user base 0
+        // The seed: in[i] lives at user base 0. Every attempt writes the
+        // same value, so re-executions are idempotent.
+        ctx.write(i, static_cast<Word>(10 + i));
+      } else if (k == 1) {
+        // Reads see the slot-start memory, which holds this attempt's seed:
+        // a restarted attempt re-runs k = 0 first.
+        scratch[0] = ctx.read(i);
         ctx.write(kN + i, scratch[0] + 1);
       } else {
-        // Re-read the input rather than trusting scratch across cycles?
-        // No: scratch persists within an attempt, and a restarted attempt
-        // re-runs k = 0 first. Write the second output.
+        // scratch persists within an attempt.
         ctx.write(2 * kN + i, 2 * scratch[0]);
       }
     }
@@ -72,16 +77,12 @@ TEST(ForEachResilient, MultiCycleTasksWithInit) {
   ForEachOptions options;
   options.processors = 8;
   options.user_memory = 3 * kN;
-  options.init = [](SharedMemory& mem, Addr base) {
-    for (Addr i = 0; i < kN; ++i) {
-      mem.write(base + i, static_cast<Word>(10 + i));
-    }
-  };
-  const TwoPhaseTask task;
+  const SeedingTask task;
   RandomAdversary adversary(77, {.fail_prob = 0.1, .restart_prob = 0.5});
   const auto r = for_each_resilient(kN, task, adversary, options);
   ASSERT_TRUE(r.completed);
   for (Addr i = 0; i < kN; ++i) {
+    EXPECT_EQ(r.user_memory[i], static_cast<Word>(10 + i));
     EXPECT_EQ(r.user_memory[kN + i], static_cast<Word>(11 + i));
     EXPECT_EQ(r.user_memory[2 * kN + i], static_cast<Word>(2 * (10 + i)));
   }

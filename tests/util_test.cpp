@@ -2,6 +2,7 @@
 
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/bits.hpp"
 #include "util/crc32.hpp"
@@ -156,6 +157,37 @@ TEST(Rng, ChanceExtremes) {
   Rng rng(5);
   EXPECT_FALSE(rng.chance(0.0));
   EXPECT_TRUE(rng.chance(1.0));
+}
+
+TEST(Rng, FirstHitDrawsWhatRepeatedChanceDraws) {
+  // n trials run one at a time through chance(p) and in chunks through
+  // first_hit: the hit positions and the generator state must agree.
+  // uniform() < p  <=>  (next() >> 11) < ceil(p * 2^53) at the edges too.
+  constexpr std::size_t kN = 4096;
+  for (const double p :
+       {0x1.0p-53, 0x1.8p-53, 0.02, 0.5, 1 - 0x1.0p-53, 0.0, 1.0}) {
+    const Rng::Threshold t(p);
+    Rng stepped(9), skipping(9);
+    std::vector<std::size_t> want, got;
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (stepped.chance(p)) want.push_back(i);
+    }
+    for (std::size_t i = 0;; ++i) {
+      i += skipping.first_hit(t, kN - i);
+      if (i == kN) break;
+      got.push_back(i);
+    }
+    EXPECT_EQ(got, want) << "p = " << p;
+    EXPECT_EQ(skipping.state(), stepped.state()) << "p = " << p;
+
+    // n = 0 draws nothing and reports no hit.
+    EXPECT_EQ(skipping.first_hit(t, 0), 0u);
+    EXPECT_EQ(skipping.state(), stepped.state()) << "p = " << p;
+  }
+  EXPECT_EQ(Rng::Threshold(0x1.0p-53).bound, 1u);
+  EXPECT_EQ(Rng::Threshold(0.5).bound, std::uint64_t{1} << 52);
+  EXPECT_FALSE(Rng::Threshold(0.0).draws);
+  EXPECT_FALSE(Rng::Threshold(1.0).draws);
 }
 
 TEST(Rng, Mix64SensitiveToAllArgs) {
