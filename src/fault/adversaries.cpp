@@ -24,7 +24,7 @@ RandomAdversary::RandomAdversary(std::uint64_t seed,
 // in ascending PID order. Rng::first_hit runs through the misses, so a slot
 // costs its draws plus its moves.
 FaultDecision RandomAdversary::decide(const MachineView& view) {
-  FaultDecision d;
+  FaultDecision d = view.blank_decision();
   const std::span<const Pid> started = view.started_pids();
 
   std::size_t mid_failures = 0;
@@ -88,7 +88,7 @@ BurstAdversary::BurstAdversary(BurstAdversaryOptions opt) : opt_(opt) {
 }
 
 FaultDecision BurstAdversary::decide(const MachineView& view) {
-  FaultDecision d;
+  FaultDecision d = view.blank_decision();
   // Always revive old casualties (whether or not this is a burst slot), so
   // the machine keeps its processors when restart == false bursts pile up.
   if (opt_.restart) {
@@ -126,7 +126,7 @@ void BurstAdversary::load_state(std::span<const std::uint64_t> data) {
 // ThrashingAdversary
 
 FaultDecision ThrashingAdversary::decide(const MachineView& view) {
-  FaultDecision d;
+  FaultDecision d = view.blank_decision();
   // Revive all previous casualties so the whole machine thrashes again.
   for (Pid pid : view.failed_pids()) {
     if (pattern_used_ >= max_pattern_) break;

@@ -25,7 +25,9 @@ namespace rfsp {
 class NoFailures final : public Adversary {
  public:
   std::string_view name() const override { return "none"; }
-  FaultDecision decide(const MachineView&) override { return {}; }
+  FaultDecision decide(const MachineView& view) override {
+    return view.blank_decision();
+  }
   bool inspects_cycles() const override { return false; }
 };
 

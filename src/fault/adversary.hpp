@@ -24,56 +24,9 @@
 #include <vector>
 
 #include "pram/types.hpp"
-#include "pram/view.hpp"
+#include "pram/view.hpp"  // FaultDecision, TornWrite, MachineView
 
 namespace rfsp {
-
-// A failure *between the bit writes of one word write* — only meaningful
-// when the engine runs with EngineOptions::bit_atomic_writes, which drops
-// the §2.1 simplifying assumption that O(log N)-bit word writes are atomic
-// ("failures can occur before or after a write of a single bit but not
-// during the write, i.e., bit writes are atomic"). The processor fails
-// mid-cycle; its buffered writes before `write_index` commit whole, write
-// `write_index` commits only its lowest `keep_bits` bits (higher bits keep
-// the cell's previous contents), and later writes are discarded.
-struct TornWrite {
-  Pid pid = 0;
-  std::size_t write_index = 0;
-  unsigned keep_bits = 0;  // < 64; bit writes themselves stay atomic
-
-  friend bool operator==(const TornWrite&, const TornWrite&) = default;
-};
-
-struct FaultDecision {
-  // Live processors whose current cycle is aborted (not charged to S).
-  std::vector<Pid> fail_mid_cycle;
-  // Live processors that complete the current cycle and then stop.
-  std::vector<Pid> fail_after_cycle;
-  // Failed processors (including ones failed by this very decision) to
-  // revive: they run a fresh boot state from the next slot on.
-  std::vector<Pid> restart;
-  // Bit-granular mid-write failures (bit-atomic mode only). The listed
-  // processors are failed like fail_mid_cycle, but with partial commits.
-  std::vector<TornWrite> torn;
-  // Memory-model moves (pram/faults.hpp; docs/fault-models.md).
-  // Faulty-cells mode only: shared cells that die at the end of this slot
-  // (after the commit) — reads return seeded garbage, writes are dropped,
-  // and no remapping rescues them. Duplicate or already-dead cells are
-  // no-ops, so adversaries need no view of the fault map.
-  std::vector<Addr> cell_faults;
-  // Persistent-cache mode only: live processors whose un-persisted
-  // write-back cache is discarded at the end of this slot (after any
-  // persist this slot's commit performed) without failing the processor.
-  std::vector<Pid> cache_drop;
-
-  bool empty() const {
-    return fail_mid_cycle.empty() && fail_after_cycle.empty() &&
-           restart.empty() && torn.empty() && cell_faults.empty() &&
-           cache_drop.empty();
-  }
-
-  friend bool operator==(const FaultDecision&, const FaultDecision&) = default;
-};
 
 class Adversary {
  public:
@@ -82,7 +35,10 @@ class Adversary {
   virtual std::string_view name() const = 0;
 
   // Produce this slot's failures/restarts given full knowledge of the
-  // machine. Called exactly once per slot, in slot order.
+  // machine. Called exactly once per slot, in slot order. Start from
+  // view.blank_decision() (the engine's lists, cleared, capacity kept) so
+  // the slots reuse one set of buffers; a decision built from scratch works
+  // too, and allocates.
   virtual FaultDecision decide(const MachineView& view) = 0;
 
   // Capability declaration for the engine's batched backend: return false

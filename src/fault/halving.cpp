@@ -22,7 +22,7 @@ HalvingAdversary::HalvingAdversary(Addr x_base, Addr n, HalvingOptions options)
 }
 
 FaultDecision HalvingAdversary::decide(const MachineView& view) {
-  FaultDecision d;
+  FaultDecision d = view.blank_decision();
   if (options_.revive) {
     // "All N processors are revived."
     const std::span<const Pid> failed = view.failed_pids();

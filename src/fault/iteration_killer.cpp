@@ -14,7 +14,7 @@ IterationKiller::IterationKiller(Slot window, Slot kill_phase)
 }
 
 FaultDecision IterationKiller::decide(const MachineView& view) {
-  FaultDecision d;
+  FaultDecision d = view.blank_decision();
   const Slot phi = view.slot() % window_;
   const std::span<const Pid> started = view.started_pids();
   if (phi == kill_phase_) {

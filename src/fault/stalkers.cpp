@@ -33,7 +33,7 @@ bool is_unfinished_leaf(const MachineView& view, const XLayout& layout,
 PostOrderStalker::PostOrderStalker(XLayout layout) : layout_(layout) {}
 
 FaultDecision PostOrderStalker::decide(const MachineView& view) {
-  FaultDecision d;
+  FaultDecision d = view.blank_decision();
   const Addr pos0 = committed_position(view, layout_, 0);
   const std::span<const Pid> started = view.started_pids();
 
@@ -104,7 +104,7 @@ LeafStalker::LeafStalker(XLayout layout, LeafStalkerOptions opt)
     : layout_(layout), opt_(opt), target_node_(layout_.leaf(layout_.n - 1)) {}
 
 FaultDecision LeafStalker::decide(const MachineView& view) {
-  FaultDecision d;
+  FaultDecision d = view.blank_decision();
   if (released_) return d;
 
   const std::span<const Pid> started = view.started_pids();

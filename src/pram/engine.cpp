@@ -117,6 +117,7 @@ Engine::Engine(const Program& program, EngineOptions options)
   live_pids_.resize(p);
   for (Pid pid = 0; pid < p; ++pid) live_pids_[pid] = pid;
   merge_buf_.reserve(p);
+  failed_mask_.assign((std::size_t{p} + 63) / 64, 0);
   program_.init_memory(mem_);
 
   if (const std::optional<GoalCells> cells = program_.goal_cells()) {
@@ -528,6 +529,7 @@ void Engine::apply_transitions(const FaultDecision& d) {
   ++mark_epoch_;  // marks collect this slot's departures from the live set
   auto fail = [&](Pid pid) {
     status_[pid] = ProcStatus::kFailed;
+    failed_mask_[pid / 64] |= std::uint64_t{1} << (pid % 64);
     traces_[pid].clear();
     // Persistent-cache amnesia: un-persisted writes die with the processor.
     if (!caches_.empty()) caches_[pid].clear();
@@ -575,6 +577,7 @@ void Engine::apply_transitions(const FaultDecision& d) {
       program_.reboot(states_[pid], pid);
     }
     status_[pid] = ProcStatus::kLive;
+    failed_mask_[pid / 64] &= ~(std::uint64_t{1} << (pid % 64));
   }
 
   // Fold the transitions into the sorted live list: drop the marked
@@ -591,12 +594,17 @@ void Engine::apply_transitions(const FaultDecision& d) {
   }
   if (!d.restart.empty()) {
     // Merge into a member buffer and swap: std::inplace_merge would
-    // heap-allocate a temporary buffer on every call.
-    restart_buf_.assign(d.restart.begin(), d.restart.end());
-    std::sort(restart_buf_.begin(), restart_buf_.end());
-    merge_buf_.resize(live_pids_.size() + restart_buf_.size());
-    std::merge(live_pids_.begin(), live_pids_.end(), restart_buf_.begin(),
-               restart_buf_.end(), merge_buf_.begin());
+    // heap-allocate a temporary buffer on every call. Restarts mostly come
+    // ascending (failed_pids() order); only others are copied and sorted.
+    std::span<const Pid> restarts = d.restart;
+    if (!std::is_sorted(restarts.begin(), restarts.end())) {
+      restart_buf_.assign(restarts.begin(), restarts.end());
+      std::sort(restart_buf_.begin(), restart_buf_.end());
+      restarts = restart_buf_;
+    }
+    merge_buf_.resize(live_pids_.size() + restarts.size());
+    std::merge(live_pids_.begin(), live_pids_.end(), restarts.begin(),
+               restarts.end(), merge_buf_.begin());
     live_pids_.swap(merge_buf_);
   }
 
@@ -634,9 +642,14 @@ EngineCheckpoint Engine::checkpoint(const Adversary* adversary) const {
   if (fault_map_ != nullptr) cp.injected_faults = fault_map_->injected();
   cp.status = status_;
   cp.states.resize(states_.size());
+  // Processors of one program mostly save as many words as each other:
+  // sized from the previous blob, a blob is allocated once, not regrown
+  // word by word.
+  std::size_t last_words = 0;
   for (Pid pid = 0; pid < states_.size(); ++pid) {
     if (status_[pid] != ProcStatus::kLive) continue;
     std::vector<Word> blob;
+    blob.reserve(last_words);
     if (kernel_ != nullptr) {
       // Batched mode: the kernel serializes the lane's SoA registers into
       // the same word stream ProcessorState::save_state would produce, so
@@ -648,6 +661,7 @@ EngineCheckpoint Engine::checkpoint(const Adversary* adversary) const {
                         "(ProcessorState::save_state returned false for pid " +
                         std::to_string(pid) + ")");
     }
+    last_words = blob.size();
     cp.states[pid] = std::move(blob);
   }
   if (adversary != nullptr) adversary->save_state(cp.adversary);
@@ -704,8 +718,12 @@ void Engine::restore(const EngineCheckpoint& cp, Adversary* adversary) {
   for (const Addr addr : cp.injected_faults) fault_map_->inject(addr);
   status_ = cp.status;
   live_pids_.clear();
+  std::fill(failed_mask_.begin(), failed_mask_.end(), 0);
   for (Pid pid = 0; pid < states_.size(); ++pid) {
     traces_[pid].clear();
+    if (status_[pid] == ProcStatus::kFailed) {
+      failed_mask_[pid / 64] |= std::uint64_t{1} << (pid % 64);
+    }
     if (status_[pid] != ProcStatus::kLive) {
       states_[pid].reset();
       continue;
@@ -808,8 +826,9 @@ RunResult Engine::run(Adversary& adversary) {
     }
 
     const MachineView view(mem_, slot_, status_, traces_, live_pids_, tally_,
-                           failed_buf_);
-    FaultDecision decision = adversary.decide(view);
+                           failed_mask_, failed_buf_, decision_);
+    decision_ = adversary.decide(view);
+    const FaultDecision& decision = decision_;
     validate_decision(decision);
 
     const std::size_t completed =

@@ -329,13 +329,17 @@ class Engine {
   // slot. Maintained incrementally across fail/halt/restart transitions so
   // the slot loop costs O(live + |decision|), not O(P).
   std::vector<Pid> live_pids_;
-  std::vector<Pid> restart_buf_;  // scratch for sorted re-insertion
+  std::vector<Pid> restart_buf_;  // sorted copy of unsorted restarts
   std::vector<Pid> merge_buf_;    // the next live list; swapped in
-  // MachineView::failed_pids() sizes it to P on its first call and fills it
-  // on demand each slot. A failed list kept sorted across slots by
-  // apply_transitions cost more than it saved: PostOrderStalker holds
-  // hundreds of PIDs failed.
+  // Bit pid is set iff status_[pid] == kFailed: flipped by the fail and
+  // restart steps of apply_transitions, rebuilt by restore.
+  // MachineView::failed_pids() expands it into failed_buf_, which it sizes
+  // to P on its first call.
+  std::vector<std::uint64_t> failed_mask_;
   std::vector<Pid> failed_buf_;
+  // The adversary's decision, kept across slots so its lists keep their
+  // capacity: MachineView::blank_decision() hands them out cleared.
+  FaultDecision decision_;
 
   // Epoch-stamped per-PID marks (validate/commit/transition scratch).
   std::vector<std::uint64_t> mark_stamp_;

@@ -12,49 +12,27 @@ namespace rfsp {
 
 namespace {
 
-void append_pid_array(std::string& out, const char* key,
-                      const std::vector<Pid>& pids, bool& first) {
-  if (pids.empty()) return;
-  if (!first) out += ',';
-  first = false;
+// Appends `,"key":[v0,v1,...]` to `out` (nothing for an empty list).
+template <typename T>
+void append_array(std::string& out, const char* key,
+                  const std::vector<T>& values) {
+  if (values.empty()) return;
+  out += ',';
   json::append_string(out, key);
   out += ":[";
-  for (std::size_t i = 0; i < pids.size(); ++i) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ',';
-    json::append_u64(out, pids[i]);
+    json::append_u64(out, values[i]);
   }
   out += ']';
 }
 
-std::vector<Pid> read_pid_array(const json::Value& entry, const char* key) {
-  std::vector<Pid> out;
+template <typename T>
+std::vector<T> read_array(const json::Value& entry, const char* key) {
+  std::vector<T> out;
   if (const json::Value* arr = entry.find(key)) {
     for (const json::Value& v : arr->as_array()) {
-      out.push_back(static_cast<Pid>(v.as_u64()));
-    }
-  }
-  return out;
-}
-
-void append_addr_array(std::string& out, const char* key,
-                       const std::vector<Addr>& addrs, bool& first) {
-  if (addrs.empty()) return;
-  if (!first) out += ',';
-  first = false;
-  json::append_string(out, key);
-  out += ":[";
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    if (i != 0) out += ',';
-    json::append_u64(out, addrs[i]);
-  }
-  out += ']';
-}
-
-std::vector<Addr> read_addr_array(const json::Value& entry, const char* key) {
-  std::vector<Addr> out;
-  if (const json::Value* arr = entry.find(key)) {
-    for (const json::Value& v : arr->as_array()) {
-      out.push_back(static_cast<Addr>(v.as_u64()));
+      out.push_back(static_cast<T>(v.as_u64()));
     }
   }
   return out;
@@ -81,6 +59,9 @@ bool FaultSchedule::has_torn_moves() const {
 
 std::string schedule_to_jsonl(const FaultSchedule& schedule) {
   std::string out;
+  // An entry takes about 12 bytes plus about 7 per move; reserving a little
+  // more keeps `out` from regrowing.
+  out.reserve(256 + 16 * schedule.entries.size() + 8 * schedule.move_count());
   out += R"({"format":"rfsp-fault-schedule","version":)";
   out += std::to_string(FaultSchedule::kFormatVersion);
   out += R"(,"meta":{)";
@@ -94,37 +75,30 @@ std::string schedule_to_jsonl(const FaultSchedule& schedule) {
   }
   out += "}}\n";
 
+  // One line per entry, its move lists in a fixed key order.
   for (const ScheduleEntry& e : schedule.entries) {
     out += R"({"t":)";
     json::append_u64(out, e.slot);
-    std::string moves;
-    bool mfirst = true;
-    append_pid_array(moves, "mid", e.decision.fail_mid_cycle, mfirst);
-    append_pid_array(moves, "after", e.decision.fail_after_cycle, mfirst);
-    append_pid_array(moves, "restart", e.decision.restart, mfirst);
+    append_array(out, "mid", e.decision.fail_mid_cycle);
+    append_array(out, "after", e.decision.fail_after_cycle);
+    append_array(out, "restart", e.decision.restart);
     if (!e.decision.torn.empty()) {
-      if (!mfirst) moves += ',';
-      mfirst = false;
-      moves += R"("torn":[)";
+      out += R"(,"torn":[)";
       for (std::size_t i = 0; i < e.decision.torn.size(); ++i) {
         const TornWrite& t = e.decision.torn[i];
-        if (i != 0) moves += ',';
-        moves += R"({"pid":)";
-        json::append_u64(moves, t.pid);
-        moves += R"(,"w":)";
-        json::append_u64(moves, t.write_index);
-        moves += R"(,"keep":)";
-        json::append_u64(moves, t.keep_bits);
-        moves += '}';
+        if (i != 0) out += ',';
+        out += R"({"pid":)";
+        json::append_u64(out, t.pid);
+        out += R"(,"w":)";
+        json::append_u64(out, t.write_index);
+        out += R"(,"keep":)";
+        json::append_u64(out, t.keep_bits);
+        out += '}';
       }
-      moves += ']';
+      out += ']';
     }
-    append_addr_array(moves, "cells", e.decision.cell_faults, mfirst);
-    append_pid_array(moves, "drop", e.decision.cache_drop, mfirst);
-    if (!moves.empty()) {
-      out += ',';
-      out += moves;
-    }
+    append_array(out, "cells", e.decision.cell_faults);
+    append_array(out, "drop", e.decision.cache_drop);
     out += "}\n";
   }
   return out;
@@ -169,9 +143,9 @@ FaultSchedule schedule_from_jsonl(std::string_view text) {
     }
     prev_slot = entry.slot;
     have_prev_slot = true;
-    entry.decision.fail_mid_cycle = read_pid_array(v, "mid");
-    entry.decision.fail_after_cycle = read_pid_array(v, "after");
-    entry.decision.restart = read_pid_array(v, "restart");
+    entry.decision.fail_mid_cycle = read_array<Pid>(v, "mid");
+    entry.decision.fail_after_cycle = read_array<Pid>(v, "after");
+    entry.decision.restart = read_array<Pid>(v, "restart");
     if (const json::Value* torn = v.find("torn")) {
       for (const json::Value& t : torn->as_array()) {
         TornWrite tear;
@@ -181,8 +155,8 @@ FaultSchedule schedule_from_jsonl(std::string_view text) {
         entry.decision.torn.push_back(tear);
       }
     }
-    entry.decision.cell_faults = read_addr_array(v, "cells");
-    entry.decision.cache_drop = read_pid_array(v, "drop");
+    entry.decision.cell_faults = read_array<Addr>(v, "cells");
+    entry.decision.cache_drop = read_array<Pid>(v, "drop");
     if (!entry.decision.empty()) schedule.entries.push_back(std::move(entry));
   }
   if (!saw_header) throw ConfigError("empty fault-schedule file");
@@ -218,10 +192,11 @@ FaultDecision ReplayAdversary::decide(const MachineView& view) {
   while (cursor_ < entries.size() && entries[cursor_].slot < view.slot()) {
     ++cursor_;
   }
+  FaultDecision d = view.blank_decision();
   if (cursor_ < entries.size() && entries[cursor_].slot == view.slot()) {
-    return entries[cursor_++].decision;
+    d = entries[cursor_++].decision;  // copies into the kept capacity
   }
-  return {};
+  return d;
 }
 
 void ReplayAdversary::load_state(std::span<const std::uint64_t> data) {
@@ -236,7 +211,7 @@ void ReplayAdversary::load_state(std::span<const std::uint64_t> data) {
 }
 
 FaultDecision ScheduledAdversary::decide(const MachineView& view) {
-  FaultDecision d;
+  FaultDecision d = view.blank_decision();
   const std::size_t started = view.started_pids().size();
   std::vector<std::uint8_t> failing(view.processors(), 0);
 

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <type_traits>
 #include <variant>
@@ -16,22 +15,35 @@ namespace rfsp {
 
 namespace {
 
+// One store of a replayed step: the absolute cell and its sim_word value.
+struct OverlayWrite {
+  Addr addr;
+  Word value;
+};
+
 // StepContext that serves loads from a fetch cache (plus the step's own
-// stores) and records stores into an overlay. Deterministic given the
-// cache, so re-running it every micro-cycle is safe.
+// stores) and records stores into an overlay: a flat array of at most
+// `max_writes` distinct cells, kept by the caller so a replay does not
+// allocate. Deterministic given the cache, so re-running it every
+// micro-cycle is safe.
 //
 // The first load that hits neither records its address and marks the
 // replay missed. Every value the step saw before that was real, so the
 // miss is exactly the cell a fault-free run would read next. From then on
 // loads read 0 unchecked and stores are dropped: the step runs to its end
 // on fabricated values and the executor discards whatever it produced.
+// A store to one cell more than the overlay holds is dropped too, and
+// marks the replay overflowed.
 class ReplayContext final : public StepContext {
  public:
   ReplayContext(const SimLayout& layout, Pid j,
                 std::span<const Word> pairs, std::size_t fetched,
-                unsigned load_cap)
+                unsigned load_cap, std::vector<OverlayWrite>& overlay)
       : layout_(layout), j_(j), pairs_(pairs), fetched_(fetched),
-        load_cap_(load_cap) {}
+        load_cap_(load_cap), overlay_(overlay) {
+    overlay_.clear();
+    overlay_.reserve(layout_.max_writes);
+  }
 
   Word load(Addr a) override {
     if (miss_) return after_miss();
@@ -42,7 +54,7 @@ class ReplayContext final : public StepContext {
   void store(Addr a, Word v) override {
     if (miss_) return;
     RFSP_CHECK_MSG(a < layout_.data_cells, "simulated store out of bounds");
-    overlay_[layout_.data + a] = sim_word(v);
+    put(layout_.data + a, sim_word(v));
   }
 
   Word reg(unsigned r) override {
@@ -54,15 +66,21 @@ class ReplayContext final : public StepContext {
   void set_reg(unsigned r, Word v) override {
     if (miss_) return;
     RFSP_CHECK_MSG(r < layout_.reg_count, "register index out of range");
-    overlay_[layout_.reg_cell(j_, r)] = sim_word(v);
+    put(layout_.reg_cell(j_, r), sim_word(v));
   }
 
   // The first uncached cell the step loaded, if any.
   const std::optional<Addr>& miss() const { return miss_; }
 
-  // Final (deduplicated, address-ordered) writes of a step that did not
-  // miss.
-  const std::map<Addr, Word>& writes() const { return overlay_; }
+  // Whether the step stored to more than max_writes distinct cells.
+  bool overflowed() const { return overflowed_; }
+
+  // Final writes of a step that neither missed nor overflowed, one per
+  // cell, in address order.
+  std::span<const OverlayWrite> sorted_writes() {
+    std::ranges::sort(overlay_, {}, &OverlayWrite::addr);
+    return overlay_;
+  }
 
  private:
   // Cuts short a missed replay that keeps loading: a step such as
@@ -75,10 +93,24 @@ class ReplayContext final : public StepContext {
     return 0;
   }
 
+  void put(Addr abs, Word v) {
+    for (OverlayWrite& w : overlay_) {
+      if (w.addr == abs) {
+        w.value = v;
+        return;
+      }
+    }
+    if (overlay_.size() == layout_.max_writes) {
+      overflowed_ = true;
+      return;
+    }
+    overlay_.push_back({abs, v});
+  }
+
   Word fetch(Addr abs) {
     // Read-your-own-writes within the step.
-    if (const auto it = overlay_.find(abs); it != overlay_.end()) {
-      return it->second;
+    for (const OverlayWrite& w : overlay_) {
+      if (w.addr == abs) return w.value;
     }
     for (std::size_t i = 0; i < fetched_; ++i) {
       if (static_cast<Addr>(pairs_[2 * i]) == abs) return pairs_[2 * i + 1];
@@ -94,7 +126,8 @@ class ReplayContext final : public StepContext {
   unsigned load_cap_;
   unsigned loads_after_miss_ = 0;
   std::optional<Addr> miss_;
-  std::map<Addr, Word> overlay_;
+  std::vector<OverlayWrite>& overlay_;
+  bool overflowed_ = false;
 };
 
 // Pass-A task: compute simulated processor j's step t into scratch log j.
@@ -126,7 +159,8 @@ class ComputeTask final : public TaskSpec {
     const Pid j = static_cast<Pid>(task);
 
     ReplayContext replay(layout_, j, pairs,
-                         static_cast<std::size_t>(fetched), fetch_cap_);
+                         static_cast<std::size_t>(fetched), fetch_cap_,
+                         overlay_);
     try {
       program_.step(replay, j, t_);
     } catch (...) {
@@ -145,21 +179,20 @@ class ComputeTask final : public TaskSpec {
       return;
     }
 
-    const auto& writes = replay.writes();
-    if (writes.size() > layout_.max_writes) {
+    if (replay.overflowed()) {
       throw ConfigError("SimProgram::step exceeds its declared store "
                         "budget (max_stores + registers)");
     }
+    const std::span<const OverlayWrite> writes = replay.sorted_writes();
     const Word count = static_cast<Word>(writes.size());
     if (emitted < count) {
-      // Emit write pair #emitted (address order — std::map iteration).
-      auto it = writes.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(emitted));
+      // Emit write pair #emitted (address order).
+      const OverlayWrite& w = writes[static_cast<std::size_t>(emitted)];
       const Addr base = layout_.scratch_base(j);
       ctx.write(base + 1 + 2 * static_cast<Addr>(emitted),
-                stamped(stamp_, static_cast<Word>(it->first)));
+                stamped(stamp_, static_cast<Word>(w.addr)));
       ctx.write(base + 2 + 2 * static_cast<Addr>(emitted),
-                stamped(stamp_, it->second));
+                stamped(stamp_, w.value));
       ++emitted;
     } else if (emitted == count) {
       // All pairs are in place: publish the log length (the commit pass
@@ -177,6 +210,9 @@ class ComputeTask final : public TaskSpec {
   Step t_ = 0;
   Word stamp_ = 0;
   unsigned fetch_cap_;
+  // The replay overlay's storage, reused by every replay of this task. The
+  // task belongs to one processor's state, so nothing else touches it.
+  mutable std::vector<OverlayWrite> overlay_;
 };
 
 // Pass-B task: apply scratch log j to the simulated memory.

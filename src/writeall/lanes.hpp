@@ -214,6 +214,7 @@ class LaneKernel final : public BatchKernel {
     Regs regs;
     if constexpr (kHasRegs) regs = state.regs();
     std::vector<Word> again;
+    again.reserve(data.size());
     save(pid, regs, again);
     if (!std::ranges::equal(again, data)) {
       throw ConfigError(

@@ -134,32 +134,41 @@ TEST(MachineView, FailedPidsMatchAStatusScan) {
 }
 
 TEST(MachineView, FailedPidsAfterRestore) {
-  // A checkpoint taken while processors are failed: the restored engine's
-  // first view must list them.
+  // A checkpoint taken while processors are failed: restore rebuilds the
+  // failed mask, so the resumed engine's views list them, and the resumed
+  // run ends with the straight run's tally.
   const auto program = make_writeall(WriteAllAlgo::kX, {.n = 256, .p = 64});
   const RandomAdversaryOptions faults{.fail_prob = 0.2, .restart_prob = 0.3};
-  std::vector<EngineCheckpoint> cps;
-  EngineOptions options;
-  options.checkpoint_every = 5;
-  options.on_checkpoint = [&cps](const EngineCheckpoint& cp) {
-    cps.push_back(cp);
-  };
-  RandomAdversary first(23, faults);
-  Engine engine(*program, options);
-  ASSERT_TRUE(engine.run(first).goal_met);
-  const auto with_failed = std::find_if(
-      cps.begin(), cps.end(), [](const EngineCheckpoint& cp) {
-        return std::count(cp.status.begin(), cp.status.end(),
-                          ProcStatus::kFailed) > 0;
-      });
-  ASSERT_NE(with_failed, cps.end());
+  for (const bool batch : {false, true}) {
+    std::vector<EngineCheckpoint> cps;
+    EngineOptions options;
+    options.batch = batch;
+    options.checkpoint_every = 5;
+    options.on_checkpoint = [&cps](const EngineCheckpoint& cp) {
+      cps.push_back(cp);
+    };
+    RandomAdversary first(23, faults);
+    Engine engine(*program, options);
+    const RunResult straight = engine.run(first);
+    ASSERT_TRUE(straight.goal_met);
+    const auto with_failed = std::find_if(
+        cps.begin(), cps.end(), [](const EngineCheckpoint& cp) {
+          return std::count(cp.status.begin(), cp.status.end(),
+                            ProcStatus::kFailed) > 0;
+        });
+    ASSERT_NE(with_failed, cps.end());
 
-  RandomAdversary random(0, faults);
-  FailedPidsChecker checker(random);
-  Engine resumed(*program);
-  resumed.restore(*with_failed, &checker);
-  EXPECT_TRUE(resumed.run(checker).goal_met);
-  EXPECT_GT(checker.slots_with_failed(), 0u);
+    RandomAdversary random(0, faults);
+    FailedPidsChecker checker(random);
+    EngineOptions resumed_options;
+    resumed_options.batch = batch;
+    Engine resumed(*program, resumed_options);
+    resumed.restore(*with_failed, &checker);
+    const RunResult rest = resumed.run(checker);
+    EXPECT_TRUE(rest.goal_met);
+    EXPECT_GT(checker.slots_with_failed(), 0u);
+    EXPECT_EQ(rest.tally, straight.tally) << (batch ? "batch" : "interpreter");
+  }
 }
 
 TEST(BurstAdversary, ControlsPatternSizeDeterministically) {
@@ -247,6 +256,57 @@ TEST(NoFailures, ProducesEmptyPattern) {
   EXPECT_TRUE(out.solved);
   EXPECT_EQ(out.run.tally.pattern_size(), 0u);
   EXPECT_TRUE(schedule.entries.empty());
+}
+
+// Forwards the inner adversary's decision in a FaultDecision of its own,
+// built without MachineView::blank_decision: the engine then gets fresh
+// lists every slot, and the run must not change.
+class OwnDecisions final : public Adversary {
+ public:
+  explicit OwnDecisions(Adversary& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_.name(); }
+  FaultDecision decide(const MachineView& view) override {
+    const FaultDecision inner = inner_.decide(view);
+    FaultDecision own;
+    own.fail_mid_cycle = inner.fail_mid_cycle;
+    own.fail_after_cycle = inner.fail_after_cycle;
+    own.restart = inner.restart;
+    own.torn = inner.torn;
+    return own;
+  }
+  bool inspects_cycles() const override { return inner_.inspects_cycles(); }
+
+ private:
+  Adversary& inner_;
+};
+
+TEST(RecordingAdversary, RecordsAnAdversaryThatBuildsItsOwnDecisions) {
+  const WriteAllConfig config{.n = 256, .p = 64};
+  const RandomAdversaryOptions faults{.fail_prob = 0.2, .restart_prob = 0.6};
+  for (const bool thrashing : {false, true}) {
+    const auto make = [&]() -> std::unique_ptr<Adversary> {
+      if (thrashing) return std::make_unique<ThrashingAdversary>();
+      return std::make_unique<RandomAdversary>(17, faults);
+    };
+    const auto stock = make();
+    FaultSchedule stock_schedule;
+    RecordingAdversary stock_recorder(*stock, stock_schedule);
+    const auto stock_run =
+        run_writeall(WriteAllAlgo::kX, config, stock_recorder);
+
+    const auto inner = make();
+    OwnDecisions own(*inner);
+    FaultSchedule own_schedule;
+    RecordingAdversary own_recorder(own, own_schedule);
+    const auto own_run = run_writeall(WriteAllAlgo::kX, config, own_recorder);
+
+    ASSERT_TRUE(stock_run.solved);
+    EXPECT_EQ(own_run.run.tally, stock_run.run.tally);
+    EXPECT_FALSE(own_schedule.entries.empty());
+    EXPECT_EQ(schedule_to_jsonl(own_schedule),
+              schedule_to_jsonl(stock_schedule));
+  }
 }
 
 TEST(RecordingAdversary, ForwardsInspectsCycles) {

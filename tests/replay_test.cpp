@@ -212,6 +212,35 @@ TEST(ReplayDeterminism, MatrixReproducesTallyAndTrace) {
   }
 }
 
+TEST(ReplayDeterminism, ReRecordedReplayIsByteIdentical) {
+  // ReplayAdversary copies each entry into the engine's decision buffers;
+  // recording the replay must give back the schedule's exact bytes, on
+  // either backend.
+  const WriteAllConfig config{.n = 64, .p = 16, .seed = 9};
+  for (const bool batch : {false, true}) {
+    for (const std::string adversary_name : {"random", "thrashing", "chaos"}) {
+      SCOPED_TRACE(adversary_name + (batch ? " batch" : " interpreter"));
+      EngineOptions options;
+      options.batch = batch;
+      const auto inner = make_named(adversary_name, 9, config.n);
+      FaultSchedule schedule;
+      RecordingAdversary recorder(*inner, schedule);
+      const WriteAllOutcome original =
+          run_writeall(WriteAllAlgo::kCombinedVX, config, recorder, options);
+
+      ReplayAdversary replay(schedule_from_jsonl(schedule_to_jsonl(schedule)));
+      FaultSchedule again;
+      RecordingAdversary rerecorder(replay, again);
+      const WriteAllOutcome replayed =
+          run_writeall(WriteAllAlgo::kCombinedVX, config, rerecorder, options);
+
+      EXPECT_EQ(original.run.tally, replayed.run.tally);
+      EXPECT_FALSE(schedule.entries.empty());
+      EXPECT_EQ(schedule_to_jsonl(schedule), schedule_to_jsonl(again));
+    }
+  }
+}
+
 TEST(ReplayDeterminism, SnapshotAndAccAlgorithms) {
   for (WriteAllAlgo algo : {WriteAllAlgo::kSnapshot, WriteAllAlgo::kAcc}) {
     const WriteAllConfig config{.n = 64, .p = 16, .seed = 4};

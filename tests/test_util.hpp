@@ -5,6 +5,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
@@ -37,11 +39,21 @@ class ChaosAdversary final : public Adversary {
   std::string_view name() const override { return "chaos"; }
 
   FaultDecision decide(const MachineView& view) override {
-    FaultDecision d;
+    FaultDecision d = view.blank_decision();
     std::vector<Pid> started;
+    std::vector<Pid> failed;
     for (Pid pid = 0; pid < view.processors(); ++pid) {
       if (view.trace(pid).started) started.push_back(pid);
+      if (view.status(pid) == ProcStatus::kFailed) failed.push_back(pid);
     }
+    // The view's PID lists against the scan, every slot: the sweep searches
+    // the engine's live list and failed mask over fail-then-restart,
+    // delayed restarts and torn moves.
+    EXPECT_TRUE(std::ranges::equal(view.started_pids(), started))
+        << "started_pids() disagrees with the traces at slot " << view.slot();
+    EXPECT_TRUE(std::ranges::equal(view.failed_pids(), failed))
+        << "failed_pids() disagrees with the statuses at slot "
+        << view.slot();
 
     // Keep at least one mid-cycle survivor (constraint 2(i)).
     std::size_t abortable = started.empty() ? 0 : started.size() - 1;
@@ -64,10 +76,8 @@ class ChaosAdversary final : public Adversary {
       }
     }
     // Revive older casualties sluggishly.
-    for (Pid pid = 0; pid < view.processors(); ++pid) {
-      if (view.status(pid) == ProcStatus::kFailed && rng_.chance(0.4)) {
-        d.restart.push_back(pid);
-      }
+    for (const Pid pid : failed) {
+      if (rng_.chance(0.4)) d.restart.push_back(pid);
     }
     // Never strand the machine (constraint 2(i)): fail_after_cycle carries
     // no mid-cycle clamp, so the decision can leave zero live processors —
