@@ -1,5 +1,5 @@
-// Shared scaffolding for the experiment benches (E1–E10, see DESIGN.md §5
-// and EXPERIMENTS.md).
+// Shared scaffolding for the experiment benches (bench_e*.cpp; see
+// DESIGN.md §5 and EXPERIMENTS.md).
 //
 // Each bench binary regenerates one experiment: it prints a table of the
 // model-level metrics the paper's theorems are about (completed work S,

@@ -1,5 +1,5 @@
 // E17 — batched SoA backend vs the interpreter (DESIGN.md, "Batched
-// execution"; docs/api.md §11).
+// execution"; docs/api.md §10).
 //
 // Same algorithms, same cycles, same WorkTally — the only thing that may
 // change is wall-clock time, so every row here reports real time for the

@@ -1,5 +1,5 @@
 // E18 — trace-sink overhead and encoding density (docs/observability.md,
-// "Binary trace transport"; docs/api.md §12).
+// "Binary trace transport"; docs/api.md §11).
 //
 // The observability contract is that tracing is opt-in and that opting in
 // is cheap enough to leave on at service scale. This bench measures the

@@ -1,5 +1,5 @@
 // E21 — static verifier wall-clock per program (docs/analysis.md
-// §"Static verification", docs/api.md §15).
+// §"Static verification", docs/api.md §14).
 //
 // The verifier is a CI gate (the `static-verify` job), so its cost per
 // target is a budget the repo lives inside; this bench records it. Rows
@@ -55,7 +55,7 @@ analysis::StaticReport run_sim_row() {
   const std::unique_ptr<Program> outer =
       make_simulation_program(inner_program, layout, SimInner::kX);
   analysis::VerifyOptions options;
-  options.read_budget = 5;  // the executor's contract (docs/api.md §9)
+  options.read_budget = 5;  // the executor's contract (docs/api.md §3)
   // The commit pass's COMMON discipline rests on a cross-cell invariant
   // the per-cell domain cannot express (docs/analysis.md).
   options.check_write_agreement = false;

@@ -212,34 +212,39 @@ void ReplayAdversary::load_state(std::span<const std::uint64_t> data) {
 
 FaultDecision ScheduledAdversary::decide(const MachineView& view) {
   FaultDecision d = view.blank_decision();
+  const auto& entries = schedule_.entries;
+  if (next_entry_ >= entries.size() ||
+      entries[next_entry_].slot > view.slot()) {
+    return d;
+  }
   const std::size_t started = view.started_pids().size();
-  std::vector<std::uint8_t> failing(view.processors(), 0);
+  marks_.resize(view.processors());
 
   const auto fail = [&](Pid pid) {
     const bool live = pid < view.processors() &&
                       view.status(pid) == ProcStatus::kLive &&
                       view.trace(pid).started;
     // Keep at least one started cycle alive (self-clamp; see header).
-    if (!live || failing[pid] || d.fail_mid_cycle.size() + 1 >= started) {
+    if (!live || (marks_[pid] & kFailing) ||
+        d.fail_mid_cycle.size() + 1 >= started) {
       ++skipped_;
       return;
     }
     d.fail_mid_cycle.push_back(pid);
-    failing[pid] = 1;
+    marks_[pid] |= kFailing;
   };
   const auto restart = [&](Pid pid) {
     const bool restartable =
         pid < view.processors() &&
-        (view.status(pid) == ProcStatus::kFailed || failing[pid]);
-    if (!restartable ||
-        std::find(d.restart.begin(), d.restart.end(), pid) != d.restart.end()) {
+        (view.status(pid) == ProcStatus::kFailed || (marks_[pid] & kFailing));
+    if (!restartable || (marks_[pid] & kRestarting)) {
       ++skipped_;
       return;
     }
     d.restart.push_back(pid);
+    marks_[pid] |= kRestarting;
   };
 
-  const auto& entries = schedule_.entries;
   while (next_entry_ < entries.size() &&
          entries[next_entry_].slot <= view.slot()) {
     const FaultDecision& moves = entries[next_entry_++].decision;
@@ -248,6 +253,8 @@ FaultDecision ScheduledAdversary::decide(const MachineView& view) {
     for (const TornWrite& tear : moves.torn) fail(tear.pid);
     for (Pid pid : moves.restart) restart(pid);
   }
+  for (Pid pid : d.fail_mid_cycle) marks_[pid] = 0;
+  for (Pid pid : d.restart) marks_[pid] = 0;
   return d;
 }
 

@@ -119,9 +119,10 @@ class ReplayAdversary final : public Adversary {
 // (mid-cycle, post-write and torn alike) apply as mid-cycle failures, in
 // the order mid, after, torn, then its restarts; memory-model moves (cells,
 // drop) are ignored. A move whose target is in the wrong state when its
-// slot arrives is skipped (counted in `skipped()`), and failures that
-// would abort the last started cycle are skipped too: an off-line schedule
-// cannot adapt, but the model must still hold.
+// slot arrives is skipped (counted in `skipped()`), a second fail or
+// restart of one PID in one slot included, and failures that would abort
+// the last started cycle are skipped too: an off-line schedule cannot
+// adapt, but the model must still hold.
 class ScheduledAdversary final : public Adversary {
  public:
   explicit ScheduledAdversary(FaultSchedule schedule)
@@ -136,9 +137,15 @@ class ScheduledAdversary final : public Adversary {
   std::uint64_t skipped() const { return skipped_; }
 
  private:
+  static constexpr std::uint8_t kFailing = 1;
+  static constexpr std::uint8_t kRestarting = 2;
+
   FaultSchedule schedule_;
   std::size_t next_entry_ = 0;
   std::uint64_t skipped_ = 0;
+  // Per-PID kFailing/kRestarting marks of the slot being decided, sized to
+  // P once; decide clears the bytes it set before it returns.
+  std::vector<std::uint8_t> marks_;
 };
 
 }  // namespace rfsp

@@ -127,11 +127,6 @@ struct XRegs {
   }
 };
 
-// Registers with a private coin (XRegs) can run the randomized descents;
-// batch lanes (XLaneRegs) run the PID-bit descent only.
-template <class R>
-inline constexpr bool kHasCoin = requires(R& r) { r.rng; };
-
 struct XLaneRegs {
   static constexpr std::size_t kColumns = 0;
 
@@ -162,10 +157,10 @@ inline Addr x_start_leaf(const XParams& k, Pid pid, Slot slot) {
 // Both subtrees of `pos` unfinished: descend by the PID bit at this depth
 // (bit 0 = most significant of the height-bit PID; only log N bits of the
 // PID are significant — Lemma 4.5), or, in the randomized variants, by a
-// private coin flip.
+// private coin flip (interpreter only: batch lanes run the PID-bit descent).
 template <class Ctx, class R>
 bool x_go_right(Ctx& ctx, const XParams& k, R& r, Addr pos) {
-  if constexpr (kHasCoin<R>) {
+  if constexpr (kInterpreted<Ctx>) {
     if (k.descent != XDescent::kPidBits) {
       return r.coin(k.config.seed, ctx.pid(), ctx.slot()).below(2) != 0;
     }
@@ -209,7 +204,7 @@ bool x_cycle(Ctx& ctx, const XParams& k, R& r) {
   // `done := d[where]`; the leaf and interior marks below reuse the cell.
   const Addr pos_cell = lay.d(pos);
   if (payload_of(ctx.read(pos_cell), stamp) != 0) {
-    if constexpr (kHasCoin<R>) {
+    if constexpr (kInterpreted<Ctx>) {
       // The coupon-clipping variant escapes a finished *leaf* by sampling a
       // fresh random leaf half the time; the other half — and every done
       // interior node — climbs, so once the tree is complete a processor

@@ -7,9 +7,8 @@
 // computes. Two instantiations, no new virtuals:
 //   * CycleContext over the plain register struct: the interpreter, from
 //     the ProcessorState::cycle overrides. TaskSpec micro-cycles sit behind
-//     `if constexpr (kInterpreted<Ctx>)` (and the randomized descents
-//     behind a register type with a coin); programs with either publish no
-//     kernel.
+//     `if constexpr (kInterpreted<Ctx>)`, and so do the randomized
+//     descents; programs with either publish no kernel.
 //   * LaneContext over a lane view — LaneReg proxies onto the lane's SoA
 //     columns, so a lane touches only the registers its cycle uses: the
 //     batched backend, driven by LaneKernel below. A restarted lane's

@@ -214,11 +214,19 @@ TEST(ScheduledAdversary, SkipsInapplicableEvents) {
   schedule.entries.push_back(
       {0, {.fail_mid_cycle = {200},  // out of range PID
            .restart = {0}}});        // nobody failed yet
+  schedule.entries.push_back(
+      {1, {.fail_mid_cycle = {1},
+           .fail_after_cycle = {1},  // PID 1 already failing this slot
+           .restart = {1, 1}}});     // PID 1 already restarting
+  schedule.entries.push_back(  // both apply again: the marks were cleared
+      {2, {.fail_mid_cycle = {1}, .restart = {1}}});
   ScheduledAdversary adversary(schedule);
   const WriteAllConfig config{.n = 16, .p = 4};
   const auto out = run_writeall(WriteAllAlgo::kX, config, adversary);
   EXPECT_TRUE(out.solved);
-  EXPECT_EQ(adversary.skipped(), 2u);
+  EXPECT_EQ(adversary.skipped(), 4u);
+  EXPECT_EQ(out.run.tally.failures, 2u);
+  EXPECT_EQ(out.run.tally.restarts, 2u);
 }
 
 TEST(ThrashingAdversary, InflatesAttemptedWorkQuadratically) {

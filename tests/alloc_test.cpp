@@ -14,6 +14,7 @@
 #include "fault/stalkers.hpp"
 #include "pram/engine.hpp"
 #include "programs/programs.hpp"
+#include "replay/schedule.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "writeall/algx.hpp"
@@ -109,6 +110,31 @@ TEST(RestartAllocations, SimExecutorRestartsDoNotAllocate) {
   EXPECT_LT(allocations, 500u)
       << allocations << " allocations for " << run.tally.restarts
       << " restarts over " << run.tally.slots << " slots";
+}
+
+// An off-line replay (writeall_cli --pattern-in) decides from the engine's
+// decision buffers and one P-byte mark mask kept across slots, and a slot
+// with no schedule entry due touches neither; the replay of an on-line
+// recording then allocates a bounded number of times, not once per slot.
+TEST(RestartAllocations, ScheduledReplayDoesNotAllocatePerSlot) {
+  const AlgX program({.n = 1024, .p = 128, .seed = 2});
+  FaultSchedule schedule;
+  RandomAdversary random(2, {.fail_prob = 0.15});
+  RecordingAdversary recorder(random, schedule);
+  const RunResult recorded = Engine(program).run(recorder);
+  ASSERT_TRUE(recorded.goal_met);
+
+  ScheduledAdversary adversary(schedule);
+  Engine engine(program);
+  const std::uint64_t before = g_allocations.load();
+  const RunResult run = engine.run(adversary);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  ASSERT_TRUE(run.goal_met);
+  EXPECT_EQ(run.tally, recorded.tally);
+  EXPECT_EQ(adversary.skipped(), 0u);
+  EXPECT_GT(run.tally.slots, 250u);
+  EXPECT_LT(allocations, 100u)
+      << allocations << " allocations over " << run.tally.slots << " slots";
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
-#include "parallel/threaded.hpp"
 #include "pram/engine.hpp"
 #include "replay/schedule.hpp"
 #include "sim/simulator.hpp"
@@ -429,7 +428,7 @@ TEST(EngineMetrics, ResumedRunCountersAreCumulative) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulator and threaded-runtime plumbing
+// Simulator plumbing
 
 TEST(SimObservability, SinkReconstructsTally) {
   PrefixSumProgram program({1, 2, 3, 4, 5, 6, 7, 8});
@@ -457,27 +456,6 @@ TEST(SimObservability, SinkReconstructsTally) {
   expect_counters_equal(metrics, r.tally);
   EXPECT_EQ(metrics.histograms().at("engine.restarts_per_processor").count(),
             4u);
-}
-
-// ThreadedResult carries the runtime's metrics: per-worker counts that sum
-// to the totals, and the wall time.
-TEST(ThreadedObservability, PerWorkerCountsAndMetrics) {
-  ThreadedOptions options;
-  options.n = 4096;
-  options.workers = 4;
-  options.seed = 7;
-  const ThreadedResult result = run_threaded_writeall(options);
-  ASSERT_TRUE(result.solved);
-
-  ASSERT_EQ(result.worker_iterations.size(), 4u);
-  ASSERT_EQ(result.worker_failures.size(), 4u);
-  std::uint64_t sum = 0;
-  for (const std::uint64_t it : result.worker_iterations) sum += it;
-  EXPECT_EQ(sum, result.loop_iterations);
-  std::uint64_t failures = 0;
-  for (const std::uint64_t f : result.worker_failures) failures += f;
-  EXPECT_EQ(failures, result.injected_failures);
-  EXPECT_GT(result.wall_seconds, 0.0);
 }
 
 }  // namespace
