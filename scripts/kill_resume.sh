@@ -8,20 +8,20 @@
 #                      checkpoint hook) partway through; the file on disk
 #                      holds a checkpoint OLDER than the crash point, so the
 #                      resume must re-execute the gap;
-#   3. resumed       — restore the checkpoint and run to completion.
+#   3. resumed       — `--resume FILE` alone: the checkpoint's meta carries
+#                      the run spec (algo, n, p, seed, adversary, memory
+#                      model), so the resume passes no other flag.
 #
 # The resumed run's S / S' / |F| / parallel-time lines must equal the
 # baseline's exactly; any divergence exits nonzero. The triple runs twice:
 # on reliable memory, and under --memory-model persistent-cache
-# --persist-every 3, where the resume passes no model flags and must get
-# the model from the checkpoint's meta (its cache-flush count is part of
-# the fingerprint).
+# --persist-every 3 (its cache-flush count is part of the fingerprint).
 #
 # A second part kills for real: eight times, a run that checkpoints every
 # slot gets SIGKILL after 1-4 s, most likely mid-write. The checkpoint is
 # written to a temp file and renamed into place, so whatever the file on
-# disk holds must resume to the straight run's fingerprint. CI runs this
-# script, also on the sanitizer build.
+# disk holds must resume, again from `--resume FILE` alone, to the straight
+# run's fingerprint. CI runs this script, also on the sanitizer build.
 #
 # Usage: scripts/kill_resume.sh [build-dir] [algo] [n] [p]
 set -euo pipefail
@@ -49,7 +49,7 @@ fingerprint() {
 }
 
 # baseline -> crashed -> resumed under the extra flags "$@"; the resume
-# gets only the common flags.
+# gets only the checkpoint.
 triple() {
   echo "== baseline run $*"
   "$cli" "${common[@]}" "$@" >"$workdir/baseline.txt"
@@ -65,7 +65,7 @@ triple() {
   fi
 
   echo "== resumed run"
-  "$cli" "${common[@]}" --resume "$workdir/ck.rfck" >"$workdir/resumed.txt"
+  "$cli" --resume "$workdir/ck.rfck" >"$workdir/resumed.txt"
   fingerprint "$workdir/resumed.txt"
 
   if diff <(fingerprint "$workdir/baseline.txt") \
@@ -97,8 +97,7 @@ for delay in 1.0 2.5 1.5 3.5 2.0 4.0 3.0 1.2; do
     continue
   fi
   slot=$(head -1 "$workdir/ck.rfck" | grep -o '"slot":[0-9]*' || true)
-  if ! "$cli" "${kill_flags[@]}" --resume "$workdir/ck.rfck" \
-      >"$workdir/kill_resumed.txt"; then
+  if ! "$cli" --resume "$workdir/ck.rfck" >"$workdir/kill_resumed.txt"; then
     echo "FAIL: resume after a kill at ${delay}s (${slot}) exited nonzero" >&2
     exit 1
   fi

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "util/wordio.hpp"
 
 namespace rfsp {
 
@@ -95,6 +96,20 @@ FaultDecision PostOrderStalker::decide(const MachineView& view) {
     failed_.swap(merge_buf_);
   }
   return d;
+}
+
+void PostOrderStalker::save_state(std::vector<std::uint64_t>& out) const {
+  U64Writer w(out);
+  w.put(last_visited_);
+  w.put(last_release_mark_);
+  w.put_span(std::span<const Pid>(failed_));
+}
+
+void PostOrderStalker::load_state(std::span<const std::uint64_t> data) {
+  U64Reader r(data);
+  last_visited_ = r.get();
+  last_release_mark_ = r.get();
+  r.get_vec(failed_);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fault/adversary.hpp"
@@ -37,6 +38,8 @@ class PostOrderStalker final : public Adversary {
 
   std::string_view name() const override { return "postorder-stalker"; }
   FaultDecision decide(const MachineView& view) override;
+  void save_state(std::vector<std::uint64_t>& out) const override;
+  void load_state(std::span<const std::uint64_t> data) override;
 
  private:
   XLayout layout_;
