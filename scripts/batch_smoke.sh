@@ -54,28 +54,53 @@ done
 # Trace bit-identity across modes: the same run traced through the binary
 # sink must produce byte-identical streams from the interpreter and the
 # batched backend, and the stream must pass trace_cli's invariant audit.
-# (Smaller than the tally rows above — the trace gate is about identity,
-# not scale.)
+# Rows: fault-free at N = P, then random failures with restarts, which gate
+# the reboot path and the interpreter states' phase clocks against the
+# kernels, at N = P and at P = N/16 (there V runs several iterations, so
+# its phase clock wraps). Every row compares the tally too. (Smaller than
+# the tally rows above — the trace gate is about identity, not scale.)
 trace_cli="$build_dir/examples/trace_cli"
 if [ -x "$trace_cli" ]; then
   trace_dir=$(mktemp -d)
   trap 'rm -rf "$trace_dir"' EXIT
-  for algo in W V X VX; do
-    for batch in 0 1; do
-      "$cli" --algo "$algo" --n 4096 --p 4096 --batch "$batch" \
-        --trace-out "$trace_dir/$algo-$batch.bin" >/dev/null
+  faults=(--adversary random --fail 0.02 --restart 0.5 --seed 3)
+  for row in fault-free faulty faulty-p256; do
+    flags=(--n 4096 --p 4096)
+    case "$row" in
+      faulty) flags+=("${faults[@]}") ;;
+      faulty-p256) flags=(--n 4096 --p 256 "${faults[@]}") ;;
+    esac
+    for algo in W V X VX; do
+      run="$trace_dir/$algo-$row"
+      for batch in 0 1; do
+        if ! "$cli" --algo "$algo" --batch "$batch" "${flags[@]}" \
+            --trace-out "$run-$batch.bin" >"$run-$batch.txt"; then
+          echo "FAIL: $algo $row --batch $batch did not solve" >&2
+          status=1
+        fi
+      done
+      if ! cmp -s "$run-0.bin" "$run-1.bin"; then
+        echo "FAIL: $algo $row binary trace differs between interpreter and batch" >&2
+        "$trace_cli" check "$run-0.bin" "$run-1.bin" >&2 || true
+        status=1
+      elif ! "$trace_cli" check "$run-0.bin" >/dev/null; then
+        echo "FAIL: $algo $row trace violates stream invariants" >&2
+        "$trace_cli" check "$run-0.bin" >&2 || true
+        status=1
+      fi
+      tally=()
+      for batch in 0 1; do
+        tally[batch]=$(grep -E 'solved|completed S|attempted S|\|F\||parallel time|sigma' \
+                       "$run-$batch.txt" || true)
+      done
+      if [ -z "${tally[0]}" ] || [ "${tally[0]}" != "${tally[1]}" ]; then
+        echo "FAIL: $algo $row tally diverges between batch and interpreter:" >&2
+        diff <(echo "${tally[0]}") <(echo "${tally[1]}") >&2 || true
+        status=1
+      fi
     done
-    if ! cmp -s "$trace_dir/$algo-0.bin" "$trace_dir/$algo-1.bin"; then
-      echo "FAIL: $algo binary trace differs between interpreter and batch" >&2
-      "$trace_cli" check "$trace_dir/$algo-0.bin" "$trace_dir/$algo-1.bin" >&2 || true
-      status=1
-    elif ! "$trace_cli" check "$trace_dir/$algo-0.bin" >/dev/null; then
-      echo "FAIL: $algo trace violates stream invariants" >&2
-      "$trace_cli" check "$trace_dir/$algo-0.bin" >&2 || true
-      status=1
-    fi
   done
-  [ "$status" = 0 ] && echo "trace smoke OK: binary streams bit-identical across modes"
+  [ "$status" = 0 ] && echo "trace smoke OK: binary streams and tallies bit-identical across modes"
 else
   echo "note: $trace_cli not built — skipping trace bit-identity check"
 fi

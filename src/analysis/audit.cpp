@@ -337,8 +337,9 @@ void Auditor::run_twins(const SharedMemory& mem, Slot slot,
     // the view is exactly what the real cycle read.
     const ProcCache* cache =
         caches_ != nullptr ? &(*caches_)[pid] : nullptr;
-    CycleContext ctx(mem, scratch, pid, slot, kReadCap, kWriteCap,
-                     snapshot_allowed_, &twin_reads, cache);
+    CycleContext ctx(mem, slot, kReadCap, kWriteCap, snapshot_allowed_,
+                     &twin_reads);
+    ctx.rebind(scratch, pid, cache);
     std::string divergence;
     try {
       scratch.halting = !it->second->cycle(ctx);

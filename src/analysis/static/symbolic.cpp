@@ -36,8 +36,9 @@ PathOutcome SymbolicContext::run(ProcessorState& state, Pid pid, Slot slot,
   // over-budget cycle is observed and reported instead of aborting the
   // exploration at the context throw. Only blowing a *cap* still throws,
   // which run() classifies as a budget finding via `budget_throw`.
-  CycleContext ctx(mem_, trace, pid, slot, kReadCap, kWriteCap,
-                   snapshot_allowed_, /*audit=*/this);
+  CycleContext ctx(mem_, slot, kReadCap, kWriteCap, snapshot_allowed_,
+                   /*audit=*/this);
+  ctx.rebind(trace, pid, /*cache=*/nullptr);
   try {
     const bool more = state.cycle(ctx);
     out_.completed = true;

@@ -86,7 +86,7 @@ void StreamAggregator::on_event(const TraceEvent& e) {
       break;
     case TraceEventKind::kRestart:
       ++event_restarts_;
-      ++restarts_per_pid_[e.pid];
+      restarted_pids_.push_back(e.pid);
       break;
     case TraceEventKind::kHalt:
       tally_.halted += 1;
@@ -223,12 +223,20 @@ void StreamAggregator::write_engine_metrics(const WorkTally& run_tally,
       .set(static_cast<double>(run_tally.peak_live));
   metrics.gauge("engine.goal_met").set(goal_met_ ? 1.0 : 0.0);
   metrics.histogram("engine.live_per_slot") = live_per_slot_;
+  // One observation per restarted PID below `processors` (the length of its
+  // run in the sorted PID list), then a zero for every other PID. A
+  // histogram does not depend on the order of its observations.
   Histogram& per_pid = metrics.histogram("engine.restarts_per_processor");
+  std::vector<Pid> pids = restarted_pids_;
+  std::sort(pids.begin(), pids.end());
   std::uint64_t restarted = 0;
-  for (const auto& [pid, count] : restarts_per_pid_) {
-    if (pid >= processors) continue;
-    per_pid.observe(count);
-    ++restarted;
+  for (auto run = pids.begin(); run != pids.end();) {
+    const auto end = std::upper_bound(run, pids.end(), *run);
+    if (*run < processors) {
+      per_pid.observe(static_cast<std::uint64_t>(end - run));
+      ++restarted;
+    }
+    run = end;
   }
   for (; restarted < processors; ++restarted) per_pid.observe(0);
 }

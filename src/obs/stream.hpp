@@ -12,16 +12,16 @@
 // no per-phase counts) and the only source of the engine.* metrics
 // (write_engine_metrics below).
 //
-// State is O(phases + window + restarted PIDs): a trailing window of
+// State is O(phases + window + restart events): a trailing window of
 // per-slot counts backs the windowed failure/restart/throughput rates a
-// live viewer or service wants, and everything else is a handful of
-// counters — feeding one event is a few additions, no allocation outside
-// phase and restarted-PID discovery.
+// live viewer or service wants, one PID is kept per restart event, and
+// everything else is a handful of counters — feeding one event is a few
+// additions, no allocation outside phase discovery and the (amortized)
+// growth of the restart list.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "accounting/tally.hpp"
@@ -141,9 +141,10 @@ class StreamAggregator final : public TraceSink {
   std::string phase_error_;  // first phase id >= kMaxPhases
 
   Histogram live_per_slot_;  // one observation per kSlot: its `started`
-  // #kRestart per PID, only for PIDs that restarted: a hostile stream's
-  // PID cannot size anything.
-  std::unordered_map<Pid, std::uint64_t> restarts_per_pid_;
+  // The PID of every kRestart, in stream order: as long as the stream, so a
+  // hostile stream's PID cannot size anything. write_engine_metrics sorts a
+  // copy and counts its runs.
+  std::vector<Pid> restarted_pids_;
 
   std::vector<WindowSlot> window_;  // ring buffer, one entry per kSlot
   std::size_t window_pos_ = 0;

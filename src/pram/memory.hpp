@@ -53,6 +53,9 @@ class SharedMemory {
     return true;
   }
 
+  // Whether a cell-fault map routes reads and writes.
+  bool faulty() const { return faults_ != nullptr; }
+
   // Program-visible address-space size (spare remap cells excluded).
   Addr size() const { return visible_; }
 

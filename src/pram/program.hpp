@@ -18,11 +18,14 @@
 // (CycleContext::slot) is global knowledge, not private state.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "obs/phase.hpp"
 #include "pram/memory.hpp"
@@ -69,7 +72,7 @@ struct CycleTrace {
 // The model-conformance auditor (src/analysis, docs/analysis.md) and the
 // static verifier's SymbolicContext are hooks. CycleContext calls these
 // only when a hook is installed (EngineOptions::audit); with no hook the
-// per-read/per-write cost is one predicted null test. on_read runs before
+// per-read/per-write cost is one predicted test. on_read runs before
 // the value is fetched, so a hook may still change the cell it names.
 class CycleAuditHook {
  public:
@@ -79,38 +82,48 @@ class CycleAuditHook {
   virtual void on_snapshot(Pid pid) = 0;
 };
 
-// Per-cycle facilities handed to ProcessorState::cycle by the engine.
+// Per-cycle facilities handed to ProcessorState::cycle. One context serves
+// a whole slot: the engine builds it once per slot and rebind()s it to each
+// processor before that processor's cycle.
 class CycleContext {
  public:
-  CycleContext(const SharedMemory& mem, CycleTrace& trace, Pid pid, Slot slot,
-               std::size_t read_budget, std::size_t write_budget,
-               bool snapshot_allowed, CycleAuditHook* audit = nullptr,
-               const ProcCache* cache = nullptr);
+  CycleContext(const SharedMemory& mem, Slot slot, std::size_t read_budget,
+               std::size_t write_budget, bool snapshot_allowed,
+               CycleAuditHook* audit = nullptr);
 
-  // Read one shared cell. Throws ModelViolation past the read budget.
-  // Inline: one of the two per-operation hot paths of the whole engine.
-  // Under the persistent-cache model (`cache` non-null) the processor's own
-  // un-persisted writes shadow shared memory (write-back semantics);
-  // elsewhere the cache pointer is null and the lookup is one predicted
-  // test.
+  // Aim the context at processor `pid`'s cycle with a fresh read budget.
+  // `trace` receives the cycle's writes and flags (the caller readies it);
+  // `cache` is the processor's write-back cache under the persistent-cache
+  // model, null elsewhere.
+  void rebind(CycleTrace& trace, Pid pid, const ProcCache* cache) {
+    trace_ = &trace;
+    pid_ = pid;
+    cache_ = cache;
+    reads_used_ = 0;
+    read_limit_ = read_budget_;
+    hooked_ = always_hooked_ || cache != nullptr;
+  }
+
+  // Read one shared cell. Throws ModelViolation past the read budget (a
+  // snapshot consumes all of it). Inline: one of the two per-operation hot
+  // paths of the whole engine. With no audit hook, write-back cache or
+  // cell-fault map the read is the budget test, the bounds test and the
+  // load; read_hooked serves the rest, and an out-of-bounds address.
   Word read(Addr a) {
-    if (trace_.used_snapshot || reads_used_ >= read_budget_) {
-      throw_read_budget();
-    }
+    if (reads_used_ >= read_limit_) [[unlikely]] throw_read_budget();
     ++reads_used_;
-    if (audit_ != nullptr) audit_->on_read(pid_, a);
-    if (cache_ != nullptr) [[unlikely]] {
-      if (const Word* hit = cache_->find(a)) return *hit;
-    }
-    return mem_.read(a, pid_);
+    if (hooked_ || a >= cells_.size()) [[unlikely]] return read_hooked(a);
+    return cells_[a];
   }
 
   // Buffer one shared write (committed at slot end iff the cycle completes).
   // Throws ModelViolation past the write budget.
   void write(Addr a, Word v) {
-    if (trace_.writes.size() >= write_budget_) throw_write_budget();
-    trace_.writes.push_back({a, v});
-    if (audit_ != nullptr) audit_->on_write(pid_, a, v);
+    if (trace_->writes.size() >= write_budget_) [[unlikely]] {
+      throw_write_budget();
+    }
+    trace_->writes.push_back({a, v});
+    if (audit_ != nullptr) [[unlikely]] audit_->on_write(pid_, a, v);
   }
 
   // Unit-cost whole-memory read — the strong model of §3 (Theorems 3.1/3.2)
@@ -133,19 +146,27 @@ class CycleContext {
   Pid pid() const { return pid_; }
 
  private:
+  // The audit hook, the processor's cache, then SharedMemory::read (which
+  // routes through a cell-fault map and names an out-of-bounds address).
+  Word read_hooked(Addr a);
   [[noreturn]] void throw_read_budget() const;
   [[noreturn]] void throw_write_budget() const;
 
-  const SharedMemory& mem_;
-  CycleTrace& trace_;
-  Pid pid_;
-  Slot slot_;
-  std::size_t read_budget_;
-  std::size_t write_budget_;
+  // Per-read fields first.
+  std::span<const Word> cells_;  // the visible cells, for unhooked reads
   std::size_t reads_used_ = 0;
-  bool snapshot_allowed_;
+  std::size_t read_limit_ = 0;   // read_budget_, or 0 after a snapshot
+  bool hooked_ = false;          // audit hook, cache or cell-fault map
+  CycleTrace* trace_ = nullptr;
+  std::size_t write_budget_;
   CycleAuditHook* audit_;
-  const ProcCache* cache_;
+  Pid pid_ = 0;
+  Slot slot_;
+  const ProcCache* cache_ = nullptr;
+  const SharedMemory& mem_;
+  std::size_t read_budget_;
+  bool snapshot_allowed_;
+  bool always_hooked_;  // an audit hook or a cell-fault map
 };
 
 // The private side of one processor: its registers and control state.
@@ -180,6 +201,73 @@ class WordStreamState : public ProcessorState {
     return true;
   }
 };
+
+// One buffered write in the slot's lane log, tagged with its writer so the
+// commit phase can resolve CRCW conflicts and charge the tally per PID.
+// The address is narrowed to 32 bits on purpose: the lane logs are the
+// single largest memory stream of the slot loop (written once per buffered
+// write, read once at commit), and 16-byte entries cut that traffic by a
+// third versus a full-width Addr. The engine enforces the implied
+// shared-memory bound (< 2^32 cells, i.e. 32 GiB of Words) at
+// construction.
+struct PendingWrite {
+  std::uint32_t addr = 0;
+  Pid pid = 0;
+  Word value = 0;
+};
+
+// One slot's cycle-phase output: every processor's buffered writes (program
+// order per processor, ascending PIDs) plus the processors that ended their
+// cycle halting. This — not the trace array — is what the engine commits
+// and transitions from; the interpreter (interpret_cycles) and the batch
+// kernels (pram/soa.hpp LaneEmit) fill it alike.
+struct LaneLog {
+  std::vector<PendingWrite> writes;
+  std::vector<Pid> halts;
+
+  void clear() {
+    writes.clear();
+    halts.clear();
+  }
+};
+
+// The interpreter's share of one slot's cycle phase (Program::run_cycles):
+// the engine's per-PID states and traces, its per-PID write-back caches
+// (empty unless the persistent-cache model), the slot's one context, and
+// the lane log each cycle's outcome goes to.
+struct InterpreterSlot {
+  std::span<const std::unique_ptr<ProcessorState>> states;
+  std::span<CycleTrace> traces;
+  std::span<const ProcCache> caches;
+  CycleContext& ctx;
+  LaneLog& log;
+};
+
+// The interpreter's cycle phase: every live PID, in ascending order, runs
+// one update cycle through the slot's context, and its outcome is mirrored,
+// still cache-hot, into the lane log. `State` is ProcessorState (one
+// virtual call per processor) or the final state class every state of the
+// program has, whose cycle is then called directly.
+template <class State>
+void interpret_cycles(InterpreterSlot& slot, std::span<const Pid> live_pids) {
+  static_assert(std::is_same_v<State, ProcessorState> ||
+                    std::is_final_v<State>,
+                "the typed loop needs a final state class");
+  CycleContext& ctx = slot.ctx;
+  LaneLog& log = slot.log;
+  for (const Pid pid : live_pids) {
+    CycleTrace& trace = slot.traces[pid];
+    trace.reset_for_cycle();
+    ctx.rebind(trace, pid, slot.caches.empty() ? nullptr : &slot.caches[pid]);
+    const bool halting = !static_cast<State&>(*slot.states[pid]).cycle(ctx);
+    trace.halting = halting;
+    if (halting) log.halts.push_back(pid);
+    for (const WriteOp& op : trace.writes) {
+      log.writes.push_back({static_cast<std::uint32_t>(op.addr), pid,
+                            op.value});
+    }
+  }
+}
 
 // The cell range a Program's goal is stated over: goal() holds exactly when
 // Program::goal_cell_done(a, mem[a]) holds for every cell a in
@@ -258,6 +346,15 @@ class Program {
     return nullptr;
   }
 
+  // The interpreter's cycle phase of one slot: run one update cycle for
+  // each PID of `live_pids` (ascending) as interpret_cycles does. The
+  // default steps each state through a virtual ProcessorState::cycle call;
+  // ProgramLifecycle runs the same loop typed on its final State.
+  virtual void run_cycles(InterpreterSlot& slot,
+                          std::span<const Pid> live_pids) const {
+    interpret_cycles<ProcessorState>(slot, live_pids);
+  }
+
   // Batched-backend opt-in (pram/soa.hpp, EngineOptions::batch): return a
   // BatchKernel exposing this program's cycle bodies as straight-line
   // per-lane kernels over SoA registers, or nullptr (the default) to keep
@@ -302,11 +399,12 @@ class Program {
 };
 
 // Boot, reboot and checkpoint load, written once (§2.1 point 3: a restarted
-// processor knows only its PID, P and N). `Derived` derives from this over
-// `Base` (Program or a subclass) and supplies make_state(pid), returning a
-// std::unique_ptr<State>. `State` supplies reboot(), which resets it in
-// place to what make_state built, and load_words(WordReader&), the mirror
-// of its save_words (see WordStreamState).
+// processor knows only its PID, P and N), and the interpreter loop typed on
+// `State`. `Derived` derives from this over `Base` (Program or a subclass)
+// and supplies make_state(pid), returning a std::unique_ptr<State>. `State`
+// is final and supplies reboot(), which resets it in place to what
+// make_state built, and load_words(WordReader&), the mirror of its
+// save_words (see WordStreamState).
 template <class Derived, class State, class Base>
 class ProgramLifecycle : public Base {
  public:
@@ -325,6 +423,12 @@ class ProgramLifecycle : public Base {
     } else {
       static_cast<State&>(*state).reboot();
     }
+  }
+
+  // Every state is a State, so the typed loop calls State::cycle directly.
+  void run_cycles(InterpreterSlot& slot,
+                  std::span<const Pid> live_pids) const override {
+    interpret_cycles<State>(slot, live_pids);
   }
 
   std::unique_ptr<ProcessorState> load_state(

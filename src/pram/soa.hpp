@@ -2,13 +2,14 @@
 // plus the BatchKernel interface through which a Program exposes its cycle
 // bodies as straight-line per-lane kernels (EngineOptions::batch).
 //
-// The interpreter steps every live processor through a virtual
-// ProcessorState::cycle call; for the branch-light, phase-synchronous
-// Write-All algorithms that per-PID dispatch dominates the slot loop. A
-// BatchKernel instead receives the whole live set as one *lane group* and
-// executes the cycle body as a tight loop over SoA register columns, with
-// everything uniform across the group (the slot phase, shared-memory polls
-// of one cell) hoisted out of the lane loop.
+// The interpreter (Program::run_cycles, pram/program.hpp) steps every live
+// processor through its own state object and a per-read metered
+// CycleContext; for the branch-light, phase-synchronous Write-All
+// algorithms that per-PID stepping dominates the slot loop. A BatchKernel
+// instead receives the whole live set as one *lane group* and executes the
+// cycle body as a tight loop over SoA register columns, with everything
+// uniform across the group (the slot phase, shared-memory polls of one
+// cell) hoisted out of the lane loop.
 //
 // Bit-identity contract (the reason this is safe): an update cycle is a
 // pure function of (slot-start shared memory, the processor's private
@@ -16,13 +17,14 @@
 // and every write is buffered, so the order in which lanes execute within
 // a slot is unobservable. A kernel emits every lane's effects through a
 // LaneEmit: the buffered writes land (PID-tagged, program order per lane)
-// in the slot's LaneLog — the authoritative input to the engine's commit
-// and transition phases — and, when the adversary inspects cycle internals
-// (Adversary::inspects_cycles), mirrored into the per-PID CycleTrace array
-// exactly as the interpreter would fill it. The group walks ascending
-// PIDs, so the log's write order matches interpreter PID order. Commit
-// order, CRCW conflict resolution, adversary view, goal tracking, and
-// trace stream stay byte-for-byte identical to interpreter runs.
+// in the slot's LaneLog (pram/program.hpp) — the authoritative input to the
+// engine's commit and transition phases — and, when the adversary inspects
+// cycle internals (Adversary::inspects_cycles), mirrored into the per-PID
+// CycleTrace array exactly as the interpreter would fill it. The group
+// walks ascending PIDs, so the log's write order matches interpreter PID
+// order. Commit order, CRCW conflict resolution, adversary view, goal
+// tracking, and trace stream stay byte-for-byte identical to interpreter
+// runs.
 #pragma once
 
 #include <cstdint>
@@ -53,33 +55,6 @@ class SoaStore {
   Pid p_ = 0;
   std::size_t registers_ = 0;
   std::vector<Word> regs_;  // column-major: [r * p_ + pid]
-};
-
-// One buffered write in the slot's lane log, tagged with its writer so the
-// commit phase can resolve CRCW conflicts and charge the tally per PID.
-// The address is narrowed to 32 bits on purpose: the lane logs are the
-// single largest memory stream of the slot loop (written once per buffered
-// write, read once at commit), and 16-byte entries cut that traffic by a
-// third versus a full-width Addr. The engine enforces the implied
-// shared-memory bound (< 2^32 cells, i.e. 32 GiB of Words) at
-// construction.
-struct PendingWrite {
-  std::uint32_t addr = 0;
-  Pid pid = 0;
-  Word value = 0;
-};
-
-// One slot's cycle-phase output: every lane's buffered writes (program order per
-// lane) plus the lanes that ended their cycle halting. This — not the
-// trace array — is what the engine commits and transitions from.
-struct LaneLog {
-  std::vector<PendingWrite> writes;
-  std::vector<Pid> halts;
-
-  void clear() {
-    writes.clear();
-    halts.clear();
-  }
 };
 
 // Everything a kernel may consult during one slot's cycle phase. `mem` is

@@ -165,8 +165,9 @@ bool x_go_right(Ctx& ctx, const XParams& k, R& r, Addr pos) {
       return r.coin(k.config.seed, ctx.pid(), ctx.slot()).below(2) != 0;
     }
   }
+  // pid mod n_pad: n_pad is a power of two.
   const std::uint64_t significant =
-      static_cast<std::uint64_t>(ctx.pid()) % k.layout.n_pad;
+      static_cast<std::uint64_t>(ctx.pid()) & (k.layout.n_pad - 1);
   return msb_bit(significant, floor_log2(pos), k.layout.height);
 }
 

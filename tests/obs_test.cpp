@@ -427,6 +427,32 @@ TEST(EngineMetrics, ResumedRunCountersAreCumulative) {
             stream.tally().restarts);
 }
 
+// Repeated, interleaved restarts count per PID; PIDs >= P (a hostile or
+// spliced stream) are dropped. The pinned histogram is {3, 2, 1, 0}.
+TEST(EngineMetrics, RestartHistogramCountsRepeatsAndDropsForeignPids) {
+  const Pid p = 4;
+  StreamAggregator stream;
+  TraceEvent restart;
+  restart.kind = TraceEventKind::kRestart;
+  for (const Pid pid : {2u, 0u, 7u, 2u, 3u, 4000000000u, 0u, 2u, 7u}) {
+    restart.pid = pid;
+    stream.on_event(restart);
+  }
+  MetricsRegistry metrics;
+  stream.write_engine_metrics(WorkTally{}, p, metrics);
+  const Histogram& restarts =
+      metrics.histograms().at("engine.restarts_per_processor");
+  EXPECT_EQ(restarts.count(), 4u);
+  EXPECT_EQ(restarts.sum(), 6u);
+  EXPECT_EQ(restarts.max(), 3u);
+  EXPECT_EQ(restarts.bucket(0), 1u);  // PID 1: no restart
+  EXPECT_EQ(restarts.bucket(1), 1u);  // PID 3: 1
+  EXPECT_EQ(restarts.bucket(2), 2u);  // PID 0: 2, PID 2: 3
+  for (unsigned k = 3; k < Histogram::kBuckets; ++k) {
+    EXPECT_EQ(restarts.bucket(k), 0u) << "bucket " << k;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Simulator plumbing
 
