@@ -51,7 +51,7 @@ WriteAllOutcome run_mode(Mode mode, Addr n, bool faulty,
   }
   const auto inner = make_adversary(faulty, 7);
   if (mode == kRecord) {
-    record_into->entries.clear();
+    record_into->moves.clear();
     RecordingAdversary recorder(*inner, *record_into);
     return run_writeall(WriteAllAlgo::kX, config, recorder, options);
   }
@@ -83,7 +83,7 @@ void BM_Replay(benchmark::State& state) {
   bench::report(state, out.run.tally, n);
   if (mode == kRecord) {
     state.counters["schedule_entries"] =
-        static_cast<double>(recorded.entries.size());
+        static_cast<double>(recorded.slot_count());
     state.counters["schedule_moves"] =
         static_cast<double>(recorded.move_count());
   }
@@ -122,7 +122,7 @@ void print_report() {
       table.add_row({kModeNames[mode], faulty ? "random" : "none", fmt_int(n),
                      fmt_int(out.run.tally.completed_work),
                      fmt_int(out.run.tally.slots),
-                     mode == kRecord ? fmt_int(recorded.entries.size())
+                     mode == kRecord ? fmt_int(recorded.slot_count())
                                      : std::string("-")});
     }
   }

@@ -459,7 +459,7 @@ class RunFlags {
     schedule.meta.emplace("status", to_string(status));
     save_schedule(schedule, record);
     std::cout << "schedule saved to " << record << " ("
-              << schedule.entries.size() << " slots, "
+              << schedule.slot_count() << " slots, "
               << schedule.move_count() << " moves)\n";
   }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Determinism lint for the trace / observability / replay paths.
 #
-# Replay correctness (docs/replay.md) rests on these sources being
+# Replay correctness (docs/resilience.md) rests on these sources being
 # bit-deterministic: the same schedule must serialize to the same bytes on
 # every platform. This script greps them for the usual ways that property
 # silently dies:

@@ -129,9 +129,9 @@ struct EngineOptions {
   // Drop §2.1's simplifying assumption that word writes are atomic: the
   // adversary may additionally fail processors *between the bit writes of
   // one word write* (FaultDecision::torn), leaving a partially-updated
-  // cell. Individual bit writes remain atomic, per the model. See
-  // pram/bitsafe.hpp for the [KS 89]-style conversion that restores
-  // word-atomic semantics on top of this.
+  // cell. Individual bit writes remain atomic, per the model. The [KS 89]
+  // conversion that restores word-atomic writes on top of this is not
+  // built (DESIGN.md §4): no Write-All algorithm here needs it.
   bool bit_atomic_writes = false;
 
   // --- Memory-model backend (pram/faults.hpp, docs/fault-models.md) ---------

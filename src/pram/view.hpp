@@ -35,8 +35,6 @@ struct TornWrite {
   Pid pid = 0;
   std::size_t write_index = 0;
   unsigned keep_bits = 0;  // < 64; bit writes themselves stay atomic
-
-  friend bool operator==(const TornWrite&, const TornWrite&) = default;
 };
 
 struct FaultDecision {
@@ -76,8 +74,6 @@ struct FaultDecision {
     cell_faults.clear();
     cache_drop.clear();
   }
-
-  friend bool operator==(const FaultDecision&, const FaultDecision&) = default;
 };
 
 class MachineView {

@@ -1,10 +1,9 @@
 #include "replay/checkpoint.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
 
 #include "replay/json.hpp"
+#include "replay/schedule.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/varint.hpp"
@@ -240,31 +239,11 @@ EngineCheckpoint decode_checkpoint(std::string_view bytes) {
 }
 
 void save_checkpoint(const EngineCheckpoint& cp, const std::string& path) {
-  const std::string bytes = encode_checkpoint(cp);
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  std::error_code ec;
-  if (out) std::filesystem::rename(tmp, path, ec);  // atomic replace
-  if (!out || ec) {
-    std::error_code ignored;
-    std::filesystem::remove(tmp, ignored);
-    throw ConfigError("cannot write checkpoint '" + path + "'" +
-                      (ec ? ": " + ec.message() : std::string()));
-  }
+  write_file_atomically(path, encode_checkpoint(cp), "checkpoint");
 }
 
 EngineCheckpoint load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
-  if (size < 0) {
-    throw ConfigError("cannot open checkpoint file '" + path + "'");
-  }
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  in.seekg(0);
-  in.read(bytes.data(), size);
-  if (!in) throw ConfigError("cannot read checkpoint file '" + path + "'");
+  const std::string bytes = read_file(path, "checkpoint");
   try {
     return decode_checkpoint(bytes);
   } catch (const ConfigError& e) {

@@ -47,10 +47,7 @@ std::string encode_checkpoint(const EngineCheckpoint& cp);
 // bytes, or a version-1 (JSON body) document.
 EngineCheckpoint decode_checkpoint(std::string_view bytes);
 
-// Writes `path + ".tmp"` in the same directory, then renames it over
-// `path`: a process killed mid-save leaves the previous checkpoint intact.
-// No fsync — this survives a kill, not a power loss. Throws ConfigError on
-// I/O failure, after removing the temp file.
+// Replaces `path` atomically (write_file_atomically, schedule.hpp).
 void save_checkpoint(const EngineCheckpoint& cp, const std::string& path);
 EngineCheckpoint load_checkpoint(const std::string& path);  // ConfigError
 

@@ -31,22 +31,6 @@ struct Value {
   Array array;
   Object object;
 
-  bool is_null() const { return kind == Kind::kNull; }
-
-  std::int64_t as_i64() const {
-    require(Kind::kNumber, "number");
-    if (negative) {
-      if (magnitude > std::uint64_t{1} << 63) {
-        throw ConfigError("JSON number out of int64 range");
-      }
-      return -static_cast<std::int64_t>(magnitude - 1) - 1;
-    }
-    if (magnitude > static_cast<std::uint64_t>(INT64_MAX)) {
-      throw ConfigError("JSON number out of int64 range");
-    }
-    return static_cast<std::int64_t>(magnitude);
-  }
-
   std::uint64_t as_u64() const {
     require(Kind::kNumber, "number");
     if (negative) throw ConfigError("JSON number out of uint64 range");

@@ -1,6 +1,7 @@
 #include "replay/shrink.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "util/error.hpp"
 
@@ -8,43 +9,58 @@ namespace rfsp {
 
 namespace {
 
-using Pred = std::function<bool(const FaultSchedule&)>;
-
-class ProbeBudget {
+// The probes spent on one shrink, and the one place that spends them.
+class Prober {
  public:
+  explicit Prober(const std::function<bool(const FaultSchedule&)>& still_fails)
+      : still_fails_(still_fails) {}
+
   bool exhausted() const { return used_ >= kShrinkMaxProbes; }
   std::size_t used() const { return used_; }
-  void charge() { ++used_; }
+
+  // Probes `cand`; if it still fails, it becomes `current`.
+  bool keep(FaultSchedule& current, FaultSchedule cand) {
+    ++used_;
+    if (!still_fails_(cand)) return false;
+    current = std::move(cand);
+    return true;
+  }
 
  private:
+  const std::function<bool(const FaultSchedule&)>& still_fails_;
   std::size_t used_ = 0;
 };
 
-// Stage A: ddmin over whole entries — remove chunk-sized runs of slots,
-// halving the chunk until single entries are tried.
-bool stage_entries(FaultSchedule& current, const Pred& still_fails,
-                   ProbeBudget& budget) {
+// Probes `current` without moves [begin, end).
+bool try_without(FaultSchedule& current, std::size_t begin, std::size_t end,
+                 Prober& prober) {
+  FaultSchedule cand = current;
+  cand.moves.erase(cand.moves.begin() + static_cast<std::ptrdiff_t>(begin),
+                   cand.moves.begin() + static_cast<std::ptrdiff_t>(end));
+  return prober.keep(current, std::move(cand));
+}
+
+// Stage A: ddmin over whole slots — remove chunk-sized runs of slots,
+// halving the chunk until single slots are tried.
+bool stage_slots(FaultSchedule& current, Prober& prober) {
   bool changed = false;
-  std::size_t chunk = std::max<std::size_t>(current.entries.size() / 2, 1);
-  while (!budget.exhausted() && !current.entries.empty()) {
+  std::size_t chunk = std::max<std::size_t>(current.slot_count() / 2, 1);
+  while (!prober.exhausted() && !current.moves.empty()) {
     bool removed = false;
-    std::size_t i = 0;
-    while (i < current.entries.size() && !budget.exhausted()) {
-      const std::size_t len = std::min(chunk, current.entries.size() - i);
-      FaultSchedule cand = current;
-      cand.entries.erase(cand.entries.begin() + static_cast<std::ptrdiff_t>(i),
-                         cand.entries.begin() +
-                             static_cast<std::ptrdiff_t>(i + len));
-      budget.charge();
-      if (still_fails(cand)) {
-        current = std::move(cand);
+    std::size_t i = 0;  // the chunk's first move
+    while (i < current.moves.size() && !prober.exhausted()) {
+      std::size_t end = i;
+      for (std::size_t k = 0; k < chunk && end < current.moves.size(); ++k) {
+        end = current.slot_end(end);
+      }
+      if (try_without(current, i, end, prober)) {
         removed = changed = true;  // stay at i: the next chunk shifted here
       } else {
-        i += len;
+        i = end;
       }
     }
     if (chunk == 1) {
-      if (!removed) break;  // 1-minimal at entry granularity
+      if (!removed) break;  // 1-minimal at slot granularity
     } else {
       chunk = std::max<std::size_t>(chunk / 2, 1);
     }
@@ -52,112 +68,56 @@ bool stage_entries(FaultSchedule& current, const Pred& still_fails,
   return changed;
 }
 
-// Stage B: remove individual moves inside each surviving entry; an entry
-// whose last move goes is dropped with it.
-bool stage_moves(FaultSchedule& current, const Pred& still_fails,
-                 ProbeBudget& budget) {
+// Stage B: remove single moves in array order — by slot, and within a slot
+// by kind (mid, after, restart, cells, drop, torn).
+bool stage_moves(FaultSchedule& current, Prober& prober) {
   bool changed = false;
-  std::size_t e = 0;
-  while (e < current.entries.size() && !budget.exhausted()) {
-    bool removed_entry = false;
-
-    const auto attempt = [&](const auto& mutate) {
-      FaultSchedule cand = current;
-      mutate(cand.entries[e].decision);
-      if (cand.entries[e].decision.empty()) {
-        cand.entries.erase(cand.entries.begin() +
-                           static_cast<std::ptrdiff_t>(e));
-      }
-      budget.charge();
-      if (!still_fails(cand)) return false;
-      removed_entry = cand.entries.size() < current.entries.size();
-      current = std::move(cand);
-      changed = true;
-      return true;
-    };
-
-    const auto sweep_pids = [&](std::vector<Pid> FaultDecision::*member) {
-      std::size_t i = 0;
-      while (!removed_entry && !budget.exhausted() &&
-             i < (current.entries[e].decision.*member).size()) {
-        const bool ok = attempt([&](FaultDecision& d) {
-          (d.*member).erase((d.*member).begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        });
-        if (!ok) ++i;
-      }
-    };
-
-    const auto sweep_addrs = [&](std::vector<Addr> FaultDecision::*member) {
-      std::size_t i = 0;
-      while (!removed_entry && !budget.exhausted() &&
-             i < (current.entries[e].decision.*member).size()) {
-        const bool ok = attempt([&](FaultDecision& d) {
-          (d.*member).erase((d.*member).begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        });
-        if (!ok) ++i;
-      }
-    };
-
-    sweep_pids(&FaultDecision::fail_mid_cycle);
-    if (!removed_entry) sweep_pids(&FaultDecision::fail_after_cycle);
-    if (!removed_entry) sweep_pids(&FaultDecision::restart);
-    if (!removed_entry) sweep_addrs(&FaultDecision::cell_faults);
-    if (!removed_entry) sweep_pids(&FaultDecision::cache_drop);
-    std::size_t i = 0;
-    while (!removed_entry && !budget.exhausted() &&
-           i < current.entries[e].decision.torn.size()) {
-      const bool ok = attempt([&](FaultDecision& d) {
-        d.torn.erase(d.torn.begin() + static_cast<std::ptrdiff_t>(i));
-      });
-      if (!ok) ++i;
+  std::size_t i = 0;
+  while (i < current.moves.size() && !prober.exhausted()) {
+    if (try_without(current, i, i + 1, prober)) {
+      changed = true;  // stay at i: the next move shifted here
+    } else {
+      ++i;
     }
-
-    if (!removed_entry) ++e;
   }
   return changed;
 }
 
-// Stage C: weaken moves one adversarial notch — torn -> fail_mid_cycle,
-// fail_mid_cycle -> fail_after_cycle. Both steps are one-directional, so
-// the fixpoint loop cannot oscillate through here.
-bool stage_weaken(FaultSchedule& current, const Pred& still_fails,
-                  ProbeBudget& budget) {
+// Stage C: weaken moves one adversarial notch — torn -> mid, mid -> after.
+// A weakened move goes to the end of its new kind's moves in its slot.
+// Both steps are one-directional, so the fixpoint loop cannot oscillate
+// through here.
+bool stage_weaken(FaultSchedule& current, Prober& prober) {
+  using Kind = Move::Kind;
   bool changed = false;
-  for (std::size_t e = 0; e < current.entries.size() && !budget.exhausted();
-       ++e) {
-    std::size_t i = 0;
-    while (i < current.entries[e].decision.torn.size() &&
-           !budget.exhausted()) {
-      FaultSchedule cand = current;
-      FaultDecision& d = cand.entries[e].decision;
-      const Pid pid = d.torn[i].pid;
-      d.torn.erase(d.torn.begin() + static_cast<std::ptrdiff_t>(i));
-      d.fail_mid_cycle.push_back(pid);
-      budget.charge();
-      if (still_fails(cand)) {
-        current = std::move(cand);
-        changed = true;
-      } else {
-        ++i;
-      }
-    }
-    i = 0;
-    while (i < current.entries[e].decision.fail_mid_cycle.size() &&
-           !budget.exhausted()) {
-      FaultSchedule cand = current;
-      FaultDecision& d = cand.entries[e].decision;
-      const Pid pid = d.fail_mid_cycle[i];
-      d.fail_mid_cycle.erase(d.fail_mid_cycle.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      d.fail_after_cycle.push_back(pid);
-      budget.charge();
-      if (still_fails(cand)) {
-        current = std::move(cand);
-        changed = true;
-      } else {
-        ++i;
+  for (std::size_t b = 0; b < current.moves.size() && !prober.exhausted();
+       b = current.slot_end(b)) {
+    const std::size_t e = current.slot_end(b);
+    // The slot's first move of kind `k` or later: a slot is sorted by kind.
+    const auto kind_start = [&](Kind k) {
+      std::size_t i = b;
+      while (i < e && current.moves[i].kind < k) ++i;
+      return i;
+    };
+    for (const auto& [from, to, past_to] :
+         {std::tuple{Kind::kTorn, Kind::kMid, Kind::kAfter},
+          std::tuple{Kind::kMid, Kind::kAfter, Kind::kRestart}}) {
+      for (std::size_t kept = 0; !prober.exhausted();) {
+        const std::size_t j = kind_start(from) + kept;
+        if (j >= e || current.moves[j].kind != from) break;
+        std::size_t dest = kind_start(past_to);  // past `to`'s moves
+        if (j < dest) --dest;  // erasing j shifts them down by one
+        FaultSchedule cand = current;
+        const Move weak{.slot = cand.moves[j].slot,
+                        .target = cand.moves[j].target, .kind = to};
+        cand.moves.erase(cand.moves.begin() + static_cast<std::ptrdiff_t>(j));
+        cand.moves.insert(
+            cand.moves.begin() + static_cast<std::ptrdiff_t>(dest), weak);
+        if (prober.keep(current, std::move(cand))) {
+          changed = true;
+        } else {
+          ++kept;
+        }
       }
     }
   }
@@ -166,32 +126,32 @@ bool stage_weaken(FaultSchedule& current, const Pred& still_fails,
 
 }  // namespace
 
-ShrinkResult shrink_schedule(const FaultSchedule& input,
-                             const Pred& still_fails) {
+ShrinkResult shrink_schedule(
+    const FaultSchedule& input,
+    const std::function<bool(const FaultSchedule&)>& still_fails) {
   ShrinkResult result;
   result.initial_moves = input.move_count();
 
-  ProbeBudget budget;
-  budget.charge();
-  if (!still_fails(input)) {
+  Prober prober(still_fails);
+  FaultSchedule current;
+  if (!prober.keep(current, input)) {
     throw ConfigError(
         "shrink_schedule: the input schedule does not fail the predicate — "
         "nothing to shrink");
   }
 
-  FaultSchedule current = input;
   bool progress = true;
-  while (progress && !budget.exhausted()) {
+  while (progress && !prober.exhausted()) {
     progress = false;
-    progress |= stage_entries(current, still_fails, budget);
-    progress |= stage_moves(current, still_fails, budget);
-    progress |= stage_weaken(current, still_fails, budget);
+    progress |= stage_slots(current, prober);
+    progress |= stage_moves(current, prober);
+    progress |= stage_weaken(current, prober);
   }
 
   result.schedule = std::move(current);
-  result.probes = budget.used();
+  result.probes = prober.used();
   result.final_moves = result.schedule.move_count();
-  result.budget_exhausted = budget.exhausted();
+  result.budget_exhausted = prober.exhausted();
   return result;
 }
 

@@ -5,10 +5,10 @@
 // unsolved run, a tripped invariant) and a predicate that re-checks it,
 // shrink_schedule searches for a smaller schedule with the same failure:
 //
-//   stage A  ddmin over whole entries (remove slot-sized chunks, halving
-//            granularity — Zeller & Hildebrandt's delta debugging);
-//   stage B  remove individual moves within each surviving entry
-//            (a pid from mid/after/restart, one torn record);
+//   stage A  ddmin over whole slots (remove chunks of slots' moves,
+//            halving the chunk — Zeller & Hildebrandt's delta debugging);
+//   stage B  remove single moves, in the schedule's order (by slot, then
+//            kind: mid, after, restart, cells, drop, torn);
 //   stage C  weaken surviving moves: torn -> fail_mid_cycle and
 //            fail_mid_cycle -> fail_after_cycle — each step strictly less
 //            adversarial, so a failure that survives it has a simpler cause.

@@ -211,15 +211,13 @@ TEST(ScheduledAdversary, ReplaysARecordedPatternExactly) {
 
 TEST(ScheduledAdversary, SkipsInapplicableEvents) {
   FaultSchedule schedule;
-  schedule.entries.push_back(
-      {0, {.fail_mid_cycle = {200},  // out of range PID
-           .restart = {0}}});        // nobody failed yet
-  schedule.entries.push_back(
-      {1, {.fail_mid_cycle = {1},
-           .fail_after_cycle = {1},  // PID 1 already failing this slot
-           .restart = {1, 1}}});     // PID 1 already restarting
-  schedule.entries.push_back(  // both apply again: the marks were cleared
-      {2, {.fail_mid_cycle = {1}, .restart = {1}}});
+  schedule.append(0, {.fail_mid_cycle = {200},  // out of range PID
+                      .restart = {0}});        // nobody failed yet
+  schedule.append(1, {.fail_mid_cycle = {1},
+                      .fail_after_cycle = {1},  // PID 1 already failing
+                      .restart = {1, 1}});      // PID 1 already restarting
+  schedule.append(  // both apply again: the marks were cleared
+      2, {.fail_mid_cycle = {1}, .restart = {1}});
   ScheduledAdversary adversary(schedule);
   const WriteAllConfig config{.n = 16, .p = 4};
   const auto out = run_writeall(WriteAllAlgo::kX, config, adversary);
@@ -263,7 +261,7 @@ TEST(NoFailures, ProducesEmptyPattern) {
   const auto out = run_writeall(WriteAllAlgo::kV, config, recorder);
   EXPECT_TRUE(out.solved);
   EXPECT_EQ(out.run.tally.pattern_size(), 0u);
-  EXPECT_TRUE(schedule.entries.empty());
+  EXPECT_TRUE(schedule.moves.empty());
 }
 
 // Forwards the inner adversary's decision in a FaultDecision of its own,
@@ -311,7 +309,7 @@ TEST(RecordingAdversary, RecordsAnAdversaryThatBuildsItsOwnDecisions) {
 
     ASSERT_TRUE(stock_run.solved);
     EXPECT_EQ(own_run.run.tally, stock_run.run.tally);
-    EXPECT_FALSE(own_schedule.entries.empty());
+    EXPECT_FALSE(own_schedule.moves.empty());
     EXPECT_EQ(schedule_to_jsonl(own_schedule),
               schedule_to_jsonl(stock_schedule));
   }
@@ -341,7 +339,7 @@ std::uint32_t decision_digest(const Program& program, Adversary& adversary,
   Engine engine(program, options);
   engine.run(recorder);
   EXPECT_EQ(engine.batch_active(), options.batch);
-  EXPECT_FALSE(schedule.entries.empty());
+  EXPECT_FALSE(schedule.moves.empty());
   return crc32(schedule_to_jsonl(schedule));
 }
 
@@ -354,13 +352,17 @@ std::uint32_t writeall_digest(WriteAllAlgo algo, const WriteAllConfig& config,
 // A restart of a PID that the same decision fails: restarts are drawn only
 // from PIDs failed before the slot, so such a move is the strand guard's.
 bool strand_guard_fired(const FaultSchedule& schedule) {
-  for (const ScheduleEntry& entry : schedule.entries) {
-    for (Pid pid : entry.decision.restart) {
-      const auto& after = entry.decision.fail_after_cycle;
-      const auto& mid = entry.decision.fail_mid_cycle;
-      if (std::find(after.begin(), after.end(), pid) != after.end() ||
-          std::find(mid.begin(), mid.end(), pid) != mid.end()) {
-        return true;
+  const std::vector<Move>& moves = schedule.moves;
+  for (std::size_t b = 0, e = 0; b < moves.size(); b = e) {
+    e = schedule.slot_end(b);
+    for (std::size_t r = b; r < e; ++r) {
+      if (moves[r].kind != Move::Kind::kRestart) continue;
+      for (std::size_t f = b; f < e; ++f) {
+        if ((moves[f].kind == Move::Kind::kMid ||
+             moves[f].kind == Move::Kind::kAfter) &&
+            moves[f].target == moves[r].target) {
+          return true;
+        }
       }
     }
   }
@@ -443,7 +445,7 @@ TEST(GoldenDecisions, Scheduled) {
     moves.fail_mid_cycle = {static_cast<Pid>((t * 7) % 16),
                             static_cast<Pid>((t * 3 + 1) % 16)};
     if (t >= 2) moves.restart = {static_cast<Pid>(((t - 2) * 7) % 16)};
-    schedule.entries.push_back({t, std::move(moves)});
+    schedule.append(t, moves);
   }
   ScheduledAdversary adversary(std::move(schedule));
   EXPECT_EQ(writeall_digest(WriteAllAlgo::kX, {.n = 128, .p = 16}, adversary),

@@ -18,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "writeall/algx.hpp"
+#include "writeall/runner.hpp"
 
 namespace {
 
@@ -135,6 +136,50 @@ TEST(RestartAllocations, ScheduledReplayDoesNotAllocatePerSlot) {
   EXPECT_GT(run.tally.slots, 250u);
   EXPECT_LT(allocations, 100u)
       << allocations << " allocations over " << run.tally.slots << " slots";
+}
+
+// Counts the allocations made inside the wrapped adversary's decide.
+class AllocationMeter final : public Adversary {
+ public:
+  explicit AllocationMeter(Adversary& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_.name(); }
+  FaultDecision decide(const MachineView& view) override {
+    const std::uint64_t before = g_allocations.load();
+    FaultDecision d = inner_.decide(view);
+    allocations += g_allocations.load() - before;
+    return d;
+  }
+  bool inspects_cycles() const override { return inner_.inspects_cycles(); }
+
+  std::uint64_t allocations = 0;
+
+ private:
+  Adversary& inner_;
+};
+
+// Recording appends a decision's moves to one flat array, so a run's
+// recording allocates only when that array grows — a logarithmic number of
+// times, not once per recorded list. This is rfsp-bench's faulty-artifacts
+// run at seed 1.
+TEST(RestartAllocations, RecordingAllocatesLogarithmically) {
+  const auto program = make_writeall(
+      WriteAllAlgo::kCombinedVX, {.n = Addr{1} << 15, .p = 256, .seed = 1});
+  RandomAdversary random(1 ^ 0x5eed,
+                         {.fail_prob = 0.02, .restart_prob = 0.5});
+  AllocationMeter decide(random);
+  FaultSchedule schedule;
+  RecordingAdversary recorder(decide, schedule);
+  AllocationMeter record(recorder);
+  EngineOptions options;
+  options.batch = true;
+  const RunResult run = Engine(*program, options).run(record);
+  ASSERT_TRUE(run.goal_met);
+  EXPECT_EQ(schedule.slot_count(), 2399u);
+  EXPECT_EQ(schedule.move_count(), 23489u);
+  const std::uint64_t recording = record.allocations - decide.allocations;
+  EXPECT_LT(recording, 64u) << recording << " allocations to record "
+                            << schedule.move_count() << " moves";
 }
 
 }  // namespace

@@ -139,10 +139,9 @@ TEST_P(ChaosFaultyCells, WriteAllSolvesOrStopsLoudly) {
     const auto out = run_writeall(WriteAllAlgo::kX, config, adversary, options);
     const bool loud = out.run.slot_limit || out.run.deadlock;
     bool x_struck = false;
-    for (const ScheduleEntry& entry : schedule.entries) {
-      for (const Addr a : entry.decision.cell_faults) {
-        x_struck |= a >= x_base && a < x_base + config.n;
-      }
+    for (const Move& m : schedule.moves) {
+      x_struck |= m.kind == Move::Kind::kCell && m.target >= x_base &&
+                  m.target < x_base + config.n;
     }
     if (!out.solved && !loud && !x_struck) {
       record_failure(spec, schedule, ProbeStatus::kUnsolved, tag);

@@ -87,6 +87,8 @@ TEST(CheckpointFormat, JsonRoundTripIsExact) {
   std::filesystem::create_directory(dir / "taken");
   EXPECT_THROW(save_checkpoint(cp, (dir / "taken").string()), ConfigError);
   EXPECT_FALSE(std::filesystem::exists(dir / "taken.tmp"));
+  // A directory is not a checkpoint: a typed error, not a huge allocation.
+  EXPECT_THROW(load_checkpoint((dir / "taken").string()), ConfigError);
   std::filesystem::remove_all(dir);
 }
 

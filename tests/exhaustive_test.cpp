@@ -19,10 +19,8 @@ WriteAllOutcome run_single_fault(WriteAllAlgo algo, Addr n, Pid p, Pid victim,
                                  Slot when, Slot restart_delay,
                                  bool restart) {
   FaultSchedule schedule;
-  schedule.entries.push_back({when, {.fail_mid_cycle = {victim}}});
-  if (restart) {
-    schedule.entries.push_back({when + restart_delay, {.restart = {victim}}});
-  }
+  schedule.append(when, {.fail_mid_cycle = {victim}});
+  if (restart) schedule.append(when + restart_delay, {.restart = {victim}});
   ScheduledAdversary adversary(std::move(schedule));
   EngineOptions options;
   options.max_slots = 1 << 16;
@@ -79,10 +77,9 @@ TEST(DoubleFaultSweep, PairsOfStrikesOnX) {
       for (Pid v1 = 0; v1 < p; v1 += 3) {
         const Pid v2 = (v1 + 1) % p;
         FaultSchedule schedule;
-        schedule.entries = {
-            {first, {.fail_mid_cycle = {v1}}},
-            {first + gap, {.fail_mid_cycle = {v2}, .restart = {v1}}},
-            {first + gap + 2, {.restart = {v2}}}};
+        schedule.append(first, {.fail_mid_cycle = {v1}});
+        schedule.append(first + gap, {.fail_mid_cycle = {v2}, .restart = {v1}});
+        schedule.append(first + gap + 2, {.restart = {v2}});
         ScheduledAdversary adversary(std::move(schedule));
         const auto out = run_writeall(WriteAllAlgo::kX,
                                       {.n = n, .p = p, .seed = 1}, adversary);

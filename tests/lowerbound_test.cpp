@@ -58,7 +58,7 @@ TEST(LowerBound, BoundBindsOnlyCorrectAlgorithms) {
 
   // ... and the incorrectness half: one permanent crash starves a cell.
   FaultSchedule one_death;
-  one_death.entries.push_back({0, {.fail_mid_cycle = {3}}});
+  one_death.append(0, {.fail_mid_cycle = {3}});
   ScheduledAdversary crash(one_death);
   EngineOptions options;
   options.max_slots = 4096;

@@ -417,12 +417,9 @@ TEST(FaultyCells, RemappedDensitySolvesLikeReliable) {
 
 TEST(ModelFormats, ScheduleCarriesCellFaultAndCacheDropMoves) {
   FaultSchedule schedule;
-  ScheduleEntry entry;
-  entry.slot = 4;
-  entry.decision.fail_after_cycle = {1};
-  entry.decision.cell_faults = {7, 7, 30};
-  entry.decision.cache_drop = {0, 2};
-  schedule.entries.push_back(entry);
+  schedule.append(4, {.fail_after_cycle = {1},
+                      .cell_faults = {7, 7, 30},
+                      .cache_drop = {0, 2}});
   EXPECT_EQ(schedule.move_count(), 6u);
 
   const FaultSchedule back = schedule_from_jsonl(schedule_to_jsonl(schedule));

@@ -375,8 +375,8 @@ TEST(EngineMetrics, InvariantsAgainstTally) {
       metrics.histograms().at("engine.restarts_per_processor");
   // Oracle outside the stream: the recorded schedule's restart moves.
   std::vector<std::uint64_t> per_pid(p, 0);
-  for (const ScheduleEntry& entry : schedule.entries) {
-    for (const Pid pid : entry.decision.restart) ++per_pid[pid];
+  for (const Move& m : schedule.moves) {
+    if (m.kind == Move::Kind::kRestart) ++per_pid[m.target];
   }
   Histogram expected;
   for (const std::uint64_t count : per_pid) expected.observe(count);

@@ -450,12 +450,11 @@ TEST(Engine, PatternRecordingMatchesTally) {
   Engine engine(program);
   const RunResult result = engine.run(recorder);
   EXPECT_EQ(schedule.move_count(), result.tally.pattern_size());
-  ASSERT_EQ(schedule.entries.size(), 2u);
-  EXPECT_EQ(schedule.entries[0].slot, 1u);
-  EXPECT_EQ(schedule.entries[0].decision.fail_mid_cycle,
-            std::vector<Pid>{2});
-  EXPECT_EQ(schedule.entries[1].slot, 2u);
-  EXPECT_EQ(schedule.entries[1].decision.restart, std::vector<Pid>{2});
+  ASSERT_EQ(schedule.slot_count(), 2u);
+  EXPECT_EQ(schedule.moves[0],
+            (Move{.slot = 1, .target = 2, .kind = Move::Kind::kMid}));
+  EXPECT_EQ(schedule.moves[1],
+            (Move{.slot = 2, .target = 2, .kind = Move::Kind::kRestart}));
   EXPECT_EQ(result.tally.failures, 1u);
   EXPECT_EQ(result.tally.restarts, 1u);
 }

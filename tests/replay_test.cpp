@@ -31,8 +31,8 @@ FaultSchedule random_schedule(std::uint64_t seed) {
   Slot slot = rng.below(4);
   const std::size_t entries = rng.below(30);
   for (std::size_t i = 0; i < entries; ++i) {
-    ScheduleEntry e;
-    e.slot = slot;
+    FaultDecision d;
+    const Slot t = slot;
     slot += 1 + rng.below(5);
     const auto fill = [&](std::vector<Pid>& v) {
       const std::size_t k = rng.below(4);
@@ -40,16 +40,15 @@ FaultSchedule random_schedule(std::uint64_t seed) {
         v.push_back(static_cast<Pid>(rng.below(64)));
       }
     };
-    fill(e.decision.fail_mid_cycle);
-    fill(e.decision.fail_after_cycle);
-    fill(e.decision.restart);
+    fill(d.fail_mid_cycle);
+    fill(d.fail_after_cycle);
+    fill(d.restart);
     const std::size_t torn = rng.below(3);
     for (std::size_t j = 0; j < torn; ++j) {
-      e.decision.torn.push_back({static_cast<Pid>(rng.below(64)),
-                                 rng.below(4),
-                                 static_cast<unsigned>(rng.below(64))});
+      d.torn.push_back({static_cast<Pid>(rng.below(64)), rng.below(4),
+                        static_cast<unsigned>(rng.below(64))});
     }
-    if (!e.decision.empty()) s.entries.push_back(std::move(e));
+    s.append(t, d);
   }
   return s;
 }
@@ -85,6 +84,38 @@ TEST(ScheduleFormat, RejectsMalformedInput) {
           "{\"format\":\"rfsp-fault-schedule\",\"version\":1,\"meta\":{}}\n"
           "{\"t\":1.5,\"mid\":[1]}\n"),
       ConfigError);
+  // A number too wide for its move field is refused, not truncated.
+  for (const char* line :
+       {R"({"t":0,"mid":[4294967296]})", R"({"t":0,"after":[4294967296]})",
+        R"({"t":0,"restart":[4294967297]})", R"({"t":0,"drop":[4294967296]})",
+        R"({"t":0,"torn":[{"pid":4294967296,"w":0,"keep":1}]})",
+        R"({"t":0,"torn":[{"pid":0,"w":4294967296,"keep":1}]})",
+        R"({"t":0,"torn":[{"pid":0,"w":0,"keep":64}]})"}) {
+    EXPECT_THROW(
+        schedule_from_jsonl(
+            std::string(
+                R"({"format":"rfsp-fault-schedule","version":1,"meta":{}})") +
+            "\n" + line + "\n"),
+        ConfigError)
+        << line;
+  }
+}
+
+// save_schedule goes through a temporary file renamed into place: a save
+// that cannot make its temporary file leaves the previous schedule as is.
+TEST(ScheduleFormat, FailedSaveKeepsThePreviousFile) {
+  const auto dir = ::rfsp::testing::scratch_dir("schedule_save");
+  const std::string path = (dir / "s.jsonl").string();
+  const FaultSchedule first = random_schedule(3);
+  save_schedule(first, path);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(load_schedule(path), first);
+
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_THROW(save_schedule(random_schedule(4), path), ConfigError);
+  EXPECT_EQ(::rfsp::testing::read_text(path), schedule_to_jsonl(first));
+  EXPECT_TRUE(std::filesystem::is_directory(path + ".tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScheduleFormat, MetaSpecRoundTrip) {
@@ -235,7 +266,7 @@ TEST(ReplayDeterminism, ReRecordedReplayIsByteIdentical) {
           run_writeall(WriteAllAlgo::kCombinedVX, config, rerecorder, options);
 
       EXPECT_EQ(original.run.tally, replayed.run.tally);
-      EXPECT_FALSE(schedule.entries.empty());
+      EXPECT_FALSE(schedule.moves.empty());
       EXPECT_EQ(schedule_to_jsonl(schedule), schedule_to_jsonl(again));
     }
   }
@@ -277,19 +308,17 @@ TEST(ViolationContext, RecordedScheduleKeepsTheOffendingDecision) {
     EXPECT_EQ(av.context.move, "restart");
     EXPECT_NE(std::string(av.what()).find("slot 3"), std::string::npos);
   }
-  ASSERT_FALSE(schedule.entries.empty());
-  EXPECT_EQ(schedule.entries.back().slot, 3u);
-  EXPECT_EQ(schedule.entries.back().decision.restart, std::vector<Pid>{0});
+  ASSERT_FALSE(schedule.moves.empty());
+  EXPECT_EQ(schedule.moves.back().slot, 3u);
+  EXPECT_EQ(schedule.moves.back(), (Move{.slot = 3, .target = 0,
+                                         .kind = Move::Kind::kRestart}));
 }
 
 TEST(ViolationContext, ProbeClassifiesViolations) {
   FaultSchedule bad;
   ReproSpec spec{.algo = WriteAllAlgo::kX, .n = 32, .p = 4};
   write_meta(spec, bad, ProbeStatus::kAdversaryViolation, "");
-  ScheduleEntry e;
-  e.slot = 2;
-  e.decision.restart.push_back(1);  // pid 1 is live -> illegal restart
-  bad.entries.push_back(e);
+  bad.append(2, {.restart = {1}});  // pid 1 is live -> illegal restart
 
   const ProbeResult r = probe(spec_from_meta(bad), bad);
   EXPECT_EQ(r.status, ProbeStatus::kAdversaryViolation);
@@ -303,10 +332,7 @@ TEST(ViolationContext, ProbeSolvesBenignSchedules) {
   FaultSchedule benign;
   ReproSpec spec{.algo = WriteAllAlgo::kX, .n = 32, .p = 4};
   write_meta(spec, benign, ProbeStatus::kSolved, "");
-  ScheduleEntry e;
-  e.slot = 1;
-  e.decision.fail_after_cycle.push_back(2);
-  benign.entries.push_back(e);
+  benign.append(1, {.fail_after_cycle = {2}});
 
   const ProbeResult r = probe(spec_from_meta(benign), benign);
   EXPECT_EQ(r.status, ProbeStatus::kSolved);

@@ -1,11 +1,8 @@
-// Bit-atomic writes (§2.1's relaxed assumption) and the BitSafeCell
-// conversion: torn word writes corrupt naive cells but never a BitSafeCell.
+// Bit-atomic writes (§2.1's relaxed assumption): a torn word write commits
+// its earlier writes whole and the low bits of the torn one, and can leave
+// a cell holding a value that no processor wrote.
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "fault/adversaries.hpp"
-#include "pram/bitsafe.hpp"
 #include "pram/engine.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
@@ -112,14 +109,10 @@ TEST(TornWrites, ValidationRejectsBadTears) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// The conversion: a naive shared counter is corruptible; a BitSafeCell
-// counter never shows a value that was not written.
-
-TEST(BitSafe, NaiveCellCanBeCorrupted) {
+TEST(TornWrites, NaiveCellCanBeCorrupted) {
   // The cell holds 0b0111 (written at slot 0); processor 1 overwrites it
   // with 0b1000 and is torn after the lowest bit: the cell becomes 0b0110
-  // — a value nobody ever wrote. This is the hazard BitSafeCell removes.
+  // — a value nobody ever wrote.
   LambdaProgram program(
       2, 4,
       [](Pid pid, std::uint64_t, CycleContext& ctx) {
@@ -142,88 +135,6 @@ TEST(BitSafe, NaiveCellCanBeCorrupted) {
   const RunResult result = engine.run(adversary);
   EXPECT_TRUE(result.goal_met);  // the corrupt hybrid value appeared
   EXPECT_EQ(engine.memory().read(0), 0b0110);
-}
-
-TEST(BitSafe, CellSurvivesArbitraryTearing) {
-  // Writers advance a BitSafeCell through 1, 2, 3, ...; the adversary tears
-  // every third logical write at a varying bit offset. A reader processor
-  // records every value it observes: all observations must be values some
-  // writer actually attempted (no Frankenstein words), and the final value
-  // must equal the last *completed* write.
-  constexpr Addr kCellBase = 1;  // [1,4); cell 0 collects observations
-  const BitSafeCell cell(kCellBase);
-
-  LambdaProgram program(
-      2, 8,
-      [&](Pid pid, std::uint64_t k, CycleContext& ctx) {
-        if (pid == 0) {
-          // Reader: copy the current logical value into cell 0 (2 reads +
-          // 1 write), where the goal predicate can watch it.
-          ctx.write(0, cell.read(ctx));
-          return true;
-        }
-        // Writer: set the logical value to its cycle number + 100.
-        cell.write(ctx, static_cast<Word>(100 + k));
-        return k < 30;
-      },
-      [](const SharedMemory& mem) { return mem.read(0) >= 120; });
-
-  std::set<Word> observed;
-  LambdaAdversary adversary([&](const MachineView& view) {
-    observed.insert(view.memory().read(0));
-    FaultDecision d;
-    // Tear during an initial window only, so the writer can eventually
-    // count far enough for the goal (a restart resets its private k).
-    if (view.slot() < 12 && view.slot() % 3 == 2 && view.trace(1).started) {
-      // Tear the writer: sometimes inside the buffer write (index 0),
-      // sometimes inside the toggle write (index 1).
-      const unsigned keep = view.slot() % 2 == 0 ? 3u : 0u;
-      const std::size_t idx = (view.slot() / 3) % 2;
-      d.torn.push_back({1, idx, keep});
-      d.restart.push_back(1);
-    }
-    return d;
-  });
-
-  EngineOptions options;
-  options.bit_atomic_writes = true;
-  Engine engine(program, options);
-  const RunResult result = engine.run(adversary);
-  EXPECT_TRUE(result.goal_met);
-
-  // Every observed value is either the initial 0 or some attempted value
-  // 100..130 — never a torn hybrid.
-  for (const Word v : observed) {
-    EXPECT_TRUE(v == 0 || (v >= 100 && v <= 131)) << "corrupt value " << v;
-  }
-  EXPECT_GT(result.tally.failures, 0u);
-}
-
-TEST(BitSafe, WriteWithToggleMatchesWrite) {
-  // The fused variant must produce the same committed state as read+write.
-  constexpr Addr kBase = 0;
-  const BitSafeCell cell(kBase);
-  LambdaProgram program(
-      1, 4,
-      [&](Pid, std::uint64_t k, CycleContext& ctx) {
-        if (k == 0) {
-          cell.write(ctx, 42);
-          return true;
-        }
-        const Word toggle = ctx.read(kBase + 2);
-        cell.write_with_toggle(ctx, toggle, 43);
-        return false;
-      },
-      [](const SharedMemory&) { return false; });
-  NoFailures none;
-  EngineOptions options;
-  Engine engine(program, options);
-  const RunResult result = engine.run(none);
-  EXPECT_TRUE(result.deadlock);  // the lone processor halted; goal never set
-  // Logical value is 43: toggle flipped twice, buffers hold 42 and 43.
-  const Word toggle = engine.memory().read(kBase + 2) & 1;
-  EXPECT_EQ(engine.memory().read(kBase + static_cast<Addr>(toggle)), 43);
-  (void)result;
 }
 
 }  // namespace
