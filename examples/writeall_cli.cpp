@@ -72,7 +72,7 @@ std::vector<cli::Flag> flags() {
       {"adversary", "NAME",
        "none|random|burst|thrashing|halving|\n"
        "postorder-stalker|leaf-stalker|iteration-killer\n"
-       "(default none)"},
+       "(default none; the stalkers need --algo X|VX|ACC)"},
       {"fail", "PROB", "random adversary per-slot failure prob (0.05)"},
       {"restart", "PROB", "random adversary restart prob (0.5)"},
       {"burst-period", "K", "burst adversary period (4)"},
@@ -143,8 +143,17 @@ int main(int argc, char** argv) {
   if (algo_it == algos.end()) args.usage("unknown algorithm " + algo_name);
   const WriteAllAlgo algo = algo_it->second;
   const WriteAllConfig config{.n = n, .p = p, .seed = seed};
+  // The stalkers watch the cells of X's progress tree, which only X, VX
+  // and ACC (X's tree under coin-flip descents) lay out.
+  if ((adversary_name == "postorder-stalker" ||
+       adversary_name == "leaf-stalker") &&
+      algo != WriteAllAlgo::kX && algo != WriteAllAlgo::kCombinedVX &&
+      algo != WriteAllAlgo::kAcc) {
+    args.usage("--adversary " + adversary_name +
+               " stalks X's progress tree: it needs --algo X|VX|ACC");
+  }
 
-  // The stalkers need the X-family layout; derive it where applicable.
+  // The stalkers need the X-family layout (ACC's is X's).
   std::unique_ptr<Adversary> adversary;
   try {
     auto x_layout = [&]() -> XLayout {

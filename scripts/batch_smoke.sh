@@ -54,19 +54,22 @@ done
 # Trace bit-identity across modes: the same run traced through the binary
 # sink must produce byte-identical streams from the interpreter and the
 # batched backend, and the stream must pass trace_cli's invariant audit.
-# Rows: fault-free at N = P, then random failures with restarts, which gate
-# the reboot path and the interpreter states' phase clocks against the
-# kernels, at N = P and at P = N/16 (there V runs several iterations, so
-# its phase clock wraps). Every row compares the tally too. (Smaller than
-# the tally rows above — the trace gate is about identity, not scale.)
+# Rows: fault-free at N = P and at P = N/64 (there X's lanes pile onto few
+# tree nodes, the runs its kernel's step memo serves), then random failures
+# with restarts, which gate the reboot path and the interpreter states'
+# phase clocks against the kernels, at N = P and at P = N/16 (there V runs
+# several iterations, so its phase clock wraps). Every row compares the
+# tally too. (Smaller than the tally rows above — the trace gate is about
+# identity, not scale.)
 trace_cli="$build_dir/examples/trace_cli"
 if [ -x "$trace_cli" ]; then
   trace_dir=$(mktemp -d)
   trap 'rm -rf "$trace_dir"' EXIT
   faults=(--adversary random --fail 0.02 --restart 0.5 --seed 3)
-  for row in fault-free faulty faulty-p256; do
+  for row in fault-free fault-free-p64 faulty faulty-p256; do
     flags=(--n 4096 --p 4096)
     case "$row" in
+      fault-free-p64) flags=(--n 4096 --p 64) ;;
       faulty) flags+=("${faults[@]}") ;;
       faulty-p256) flags=(--n 4096 --p 256 "${faults[@]}") ;;
     esac

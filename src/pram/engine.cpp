@@ -46,6 +46,11 @@ void CycleContext::throw_write_budget() const {
                        cycle_ctx(slot_, pid_, "write"));
 }
 
+void CycleContext::throw_write_out_of_bounds(Addr a, Word v) {
+  if (audit_ != nullptr) audit_->on_write(pid_, a, v);
+  throw_out_of_bounds("write", a, cells_.size(), pid_);
+}
+
 std::span<const Word> CycleContext::snapshot() {
   if (!snapshot_allowed_) {
     throw ModelViolation(
@@ -402,10 +407,17 @@ void Engine::commit_writes(const FaultDecision& d) {
   }
   // The first-writer path below is the whole slot for fault-free batched
   // runs (one buffered write per lane per slot), so it is flattened into
-  // the loop: stamp check, goal-range check, raw store. Conflict
-  // resolution and goal-counter upkeep stay out of line.
+  // the loop: stamp check, goal-range check, raw store. So is the common
+  // conflict of a COMMON run on reliable memory, a later writer agreeing
+  // with the committed value (processors sharing a tree node write the same
+  // mark: a quarter of X's writes). Every other conflict, and goal-counter
+  // upkeep, stay out of line. Every logged address is a cell (the cycle
+  // contexts check it), so the raw loads and stores stay in bounds.
   const std::uint32_t epoch = commit_epoch_;
   std::uint32_t* const stamps = cell_stamp_.data();
+  const Word* const cells = mem_.storage().data();
+  const bool common_agrees_inline =
+      options_.model == CrcwModel::kCommon && fault_map_ == nullptr;
   const bool track_goal = track_goal_;
   const Addr goal_base = goal_base_;
   const Addr goal_end = goal_end_;
@@ -413,6 +425,7 @@ void Engine::commit_writes(const FaultDecision& d) {
     if (casualties && mark_get(op.pid) != 0) continue;
     const Addr addr = op.addr;
     if (stamps[addr] == epoch) {
+      if (common_agrees_inline && cells[addr] == op.value) continue;
       resolve_write_conflict(addr, op.value, op.pid);
       continue;
     }

@@ -37,10 +37,10 @@ void SharedMemory::restore_storage(std::span<const Word> words) {
   cells_.assign(words.begin(), words.end());
 }
 
-void SharedMemory::throw_out_of_bounds(const char* op, Addr a, Pid pid) const {
+void throw_out_of_bounds(const char* op, Addr a, Addr size, Pid pid) {
   std::string msg = "shared-memory " + std::string(op) + " out of bounds: cell " +
                     std::to_string(a) + " with memory size " +
-                    std::to_string(visible_);
+                    std::to_string(size);
   if (pid != kNoPid) msg += " (pid " + std::to_string(pid) + ")";
   detail::throw_check_failure("invariant", "addr < memory size", msg);
 }

@@ -27,6 +27,14 @@ namespace rfsp {
 // outside any update cycle (goal scans, restores, ...).
 inline constexpr Pid kNoPid = ~Pid{0};
 
+// The bounds diagnostic of `op` ("read" or "write") at cell `a` of a
+// memory of `size` cells, naming `pid` unless it is kNoPid. Shared by
+// SharedMemory and the places that buffer a cycle's write (CycleContext,
+// writeall's LaneContext), which check before the lane log narrows the
+// address.
+[[noreturn]] void throw_out_of_bounds(const char* op, Addr a, Addr size,
+                                      Pid pid);
+
 class SharedMemory {
  public:
   // All cells start cleared (the model: input cells are set by the program's
@@ -42,12 +50,16 @@ class SharedMemory {
   // drops the write and returns false — callers maintaining derived state,
   // e.g. the engine's incremental goal counter, must check).
   Word read(Addr a, Pid pid = kNoPid) const {
-    if (a >= visible_) [[unlikely]] throw_out_of_bounds("read", a, pid);
+    if (a >= visible_) [[unlikely]] {
+      throw_out_of_bounds("read", a, visible_, pid);
+    }
     if (faults_ != nullptr) [[unlikely]] return faulty_read(a);
     return cells_[a];
   }
   bool write(Addr a, Word v, Pid pid = kNoPid) {
-    if (a >= visible_) [[unlikely]] throw_out_of_bounds("write", a, pid);
+    if (a >= visible_) [[unlikely]] {
+      throw_out_of_bounds("write", a, visible_, pid);
+    }
     if (faults_ != nullptr) [[unlikely]] return faulty_write(a, v);
     cells_[a] = v;
     return true;
@@ -82,7 +94,6 @@ class SharedMemory {
  private:
   Word faulty_read(Addr a) const;
   bool faulty_write(Addr a, Word v);
-  [[noreturn]] void throw_out_of_bounds(const char* op, Addr a, Pid pid) const;
 
   std::vector<Word> cells_;
   Addr visible_ = 0;

@@ -117,11 +117,14 @@ class CycleContext {
   }
 
   // Buffer one shared write (committed at slot end iff the cycle completes).
-  // Throws ModelViolation past the write budget.
+  // Throws ModelViolation past the write budget, and SharedMemory::write's
+  // diagnostic for an address past the memory — here, inside the cycle as
+  // for reads, before the lane log narrows the address to 32 bits.
   void write(Addr a, Word v) {
     if (trace_->writes.size() >= write_budget_) [[unlikely]] {
       throw_write_budget();
     }
+    if (a >= cells_.size()) [[unlikely]] throw_write_out_of_bounds(a, v);
     trace_->writes.push_back({a, v});
     if (audit_ != nullptr) [[unlikely]] audit_->on_write(pid_, a, v);
   }
@@ -151,6 +154,8 @@ class CycleContext {
   Word read_hooked(Addr a);
   [[noreturn]] void throw_read_budget() const;
   [[noreturn]] void throw_write_budget() const;
+  // The audit hook sees the write first, as read_hooked shows it a read.
+  [[noreturn]] void throw_write_out_of_bounds(Addr a, Word v);
 
   // Per-read fields first.
   std::span<const Word> cells_;  // the visible cells, for unhooked reads
@@ -209,7 +214,9 @@ class WordStreamState : public ProcessorState {
 // write, read once at commit), and 16-byte entries cut that traffic by a
 // third versus a full-width Addr. The engine enforces the implied
 // shared-memory bound (< 2^32 cells, i.e. 32 GiB of Words) at
-// construction.
+// construction, and CycleContext::write and the lanes' LaneContext::write
+// refuse an address past the memory before narrowing it, so every logged
+// address is a cell.
 struct PendingWrite {
   std::uint32_t addr = 0;
   Pid pid = 0;

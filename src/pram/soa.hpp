@@ -84,6 +84,9 @@ class LaneEmit {
     if (tr_ != nullptr) tr_->reset_for_cycle();
   }
 
+  // `addr` must be a cell of ctx.mem: the lane log narrows it to 32 bits.
+  // Kernels write through LaneContext::write (writeall/lanes.hpp), which
+  // checks it first, as CycleContext::write does.
   void write(Addr addr, Word value) {
     log_.writes.push_back({static_cast<std::uint32_t>(addr), pid_, value});
     if (tr_ != nullptr) tr_->writes.push_back({addr, value});

@@ -89,19 +89,20 @@ bool AlgXState::cycle(CycleContext& ctx) {
 
 namespace {
 
-// Standalone X on batch lanes: no private registers at all.
+// Standalone X on batch lanes: no private registers at all. The group's
+// only input is a fresh step memo, which x_cycle takes as the lanes'
+// registers.
 struct XLanes {
   using Regs = XLaneRegs;
   using Lane = XLaneRegs;
   XParams params;
 
-  // X has no slot-uniform inputs.
-  Slot group(Slot slot) const { return slot; }
-  bool cycle(LaneContext& ctx, XLaneRegs& lane, Slot /*slot*/) const {
-    return x_cycle(ctx, params, lane);
+  XStepMemo group(Slot /*slot*/) const { return {}; }
+  bool cycle(LaneContext& ctx, XLaneRegs& /*lane*/, XStepMemo& memo) const {
+    return x_cycle(ctx, params, memo);
   }
   void prefetch(std::span<const Word> mem, const XLaneRegs& /*lane*/, Pid pid,
-                Slot /*slot*/) const {
+                const XStepMemo& /*memo*/) const {
     x_prefetch(params, mem, pid);
   }
   AlgXState state(Pid pid) const {

@@ -29,8 +29,10 @@
 //    as done without extra initialization writes.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "util/bits.hpp"
@@ -174,7 +176,83 @@ bool x_go_right(Ctx& ctx, const XParams& k, R& r, Addr pos) {
 // One TaskSpec micro-cycle or the task's done mark (interpreter only).
 bool x_task_cycle(CycleContext& ctx, const XParams& k, XRegs& r);
 
-// One loop iteration of Figure 5.
+// What Figure 5 does at a tree position, decided by the reads there alone
+// (x_classify): every processor on the position takes the same step, and
+// only a contested descent then consults the PID (Lemma 4.5).
+struct XStep {
+  enum class Kind : std::uint8_t {
+    kClimb,      // d[where] done: one level up (exit above the root)
+    kMark,       // finished below: publish d[where] := 1
+    kVisit,      // an unvisited leaf: x[element] := 1 (or enter the task)
+    kGo,         // exactly one child unfinished: move to it
+    kContested,  // both children unfinished: descend by the PID bit
+  };
+  Kind kind = Kind::kClimb;
+  Addr next = 0;  // kGo: the unfinished child
+};
+
+// The standalone X kernel's per-group memo of one position's step, the
+// twin of V's AllocMemo (writeall/lanes.hpp): processors head for the
+// smallest unfinished subtree, so ascending-PID lanes arrive on one node
+// in runs, and a lane repeating its predecessor's position reads no tree
+// cell. Valid for one LaneKernel::run: the step is a pure function of the
+// position and the slot-start memory.
+struct XStepMemo {
+  Addr pos = 0;  // 0 = empty (tree node ids start at 1)
+  XStep step;
+};
+
+// The reads of one Figure 5 iteration after `where := w[PID]`, in the
+// paper's order: `done := d[where]`, then the leaf's element or both
+// children (padding counts as done without a read, so the read budget
+// still fits 4).
+template <class Ctx>
+XStep x_classify(Ctx& ctx, const XParams& k, Addr pos) {
+  const XLayout& lay = k.layout;
+  const Word stamp = k.config.stamp;
+  if (payload_of(ctx.read(lay.d(pos)), stamp) != 0) {
+    return {XStep::Kind::kClimb};
+  }
+  if (pos >= lay.n_pad) {  // at a leaf
+    const Addr element = pos - lay.n_pad;
+    // Padding is structurally done; a real leaf whose element is already
+    // written is on its second visit. Either way the mark is published.
+    if (element >= lay.n ||
+        payload_of(ctx.read(lay.x(element)), stamp) != 0) {
+      return {XStep::Kind::kMark};
+    }
+    return {XStep::Kind::kVisit};
+  }
+  const Addr left = TreeNav::left(pos);
+  const Addr right = TreeNav::right(pos);
+  const bool left_done = lay.structurally_done(left) ||
+                         payload_of(ctx.read(lay.d(left)), stamp) != 0;
+  const bool right_done = lay.structurally_done(right) ||
+                          payload_of(ctx.read(lay.d(right)), stamp) != 0;
+  if (left_done && right_done) return {XStep::Kind::kMark};
+  if (left_done != right_done) {
+    return {XStep::Kind::kGo, left_done ? right : left};
+  }
+  return {XStep::Kind::kContested};
+}
+
+// The step at `pos`. The standalone X kernel, whose registers are the
+// memo, classifies a position once per run of lanes on it. The interpreter
+// classifies every cycle (its reads are metered, logged and audited), and
+// so does VX's X half: under faults its lanes repeat a position too rarely
+// for the memo to pay (DESIGN.md §4.9).
+template <class Ctx, class R>
+XStep x_step(Ctx& ctx, const XParams& k, R& r, Addr pos) {
+  if constexpr (std::is_same_v<R, XStepMemo>) {
+    if (pos != r.pos) r = {pos, x_classify(ctx, k, pos)};
+    return r.step;
+  } else {
+    return x_classify(ctx, k, pos);
+  }
+}
+
+// One loop iteration of Figure 5: read the position, classify it, and
+// apply the step as this processor's buffered writes.
 template <class Ctx, class R>
 bool x_cycle(Ctx& ctx, const XParams& k, R& r) {
   if constexpr (kInterpreted<Ctx>) {
@@ -202,80 +280,57 @@ bool x_cycle(Ctx& ctx, const XParams& k, R& r) {
   RFSP_CHECK_MSG(pos >= 1 && pos < 2 * lay.n_pad,
                  "corrupt traversal position");
 
-  // `done := d[where]`; the leaf and interior marks below reuse the cell.
-  const Addr pos_cell = lay.d(pos);
-  if (payload_of(ctx.read(pos_cell), stamp) != 0) {
-    if constexpr (kInterpreted<Ctx>) {
-      // The coupon-clipping variant escapes a finished *leaf* by sampling a
-      // fresh random leaf half the time; the other half — and every done
-      // interior node — climbs, so once the tree is complete a processor
-      // drains to the root in O(height) expected moves (jumping from
-      // interior nodes too would make the final exit take Θ(N) expected
-      // moves).
-      if (k.descent == XDescent::kCoupon && pos >= lay.n_pad && pos != 1) {
-        Rng& rng = r.coin(k.config.seed, pid, ctx.slot());
-        if (rng.below(2) != 0) {
-          const Addr target =
-              lay.leaf(static_cast<Addr>(rng.below(lay.n_pad)));
-          ctx.write(lay.w(pid), stamped(stamp, static_cast<Word>(target)));
+  const XStep step = x_step(ctx, k, r, pos);
+  Addr next = step.next;
+  switch (step.kind) {
+    case XStep::Kind::kClimb: {
+      if constexpr (kInterpreted<Ctx>) {
+        // The coupon-clipping variant escapes a finished *leaf* by sampling
+        // a fresh random leaf half the time; the other half — and every
+        // done interior node — climbs, so once the tree is complete a
+        // processor drains to the root in O(height) expected moves (jumping
+        // from interior nodes too would make the final exit take Θ(N)
+        // expected moves).
+        if (k.descent == XDescent::kCoupon && pos >= lay.n_pad && pos != 1) {
+          Rng& rng = r.coin(k.config.seed, pid, ctx.slot());
+          if (rng.below(2) != 0) {
+            const Addr target =
+                lay.leaf(static_cast<Addr>(rng.below(lay.n_pad)));
+            ctx.write(lay.w(pid), stamped(stamp, static_cast<Word>(target)));
+            return true;
+          }
+        }
+      }
+      // Move one level up; above the root means the whole tree is finished.
+      const Addr up = TreeNav::parent(pos);
+      ctx.write(lay.w(pid), stamped(stamp, up == 0 ? lay.exited()
+                                                   : static_cast<Word>(up)));
+      return true;
+    }
+    case XStep::Kind::kMark:
+      ctx.write(lay.d(pos), stamped(stamp, 1));
+      // The root's mark (a padding leaf is never the root).
+      if (k.done_flag && pos == 1) ctx.write(*k.done_flag, stamped(stamp, 1));
+      return true;
+    case XStep::Kind::kVisit:
+      if constexpr (kInterpreted<Ctx>) {
+        if (k.config.task != nullptr) {
+          r.mode = XRegs::Mode::kTask;
+          r.task_leaf = pos;
+          r.task_k = 0;
+          std::fill(r.scratch.begin(), r.scratch.end(), Word{0});
           return true;
         }
       }
-    }
-    // Move one level up; above the root means the whole tree is finished.
-    const Addr up = TreeNav::parent(pos);
-    ctx.write(lay.w(pid), stamped(stamp, up == 0 ? lay.exited()
-                                                 : static_cast<Word>(up)));
-    return true;
-  }
-
-  if (pos >= lay.n_pad) {  // at a leaf
-    const Addr element = pos - lay.n_pad;
-    if (element >= lay.n) {
-      // Padding: structurally done, publish the mark.
-      ctx.write(pos_cell, stamped(stamp, 1));
+      // Plain Write-All: the visit is the assignment x[i] := 1.
+      ctx.write(lay.x(pos - lay.n_pad), stamped(stamp, 1));
       return true;
-    }
-    if (payload_of(ctx.read(lay.x(element)), stamp) != 0) {
-      ctx.write(pos_cell, stamped(stamp, 1));  // second visit: mark done
-      if (k.done_flag && pos == 1) {
-        // Degenerate one-node tree: the leaf is also the root.
-        ctx.write(*k.done_flag, stamped(stamp, 1));
-      }
-      return true;
-    }
-    if constexpr (kInterpreted<Ctx>) {
-      if (k.config.task != nullptr) {
-        r.mode = XRegs::Mode::kTask;
-        r.task_leaf = pos;
-        r.task_k = 0;
-        std::fill(r.scratch.begin(), r.scratch.end(), Word{0});
-        return true;
-      }
-    }
-    // Plain Write-All: the visit is the assignment x[i] := 1.
-    ctx.write(lay.x(element), stamped(stamp, 1));
-    return true;
-  }
-
-  // Interior node: inspect both subtrees (padding counts as done without a
-  // read; the read budget then still fits 4).
-  const Addr left = TreeNav::left(pos);
-  const Addr right = TreeNav::right(pos);
-  const bool left_done = lay.structurally_done(left) ||
-                         payload_of(ctx.read(lay.d(left)), stamp) != 0;
-  const bool right_done = lay.structurally_done(right) ||
-                          payload_of(ctx.read(lay.d(right)), stamp) != 0;
-  if (left_done && right_done) {
-    ctx.write(pos_cell, stamped(stamp, 1));
-    if (k.done_flag && pos == 1) ctx.write(*k.done_flag, stamped(stamp, 1));
-    return true;
-  }
-  Addr next;
-  if (left_done != right_done) {
-    next = left_done ? right : left;  // go to the unfinished side
-  } else {
-    next = x_go_right(ctx, k, r, pos) ? right : left;
+    case XStep::Kind::kGo:
+      break;  // to the unfinished side
+    case XStep::Kind::kContested:
+      next = x_go_right(ctx, k, r, pos) ? TreeNav::right(pos)
+                                        : TreeNav::left(pos);
+      break;
   }
   ctx.write(lay.w(pid), stamped(stamp, static_cast<Word>(next)));
   return true;

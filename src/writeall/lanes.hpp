@@ -14,6 +14,15 @@
 //     batched backend, driven by LaneKernel below. A restarted lane's
 //     `waiting` flag is an ordinary register, so the live set is one lane
 //     group run in ascending PID order, exactly the interpreter's order.
+// That order puts lanes with equal inputs next to each other, so a lane
+// group keeps two memos, each valid for one LaneKernel::run because each
+// caches a pure function of slot-start memory: V's AllocMemo (below,
+// the split at one node and interval) and the X kernel's
+// XStepMemo (writeall/algx.hpp, the step at one tree position, which the
+// kernel carries as its group input). The interpreter recomputes both
+// every cycle, since its reads are metered, logged and audited; so does
+// VX's X half, whose lanes under faults repeat a position too rarely for
+// the memo to pay (DESIGN.md §4.9).
 #pragma once
 
 #include <algorithm>
@@ -24,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "pram/memory.hpp"
 #include "pram/program.hpp"
 #include "pram/soa.hpp"
 #include "util/error.hpp"
@@ -76,7 +86,16 @@ class LaneContext {
         memo_(memo) {}
 
   Word read(Addr a) const { return mem_[a]; }
-  void write(Addr a, Word v) { emit_.write(a, v); }
+  // An address past the memory throws SharedMemory::write's diagnostic
+  // before LaneEmit narrows it to 32 bits (CycleContext::write's rule).
+  // Checked here rather than in LaneEmit, where the same test cost VX's
+  // faulty runs 3 % (DESIGN.md §4.9).
+  void write(Addr a, Word v) {
+    if (a >= mem_.size()) [[unlikely]] {
+      throw_out_of_bounds("write", a, mem_.size(), pid_);
+    }
+    emit_.write(a, v);
+  }
   Slot slot() const { return slot_; }
   Pid pid() const { return pid_; }
   void halt() { emit_.halt(); }
@@ -157,7 +176,8 @@ void scatter_lane(SoaStore& soa, Pid pid, Regs& regs) {
 // binds one algorithm instance:
 //   Regs, Lane               plain registers and their lane view
 //                            (Lane(soa, pid), Lane::kColumns columns)
-//   group(slot)              slot-uniform inputs, once per lane group
+//   group(slot)              slot-uniform inputs, once per lane group;
+//                            a per-group memo may ride in it (mutable)
 //   cycle(ctx, lane, g)      the single-source cycle body
 //   prefetch(mem, lane, pid, g)  load hint for a lane further ahead
 //   state(pid)               a fresh interpreter state, whose regs() and
@@ -184,7 +204,7 @@ class LaneKernel final : public BatchKernel {
   RFSP_FLATTEN void run(std::uint32_t /*ctrl*/, std::span<const Pid> pids,
                         const BatchContext& batch,
                         SoaStore& soa) const override {
-    const auto group = alg_.group(batch.slot);
+    auto group = alg_.group(batch.slot);
     AllocMemo memo;
     for (std::size_t i = 0; i < pids.size(); ++i) {
       if (i + kPrefetchDist < pids.size()) {

@@ -142,13 +142,18 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
   return std::make_unique<NoFailures>();
 }
 
+// The matrix's shape: N padded to 256, P = N/4.
+constexpr WriteAllConfig kPaddedShape{.n = 192, .p = 48, .seed = 5};
+
 void check_equivalence(WriteAllAlgo algo, const std::string& adversary_name,
+                       const WriteAllConfig& config = kPaddedShape,
                        CrcwModel model = CrcwModel::kCommon) {
   const std::string what = std::string(to_string(algo)) + " x " +
                            adversary_name + " model " +
-                           std::to_string(static_cast<int>(model));
+                           std::to_string(static_cast<int>(model)) + " N " +
+                           std::to_string(config.n) + " P " +
+                           std::to_string(config.p);
   SCOPED_TRACE(what);
-  const WriteAllConfig config{.n = 192, .p = 48, .seed = 5};
   const std::uint64_t seed = 77;
 
   EngineOptions options;
@@ -196,7 +201,7 @@ TEST(BatchEquivalence, ArbitraryAndPriorityUnderRandomFaults) {
     for (const WriteAllAlgo algo : {WriteAllAlgo::kW, WriteAllAlgo::kV,
                                     WriteAllAlgo::kX,
                                     WriteAllAlgo::kCombinedVX}) {
-      check_equivalence(algo, "random", model);
+      check_equivalence(algo, "random", kPaddedShape, model);
     }
   }
 }
@@ -222,6 +227,23 @@ TEST(BatchEquivalence, ChaosWithTornWrites) {
                                   WriteAllAlgo::kX,
                                   WriteAllAlgo::kCombinedVX}) {
     check_equivalence(algo, "chaos");
+  }
+}
+
+// X's lanes at one tree node share its classification (the standalone
+// kernel's step memo, writeall/algx.hpp), so X and VX also run at the
+// shapes that stress it: unpadded with P = N, and P << N, where long runs
+// of ascending-PID lanes sit on one node.
+TEST(BatchEquivalence, XFamilyAtUnpaddedAndFewProcessorShapes) {
+  for (const WriteAllConfig& config :
+       {WriteAllConfig{.n = 256, .p = 256, .seed = 5},
+        WriteAllConfig{.n = 1024, .p = 16, .seed = 5}}) {
+    for (const char* adversary : {"none", "random", "stalker", "chaos"}) {
+      for (const WriteAllAlgo algo :
+           {WriteAllAlgo::kX, WriteAllAlgo::kCombinedVX}) {
+        check_equivalence(algo, adversary, config);
+      }
+    }
   }
 }
 

@@ -609,9 +609,10 @@ TEST(CliErrors, BadNumericFlagsAreUsageErrors) {
 // The legacy recording flags are gone (--trace-out x.csv and --record
 // replace them), and --pattern-in is the run's adversary, so it excludes
 // --replay and --adversary: all usage errors (exit 2). So is any other
-// adversary flag under --replay (the schedule is the adversary), and a
-// --replay of the other run CLI's recording: writeall_cli refuses a
-// sim_cli schedule and sim_cli a writeall_cli one.
+// adversary flag under --replay (the schedule is the adversary), a
+// --replay of the other run CLI's recording (writeall_cli refuses a
+// sim_cli schedule and sim_cli a writeall_cli one), and a stalker, which
+// watches X's progress tree, against an algorithm without one.
 TEST(CliErrors, RemovedRecordingFlagsAndPatternInConflicts) {
   using ::rfsp::testing::run_cli;
   const auto dir = ::rfsp::testing::scratch_dir("cli_pattern_flags");
@@ -641,6 +642,10 @@ TEST(CliErrors, RemovedRecordingFlagsAndPatternInConflicts) {
                                    schedule + " --adversary random"},
            {RFSP_WRITEALL_CLI, "--replay " + schedule + " --adversary burst"},
            {RFSP_WRITEALL_CLI, "--replay " + sim_schedule},
+           {RFSP_WRITEALL_CLI,
+            "--algo V --n 1024 --p 64 --adversary postorder-stalker"},
+           {RFSP_WRITEALL_CLI,
+            "--algo W --n 1024 --p 64 --adversary leaf-stalker"},
            {RFSP_SIM_CLI, "--replay " + sim_schedule + " --fail 0.3"},
            {RFSP_SIM_CLI, "--replay " + schedule}}) {
     EXPECT_EQ(run_cli(cli, args, dir / "out.txt"), 2) << cli << " " << args;

@@ -11,6 +11,7 @@
 #include "replay/schedule.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
+#include "writeall/lanes.hpp"
 
 namespace rfsp {
 namespace {
@@ -62,6 +63,46 @@ TEST(Engine, WriteBudgetEnforced) {
   NoFailures none;
   Engine engine(program);
   EXPECT_THROW(engine.run(none), ModelViolation);
+}
+
+// A buffered write past the memory throws SharedMemory::write's
+// diagnostic inside the cycle — in the interpreter's context and in a batch
+// lane's LaneContext — before the lane log narrows the address to 32 bits:
+// 2^32 + 5 must not commit to cell 5, and cell 100 of 16 must not index
+// past the engine's per-cell stamps.
+TEST(Engine, WriteOutOfBoundsRefused) {
+  for (const Addr bad : {(Addr{1} << 32) + 5, Addr{100}}) {
+    const std::string expected = "shared-memory write out of bounds: cell " +
+                                 std::to_string(bad) +
+                                 " with memory size 16 (pid 0)";
+    LambdaProgram program(1, 16, [bad](Pid, std::uint64_t, CycleContext& ctx) {
+      ctx.write(bad, 1);
+      return false;
+    });
+    NoFailures none;
+    Engine engine(program);
+    try {
+      engine.run(none);
+      ADD_FAILURE() << "write to cell " << bad << " committed";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+
+    const std::vector<Word> mem(16, 0);
+    LaneLog log;
+    const BatchContext batch{mem, 0, nullptr, &log};
+    AllocMemo memo;
+    LaneContext lane(batch, 0, memo);
+    try {
+      lane.write(bad, 1);
+      ADD_FAILURE() << "lane write to cell " << bad << " was logged";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(log.writes.empty());
+  }
 }
 
 TEST(Engine, SnapshotRequiresStrongModel) {
